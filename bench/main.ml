@@ -416,38 +416,31 @@ let sched_gate_metrics () =
   @ deltas
 
 (* Machine-readable run record: micro-benchmark estimates, the
-   deterministic LP, xl and sched work gates, plus the full counter/
-   gauge/histogram/span/progress snapshot of the figure regeneration. *)
+   deterministic LP, xl and sched work gates, plus the counter/gauge/
+   histogram/span snapshot and progress summary of the figure
+   regeneration.  `recover metrics validate` checks it against the gate
+   table in lib/obs/metrics_diff.ml. *)
 let write_bench_metrics ~mode ~benchmarks =
   let lp_gate = lp_gate_metrics () in
   let xl_gate = xl_gate_metrics () in
   let sched_gate = sched_gate_metrics () in
   let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"schema\":\"netrec-bench-metrics/2\",";
+  Printf.bprintf buf "{\"schema\":\"%s\"," Netrec_obs.Metrics_diff.schema;
   Printf.bprintf buf "\"mode\":\"%s\",\"benchmarks\":{" mode;
   List.iteri
     (fun i (name, ms) ->
       if i > 0 then Buffer.add_char buf ',';
       Printf.bprintf buf "\"%s\":%.6f" name ms)
     benchmarks;
-  Buffer.add_string buf "},\"lp_gate\":{";
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Printf.bprintf buf "\"%s\":%d" name v)
-    lp_gate;
-  Buffer.add_string buf "},\"xl_gate\":{";
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Printf.bprintf buf "\"%s\":%d" name v)
-    xl_gate;
-  Buffer.add_string buf "},\"sched_gate\":{";
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Printf.bprintf buf "\"%s\":%d" name v)
-    sched_gate;
+  List.iter
+    (fun (block, kvs) ->
+      Printf.bprintf buf "},\"%s\":{" block;
+      List.iteri
+        (fun i (name, v) ->
+          if i > 0 then Buffer.add_char buf ',';
+          Printf.bprintf buf "\"%s\":%d" name v)
+        kvs)
+    [ ("lp_gate", lp_gate); ("xl_gate", xl_gate); ("sched_gate", sched_gate) ];
   Buffer.add_string buf "},\"metrics\":";
   Buffer.add_string buf (Obs.metrics_json ());
   Buffer.add_string buf "}\n";

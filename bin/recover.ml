@@ -622,30 +622,28 @@ let experiment_cmd =
 let per_round_arg =
   let doc =
     "Crews available per recovery round: chunk the schedule into rounds of \
-     at most $(docv) repairs and report the per-round recovery curve \
-     (0, the default, keeps the flat per-element schedule)."
+     at most $(docv) repairs and report the per-round recovery curve."
   in
-  Arg.(value & opt int 0 & info [ "per-round" ] ~docv:"N" ~doc)
+  Arg.(value & opt int 1 & info [ "per-round" ] ~docv:"N" ~doc)
 
 let round_budget_arg =
   let doc =
-    "Repair-cost budget per round (needs --per-round; an element more \
-     expensive than the whole budget still ships alone)."
+    "Repair-cost budget per round (an element more expensive than the \
+     whole budget still ships alone)."
   in
   Arg.(value & opt (some float) None & info [ "round-budget" ] ~docv:"COST" ~doc)
 
 let local_search_arg =
   let doc =
     "Refine the greedy order with swap/insert local search over whole-plan \
-     AUC before reporting (needs --per-round)."
+     AUC before reporting."
   in
   Arg.(value & flag & info [ "local-search" ] ~doc)
 
 let oracle_arg =
   let doc =
     "Also solve the exact MILP round-assignment oracle and report the \
-     schedule's regret against the proved optimum (small instances only; \
-     needs --per-round)."
+     schedule's regret against the proved optimum (small instances only)."
   in
   Arg.(value & flag & info [ "oracle" ] ~doc)
 
@@ -655,122 +653,94 @@ let element_name g = function
     let u, v = G.endpoints g e in
     Printf.sprintf "link %s-%s" (G.name g u) (G.name g v)
 
-let schedule_rounds inst ~crews ~round_budget ~local_search ~oracle ~certify =
-  let module Sched = Netrec_sched.Sched in
-  let g = inst.Instance.graph in
-  let cap = Sched.capacity ?round_budget ~crews () in
-  let sol, _ = Netrec_core.Isp.solve inst in
-  Printf.printf
-    "ISP plan: %d repairs; %d crew(s) per round%s; per-round recovery:\n"
-    (Instance.total_repairs sol) crews
-    (match round_budget with
-    | Some b -> Printf.sprintf ", round budget %g" b
-    | None -> "");
-  let plan = Sched.greedy ~cap inst sol in
-  let plan =
-    if not local_search then plan
-    else begin
-      let refined, stats = Sched.local_search ~cap inst (Sched.order_of plan) in
-      Printf.printf
-        "local search: %d pass(es), %d/%d improving move(s) applied\n"
-        stats.Sched.passes stats.Sched.moves_applied stats.Sched.moves_tried;
-      refined
-    end
-  in
-  List.iteri
-    (fun i r ->
-      Printf.printf "  round %2d (cost %5.1f): %-44s -> %5.1f%% served\n"
-        (i + 1) r.Sched.cost
-        (String.concat ", " (List.map (element_name g) r.Sched.elements))
-        (100.0 *. r.Sched.satisfied))
-    plan.Sched.rounds;
-  Printf.printf "area under the recovery curve: %.3f (baseline %.3f)\n"
-    plan.Sched.auc plan.Sched.baseline;
-  let oracle_ok =
-    (not oracle)
-    ||
-    match Sched.oracle ~cap inst (Sched.order_of plan) with
-    | Ok r ->
-      Printf.printf "oracle: AUC %.3f (%s, %d nodes); regret %.1f%%\n"
-        r.Sched.plan.Sched.auc
-        (if r.Sched.proved then "proved optimal" else "incumbent only")
-        r.Sched.nodes
-        (100.0 *. Sched.regret ~oracle:r.Sched.plan plan);
-      true
-    | Error (Sched.Too_big { vars; cap }) ->
-      Printf.eprintf "oracle: refused, model too big (%d vars > %d cap)\n" vars
-        cap;
-      false
-    | Error (Sched.Malformed e) ->
-      Printf.eprintf "oracle: %s\n"
-        (Netrec_core.Schedule.order_error_to_string e);
-      false
-    | Error (Sched.No_incumbent _) ->
-      Printf.eprintf "oracle: no incumbent found within budget\n";
-      false
-  in
-  let certify_ok =
-    (not certify)
-    ||
-    let certs = Sched.certify_rounds inst plan in
-    let bad = List.filter (fun c -> not (Check.ok c)) certs in
-    Printf.printf "certification: %d/%d round prefixes clean\n"
-      (List.length certs - List.length bad)
-      (List.length certs);
-    bad = []
-  in
-  if oracle_ok && certify_ok then 0 else 1
-
 let schedule topology er_p seed pairs amount disruption variance fail_p
     per_round round_budget local_search oracle certify =
-  try
-    let g = build_topology topology ~er_p ~seed in
-    let rng = Rng.create seed in
-    let demands = E.Common.feasible_demands ~rng ~count:pairs ~amount g in
-    let failure = build_failure disruption ~variance ~fail_p ~rng g in
-    let inst = Instance.make ~graph:g ~demands ~failure () in
-    if per_round < 0 then begin
-      Printf.eprintf "error: --per-round must be >= 0\n";
-      2
-    end
-    else if per_round > 0 then
-      schedule_rounds inst ~crews:per_round ~round_budget ~local_search ~oracle
-        ~certify
-    else if round_budget <> None || local_search || oracle then begin
-      Printf.eprintf
-        "error: --round-budget, --local-search and --oracle need --per-round\n";
-      2
-    end
-    else begin
+  let module Sched = Netrec_sched.Sched in
+  if per_round < 1 then begin
+    Printf.eprintf "error: --per-round must be >= 1\n";
+    2
+  end
+  else
+    try
+      let g = build_topology topology ~er_p ~seed in
+      let rng = Rng.create seed in
+      let demands = E.Common.feasible_demands ~rng ~count:pairs ~amount g in
+      let failure = build_failure disruption ~variance ~fail_p ~rng g in
+      let inst = Instance.make ~graph:g ~demands ~failure () in
+      let cap = Sched.capacity ?round_budget ~crews:per_round () in
       let sol, _ = Netrec_core.Isp.solve inst in
-      Printf.printf "ISP plan: %d repairs; ordering for fastest recovery:\n"
-        (Instance.total_repairs sol);
-      let sched = Netrec_core.Schedule.greedy inst sol in
+      Printf.printf
+        "ISP plan: %d repairs; %d crew(s) per round%s; per-round recovery:\n"
+        (Instance.total_repairs sol) per_round
+        (match round_budget with
+        | Some b -> Printf.sprintf ", round budget %g" b
+        | None -> "");
+      let plan = Sched.greedy ~cap inst sol in
+      let plan =
+        if not local_search then plan
+        else begin
+          let refined, stats =
+            Sched.local_search ~cap inst (Sched.order_of plan)
+          in
+          Printf.printf
+            "local search: %d pass(es), %d/%d improving move(s) applied\n"
+            stats.Sched.passes stats.Sched.moves_applied stats.Sched.moves_tried;
+          refined
+        end
+      in
       List.iteri
-        (fun i step ->
-          Printf.printf "  %2d. %-34s -> %5.1f%% of demand served\n" (i + 1)
-            (element_name g step.Netrec_core.Schedule.element)
-            (100.0 *. step.Netrec_core.Schedule.satisfied_after))
-        sched.Netrec_core.Schedule.steps;
-      Printf.printf "area under the recovery curve: %.3f\n"
-        sched.Netrec_core.Schedule.auc;
-      if certify then begin
+        (fun i r ->
+          Printf.printf "  round %2d (cost %5.1f): %-44s -> %5.1f%% served\n"
+            (i + 1) r.Sched.cost
+            (String.concat ", " (List.map (element_name g) r.Sched.elements))
+            (100.0 *. r.Sched.satisfied))
+        plan.Sched.rounds;
+      Printf.printf "area under the recovery curve: %.3f (baseline %.3f)\n"
+        plan.Sched.auc plan.Sched.baseline;
+      let oracle_ok =
+        (not oracle)
+        ||
+        match Sched.oracle ~cap inst (Sched.order_of plan) with
+        | Ok r ->
+          Printf.printf "oracle: AUC %.3f (%s, %d nodes); regret %.1f%%\n"
+            r.Sched.plan.Sched.auc
+            (if r.Sched.proved then "proved optimal" else "incumbent only")
+            r.Sched.nodes
+            (100.0 *. Sched.regret ~oracle:r.Sched.plan plan);
+          true
+        | Error (Sched.Too_big { vars; cap }) ->
+          Printf.eprintf "oracle: refused, model too big (%d vars > %d cap)\n"
+            vars cap;
+          false
+        | Error (Sched.Malformed e) ->
+          Printf.eprintf "oracle: %s\n"
+            (Netrec_core.Schedule.order_error_to_string e);
+          false
+        | Error (Sched.No_incumbent _) ->
+          Printf.eprintf "oracle: no incumbent found within budget\n";
+          false
+      in
+      (* The ISP plan itself is certified (cost included) before its round
+         prefixes, so a schedule cannot hide a bad plan. *)
+      let certify_ok =
+        (not certify)
+        ||
         let cert =
           Check.certify ~reported_cost:(Instance.repair_cost inst sol) inst sol
         in
-        Printf.printf "certification: %s\n"
+        Printf.printf "certification: ISP plan %s\n"
           (if Check.ok cert then "clean" else "violations");
-        if Check.ok cert then 0 else 1
-      end
-      else 0
-    end
-  with
-  | Failure msg ->
-    Printf.eprintf "error: %s\n" msg;
-    1
-  | Invalid_argument msg ->
-    Printf.eprintf "error: %s\n" msg;
-    1
+        let certs = Sched.certify_rounds inst plan in
+        let bad = List.filter (fun c -> not (Check.ok c)) certs in
+        Printf.printf "certification: %d/%d round prefixes clean\n"
+          (List.length certs - List.length bad)
+          (List.length certs);
+        Check.ok cert && bad = []
+      in
+      if oracle_ok && certify_ok then 0 else 1
+    with Failure msg | Invalid_argument msg ->
+      Printf.eprintf "error: %s\n" msg;
+      1
 
 let schedule_cmd =
   let doc = "order a repair plan for fastest service recovery" in
@@ -920,10 +890,11 @@ let metrics_diff_cmd =
     [ `S Manpage.s_description;
       `P
         "Compares benchmarks (relative tolerance plus an absolute floor), \
-         the deterministic LP work gate (tight drift tolerance, \
-         $(b,opt.proved) must stay 1), and — when both records were \
-         produced by the same bench mode — histogram quantiles and \
-         counters.  Exits 0 when no section regressed, 1 otherwise." ]
+         the deterministic lp/xl/sched gate blocks (tight drift tolerance, \
+         hard invariants such as $(b,opt.proved) = 1, no key may \
+         vanish), and — when both records were produced by the same \
+         bench mode — histogram quantiles and counters.  Exits 0 when no \
+         section regressed, 1 otherwise." ]
   in
   Cmd.v
     (Cmd.info "diff" ~doc ~man)
@@ -931,9 +902,34 @@ let metrics_diff_cmd =
       const metrics_diff $ diff_base_arg $ diff_current_arg $ tolerance_arg
       $ quantile_tolerance_arg $ lp_tolerance_arg $ abs_floor_arg)
 
+let validate_file_arg =
+  let doc = "Metrics file to validate (e.g. the committed BENCH_metrics.json)." in
+  Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
+
+let metrics_validate file =
+  let r = Metrics_diff.validate_file file in
+  print_string (Metrics_diff.report_to_string r);
+  if r.Metrics_diff.regressions = [] then 0 else 1
+
+let metrics_validate_cmd =
+  let doc = "check one BENCH_metrics.json run record against the gate table" in
+  let man =
+    [ `S Manpage.s_description;
+      `P
+        "Checks the schema tag, every gate block's hard invariants and \
+         required keys, the run-wide counters, gauges, histograms and \
+         progress summary, the serve block (default/quick/serve modes) \
+         and span order.  Each failure names its key.  Exits 0 when the \
+         record is valid, 1 otherwise (including an unreadable or \
+         malformed file)." ]
+  in
+  Cmd.v
+    (Cmd.info "validate" ~doc ~man)
+    Term.(const metrics_validate $ validate_file_arg)
+
 let metrics_cmd =
   let doc = "inspect and compare recorded metrics" in
-  Cmd.group (Cmd.info "metrics" ~doc) [ metrics_diff_cmd ]
+  Cmd.group (Cmd.info "metrics" ~doc) [ metrics_diff_cmd; metrics_validate_cmd ]
 
 (* ---- serve / query commands ---- *)
 

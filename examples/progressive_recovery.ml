@@ -2,17 +2,18 @@
    time — in what order should the crews work so that service comes back
    as fast as possible?
 
-   ISP decides WHAT to repair (minimum cost); Schedule.greedy then orders
-   those repairs to maximize the satisfied demand after every step (the
-   throughput-over-time concern of Wang, Qiao & Yu, the paper's
-   reference [32]).  The example prints the recovery curve for the
-   greedy order next to the solver's arbitrary emission order.
+   ISP decides WHAT to repair (minimum cost); Sched.greedy then orders
+   those repairs to maximize the satisfied demand after every round of
+   one crew (the throughput-over-time concern of Wang, Qiao & Yu, the
+   paper's reference [32]).  The example prints the recovery curve for
+   the greedy order next to the solver's arbitrary emission order.
 
    Run with:  dune exec examples/progressive_recovery.exe *)
 
 module G = Netrec_graph.Graph
 module Rng = Netrec_util.Rng
 module Failure = Netrec_disrupt.Failure
+module Sched = Netrec_sched.Sched
 open Netrec_core
 
 let bar frac =
@@ -32,28 +33,30 @@ let () =
     (Instance.total_repairs sol)
     (List.length demands);
 
-  let sched = Schedule.greedy inst sol in
+  let plan = Sched.greedy inst sol in
+  let name = function
+    | `Vertex v -> Printf.sprintf "node %s" (G.name g v)
+    | `Edge e ->
+      let u, v = G.endpoints g e in
+      Printf.sprintf "link %s-%s" (G.name g u) (G.name g v)
+  in
   Printf.printf "Greedy execution order (satisfied demand after each step):\n";
   List.iteri
-    (fun i step ->
-      let what =
-        match step.Schedule.element with
-        | `Vertex v -> Printf.sprintf "node %s" (G.name g v)
-        | `Edge e ->
-          let u, v = G.endpoints g e in
-          Printf.sprintf "link %s-%s" (G.name g u) (G.name g v)
-      in
-      Printf.printf "  %2d. %-32s %s %5.1f%%\n" (i + 1) what
-        (bar step.Schedule.satisfied_after)
-        (100.0 *. step.Schedule.satisfied_after))
-    sched.Schedule.steps;
+    (fun i r ->
+      Printf.printf "  %2d. %-32s %s %5.1f%%\n" (i + 1)
+        (String.concat ", " (List.map name r.Sched.elements))
+        (bar r.Sched.satisfied)
+        (100.0 *. r.Sched.satisfied))
+    plan.Sched.rounds;
   Printf.printf "\narea under the recovery curve: %.3f (greedy order)\n"
-    sched.Schedule.auc;
+    plan.Sched.auc;
 
   let solver_order =
     List.map (fun v -> `Vertex v) sol.Instance.repaired_vertices
     @ List.map (fun e -> `Edge e) sol.Instance.repaired_edges
   in
-  let plain = Schedule.in_order inst solver_order in
-  Printf.printf "area under the recovery curve: %.3f (solver order)\n"
-    plain.Schedule.auc
+  match Sched.of_order inst solver_order with
+  | Ok plain ->
+    Printf.printf "area under the recovery curve: %.3f (solver order)\n"
+      plain.Sched.auc
+  | Error e -> failwith (Schedule.order_error_to_string e)

@@ -6,10 +6,6 @@ module Failure = Netrec_disrupt.Failure
 
 type element = [ `Vertex of Graph.vertex | `Edge of Graph.edge_id ]
 
-type step = { element : element; satisfied_after : float }
-
-type t = { steps : step list; auc : float }
-
 type order_error =
   | Out_of_range of element
   | Not_broken of element
@@ -120,17 +116,6 @@ let elements_of solution =
   List.map (fun v -> `Vertex v) solution.Instance.repaired_vertices
   @ List.map (fun e -> `Edge e) solution.Instance.repaired_edges
 
-(* An empty step list means nothing gets repaired: the curve is flat at
-   the unrepaired instance's satisfaction, not at a perfect 1.0 — an
-   empty solution on an instance with unsatisfied demand must not score
-   a perfect recovery. *)
-let finalize ~baseline steps =
-  let sats = List.map (fun s -> s.satisfied_after) steps in
-  let auc =
-    match sats with [] -> baseline () | _ -> Netrec_util.Stats.mean sats
-  in
-  { steps; auc }
-
 (* When no single repair yields immediate service (the common case while
    a corridor is half-built), steer towards the unserved demand whose
    completing path needs the fewest still-unexecuted elements: the next
@@ -209,15 +194,15 @@ let completion_element st remaining =
       let t = d.Netrec_flow.Commodity.dst in
       if pending_v t then Some (`Vertex t) else None)
 
-let greedy inst solution =
+let greedy_order inst solution =
   let elements = elements_of solution in
   (match validate_order inst elements with
   | Ok () -> ()
   | Error e ->
-    invalid_arg ("Schedule.greedy: " ^ order_error_to_string e));
+    invalid_arg ("Schedule.greedy_order: " ^ order_error_to_string e));
   let st = fresh inst in
   let remaining = ref elements in
-  let steps = ref [] in
+  let order = ref [] in
   while !remaining <> [] do
     (* Pick the element with the best immediate (fast) gain; when nothing
        helps immediately, advance the demand closest to completion.  The
@@ -253,46 +238,6 @@ let greedy inst solution =
     in
     apply st choice;
     remaining := List.filter (fun el -> el <> choice) !remaining;
-    steps :=
-      { element = choice; satisfied_after = satisfied_exact st } :: !steps
+    order := choice :: !order
   done;
-  finalize ~baseline:(fun () -> baseline_satisfaction inst) (List.rev !steps)
-
-let in_order_result inst order =
-  match validate_order inst order with
-  | Error e -> Error e
-  | Ok () ->
-    let st = fresh inst in
-    let steps =
-      List.map
-        (fun el ->
-          apply st el;
-          { element = el; satisfied_after = satisfied_exact st })
-        order
-    in
-    Ok (finalize ~baseline:(fun () -> baseline_satisfaction inst) steps)
-
-let in_order inst order =
-  match in_order_result inst order with
-  | Ok t -> t
-  | Error e -> invalid_arg ("Schedule.in_order: " ^ order_error_to_string e)
-
-type stage = { elements : element list; satisfied : float }
-
-let staged ~per_stage inst solution =
-  if per_stage < 1 then invalid_arg "Schedule.staged: per_stage < 1";
-  let ordered = (greedy inst solution).steps in
-  let rec chunk acc current n = function
-    | [] -> List.rev (if current = [] then acc else List.rev current :: acc)
-    | step :: rest ->
-      let current = step :: current in
-      if n + 1 = per_stage then chunk (List.rev current :: acc) [] 0 rest
-      else chunk acc current (n + 1) rest
-  in
-  let groups = chunk [] [] 0 ordered in
-  List.map
-    (fun steps ->
-      let last = List.nth steps (List.length steps - 1) in
-      { elements = List.map (fun s -> s.element) steps;
-        satisfied = last.satisfied_after })
-    groups
+  List.rev !order

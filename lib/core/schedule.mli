@@ -1,39 +1,20 @@
-(** Progressive recovery scheduling.
+(** Shared pieces of progressive recovery scheduling.
 
     The paper computes {e what} to repair; in practice crews repair a few
     elements at a time and operators care how fast service comes back
     (the throughput-over-time objective of Wang, Qiao & Yu — the paper's
-    reference [32] — discussed in §II).  This module extends the library
-    with that dimension: given a recovery solution, order its repairs to
-    maximize the satisfied demand after every prefix.
+    reference [32] — discussed in §II).  The round schedulers, the exact
+    MILP oracle and the local search live in [Netrec_sched.Sched]; this
+    module holds what they share: the repair element type and its
+    validation, the exact per-prefix evaluator, and the marginal-gain
+    ordering.
 
     The greedy ordering picks, at each step, the repair element whose
     addition yields the largest immediate gain in satisfiable demand
     (ties broken by repair cost, then id); between gains it prefers
-    elements that complete working paths.  This is a natural baseline for
-    the progressive-recovery extension the paper leaves as future work;
-    the capacity-constrained round schedulers, the exact MILP oracle and
-    the local search built on top of it live in [Netrec_sched.Sched]. *)
+    elements that complete working paths. *)
 
 type element = [ `Vertex of Graph.vertex | `Edge of Graph.edge_id ]
-
-type step = {
-  element : element;
-  satisfied_after : float;
-      (** fraction of total demand satisfiable once this repair (and all
-          previous ones) is done *)
-}
-
-type t = {
-  steps : step list;  (** repairs in execution order *)
-  auc : float;
-      (** area under the satisfied-demand curve, normalized to [0,1] —
-          1 means everything was satisfied from the first step.  An empty
-          schedule reports the {e baseline} satisfaction of the
-          unrepaired instance (see {!baseline_satisfaction}), so an empty
-          solution on an instance with unsatisfied demand does not score
-          a perfect curve. *)
-}
 
 (** Structured rejection of a malformed repair order: ids are validated
     against the instance {e before} any state array is indexed, so an
@@ -66,31 +47,11 @@ val prefix_satisfactions : Instance.t -> element list list -> float list
     schedulers.  Elements are {e not} validated (callers batch-validate
     with {!validate_order} first). *)
 
-val greedy : Instance.t -> Instance.solution -> t
-(** Order the solution's repairs greedily by marginal satisfied demand.
-    The solution should be feasible; unordered leftovers (zero marginal
+val greedy_order : Instance.t -> Instance.solution -> element list
+(** Order the solution's repairs greedily by marginal satisfied demand,
+    scored with the fast constructive router (no exact evaluation per
+    step: callers evaluate the order with {!prefix_satisfactions}).  The
+    solution should be feasible; unordered leftovers (zero marginal
     gain) are appended by cost.
     @raise Invalid_argument when the solution's repair list does not pass
     {!validate_order} (rendered {!order_error}). *)
-
-val in_order : Instance.t -> element list -> t
-(** Evaluate a caller-chosen order (e.g. to compare against {!greedy}).
-    @raise Invalid_argument on a malformed order (rendered
-    {!order_error}); use {!in_order_result} for the typed variant. *)
-
-val in_order_result : Instance.t -> element list -> (t, order_error) result
-(** {!in_order} with the structured error instead of an exception. *)
-
-type stage = {
-  elements : element list;
-      (** repairs executed in this stage (at most the per-stage budget) *)
-  satisfied : float;  (** fraction served once the stage completes *)
-}
-
-val staged : per_stage:int -> Instance.t -> Instance.solution -> stage list
-(** Multi-stage recovery under a per-stage repair budget — the setting of
-    Wang, Qiao & Yu (the paper's reference [32]), where crews complete a
-    fixed number of repairs per day.  Repairs are taken in {!greedy}
-    order and chunked into stages of [per_stage] elements; each stage
-    reports the demand servable once it completes.
-    @raise Invalid_argument when [per_stage < 1]. *)

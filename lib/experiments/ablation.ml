@@ -3,6 +3,7 @@ module Rng = Netrec_util.Rng
 module Instance = Netrec_core.Instance
 module Isp = Netrec_core.Isp
 module Schedule = Netrec_core.Schedule
+module Sched = Netrec_sched.Sched
 open Common
 
 let run ?(runs = 3) ?(seed = 42) () =
@@ -41,14 +42,14 @@ let run ?(runs = 3) ?(seed = 42) () =
         hop := solve { base with Isp.length_mode = Isp.Hop } :: !hop;
         single := solve { base with Isp.split_candidates = 1 } :: !single;
         let sol, _ = Isp.solve inst in
-        let sched = Schedule.greedy inst sol in
-        auc_greedy := sched.Schedule.auc :: !auc_greedy;
+        auc_greedy := (Sched.greedy inst sol).Sched.auc :: !auc_greedy;
         let solver_order =
           List.map (fun v -> `Vertex v) sol.Instance.repaired_vertices
           @ List.map (fun e -> `Edge e) sol.Instance.repaired_edges
         in
-        let plain = Schedule.in_order inst solver_order in
-        auc_solver := plain.Schedule.auc :: !auc_solver;
+        (match Sched.of_order inst solver_order with
+        | Ok plain -> auc_solver := plain.Sched.auc :: !auc_solver
+        | Error e -> failwith ("ablation: " ^ Schedule.order_error_to_string e));
         srt_m :=
           measure ~label:"ablation.srt" inst (fun () ->
               Netrec_heuristics.Srt.solve inst)

@@ -10,8 +10,8 @@
       concentrates flows onto already-repaired components.
     + {b Progressive recovery} — the area under the satisfied-demand
       curve when ISP's repairs are executed in greedy marginal-gain
-      order ({!Netrec_core.Schedule.greedy}) versus the arbitrary order
-      the solver emits, connecting to the throughput-over-time objective
+      order ({!Netrec_sched.Sched.greedy}, one crew) versus the
+      arbitrary order the solver emits, connecting to the throughput-over-time objective
       of the paper's reference [32].
     + {b SRT vs SRT-R} — how much of SRT's demand loss disappears when
       the heuristic merely tracks residual capacities

@@ -1,12 +1,15 @@
-(* Regression comparison of two BENCH_metrics.json documents.  The
-   comparison engine behind `recover metrics diff` and check_perf.sh:
-   wall-clock benchmarks gate on a loose relative tolerance plus an
-   absolute floor (CI timing noise), deterministic LP-gate counters on a
-   tight one, and histogram quantiles (p50/p90/p99) on the quantile
-   tolerance.  Wall-clock sections compare across any two documents;
-   workload-shaped sections (histograms, counters) only compare when
-   both documents were produced by the same bench mode, since a quick
-   run and a full run observe different work distributions. *)
+(* Regression comparison and validation of BENCH_metrics.json documents.
+   The engine behind `recover metrics diff`, `recover metrics validate`
+   and check_perf.sh: wall-clock benchmarks gate on a loose relative
+   tolerance plus an absolute floor (CI timing noise), the deterministic
+   gate blocks on a tight one, and histogram quantiles (p50/p90/p99) on
+   the quantile tolerance.  Wall-clock sections compare across any two
+   documents; workload-shaped sections (histograms, counters) only
+   compare when both documents were produced by the same bench mode,
+   since a quick run and a full run observe different work
+   distributions.  Every gate requirement lives in one table below
+   ([gates], [run_wide], [serve_rules]); the diff and the validator are
+   its only readers. *)
 
 module Json = struct
   type t =
@@ -50,9 +53,11 @@ module Json = struct
     in
     let hex4 () =
       if !pos + 4 > n then fail "truncated \\u escape";
-      let v = int_of_string ("0x" ^ String.sub s !pos 4) in
-      pos := !pos + 4;
-      v
+      match int_of_string_opt ("0x" ^ String.sub s !pos 4) with
+      | Some v ->
+        pos := !pos + 4;
+        v
+      | None -> fail "bad \\u escape"
     in
     let utf8_add buf cp =
       (* Encode a code point; lone surrogates degrade to U+FFFD. *)
@@ -249,160 +254,191 @@ let section_benchmarks cfg ctx ~base ~current =
           line ctx "  new  benchmark %s (no baseline)" name)
       (Json.obj_members c)
 
-let section_lp_gate cfg ctx ~base ~current =
-  let b = Json.member "lp_gate" base and c = Json.member "lp_gate" current in
-  match (b, c) with
-  | None, _ -> line ctx "lp_gate: no baseline section, skipped"
-  | Some _, None -> regress ctx "lp_gate: section missing from current run"
-  | Some b, Some c ->
-    line ctx "lp_gate (deterministic counters, tolerance %.0f%%):"
-      (pct cfg.lp_tolerance);
-    (* Optimality is a hard invariant, not a tolerance. *)
-    (match
-       ( Option.bind (Json.member "opt.proved" b) Json.number,
-         Option.bind (Json.member "opt.proved" c) Json.number )
-     with
-    | Some 1.0, Some cv when cv <> 1.0 ->
-      regress ctx "lp_gate opt.proved: optimality no longer proved (%.0f)" cv
-    | Some 1.0, None -> regress ctx "lp_gate opt.proved: missing from current"
-    | _ -> ());
-    let gated = [ "simplex.pivots"; "milp.nodes" ] in
-    List.iter
-      (fun (name, bv) ->
-        if name <> "opt.proved" then
-          match Json.number bv with
-          | None -> ()
-          | Some bv -> (
-            match Option.bind (Json.member name c) Json.number with
-            | None -> line ctx "  note %s missing from current" name
-            | Some cv ->
-              let rel =
-                if bv <> 0.0 then (cv -. bv) /. Float.abs bv
-                else if cv = 0.0 then 0.0
-                else infinity
-              in
-              if List.mem name gated && Float.abs rel > cfg.lp_tolerance then
-                regress ctx
-                  "lp_gate %s: %.0f -> %.0f (%+.1f%% drift > %.0f%%)" name bv
-                  cv (pct rel) (pct cfg.lp_tolerance)
-              else
-                line ctx "  ok   %-32s %10.0f -> %10.0f (%+.1f%%)" name bv cv
-                  (pct rel)))
-      (Json.obj_members b)
+(* ---- the gate table ---- *)
 
-(* The xl_gate block (sharded solver on the pinned 5k scale-free
-   scenario, bench/main.ml) mirrors lp_gate: deterministic integers
-   gated on drift, plus two hard correctness invariants — the stitched
-   solution must stay certified with zero violations, whatever the
-   baseline says. *)
-let section_xl_gate cfg ctx ~base ~current =
-  let b = Json.member "xl_gate" base and c = Json.member "xl_gate" current in
-  match (b, c) with
-  | None, _ -> line ctx "xl_gate: no baseline section, skipped"
-  | Some _, None -> regress ctx "xl_gate: section missing from current run"
-  | Some b, Some c ->
-    line ctx "xl_gate (deterministic counters, tolerance %.0f%%):"
-      (pct cfg.lp_tolerance);
-    (match Option.bind (Json.member "xl.certified" c) Json.number with
-    | Some 1.0 -> ()
-    | Some cv ->
-      regress ctx "xl_gate xl.certified: stitched solution not certified (%.0f)"
-        cv
-    | None -> regress ctx "xl_gate xl.certified: missing from current");
-    (match Option.bind (Json.member "check.violations" c) Json.number with
-    | Some 0.0 -> ()
-    | Some cv -> regress ctx "xl_gate check.violations: %.0f violation(s)" cv
-    | None -> regress ctx "xl_gate check.violations: missing from current");
-    let hard = [ "xl.certified"; "check.violations" ] in
-    let gated =
-      [ "isp.shard_count"; "isp.shard_delegated"; "xl.repairs_total" ]
-    in
-    List.iter
-      (fun (name, bv) ->
-        if not (List.mem name hard) then
-          match Json.number bv with
-          | None -> ()
-          | Some bv -> (
-            match Option.bind (Json.member name c) Json.number with
-            | None -> line ctx "  note %s missing from current" name
-            | Some cv ->
-              let rel =
-                if bv <> 0.0 then (cv -. bv) /. Float.abs bv
-                else if cv = 0.0 then 0.0
-                else infinity
-              in
-              if List.mem name gated && Float.abs rel > cfg.lp_tolerance then
-                regress ctx
-                  "xl_gate %s: %.0f -> %.0f (%+.1f%% drift > %.0f%%)" name bv
-                  cv (pct rel) (pct cfg.lp_tolerance)
-              else
-                line ctx "  ok   %-32s %10.0f -> %10.0f (%+.1f%%)" name bv cv
-                  (pct rel)))
-      (Json.obj_members b)
+let schema = "netrec-bench-metrics/3"
 
-(* The sched_gate block (scheduling smoke scenario, bench/main.ml)
-   follows the same shape: deterministic integers gated on drift, plus
-   three hard invariants — the oracle must keep proving optimality,
-   every round prefix must certify, and the regret of the production
-   pipeline must stay inside the 5% gate (50_000 microunits), whatever
-   the baseline says. *)
-let section_sched_gate cfg ctx ~base ~current =
-  let b = Json.member "sched_gate" base
-  and c = Json.member "sched_gate" current in
-  match (b, c) with
-  | None, _ -> line ctx "sched_gate: no baseline section, skipped"
-  | Some _, None -> regress ctx "sched_gate: section missing from current run"
+type bound =
+  | Present
+  | Positive
+  | Eq of float
+  | At_most of float
+  | At_least of float
+
+type gate = {
+  block : string;
+  invariants : (string * bound) list;
+  drift : string list;
+  live : string list;
+  present : string list;
+}
+
+(* Run-wide rules on the [metrics] snapshot. *)
+type rule =
+  | Counter of string * bound
+  | Gauge of string * string  (* gauge, field that must be > 0 *)
+  | Histogram of string  (* count > 0 and every [histogram_keys] *)
+  | Progress of string  (* events of this name were recorded *)
+
+let gates =
+  [ (* One full OPT solve of the pinned Gaussian Bell-Canada scenario;
+       the exact-solver accelerations (DESIGN.md 18) must actually run,
+       the rest only be materialised (they legitimately hit 0). *)
+    { block = "lp_gate";
+      invariants = [ ("opt.proved", Eq 1.0) ];
+      drift = [ "simplex.pivots"; "milp.nodes" ];
+      live =
+        [ "simplex.pivots"; "simplex.solves"; "simplex.warm_starts";
+          "milp.nodes"; "simplex.dse_pivots"; "presolve.runs";
+          "presolve.vars_fixed"; "cuts.separated"; "cuts.added";
+          "cuts.root_solves" ];
+      present =
+        [ "presolve.rows_dropped"; "presolve.bounds_tightened";
+          "presolve.coefs_tightened"; "simplex.dse_resets"; "cuts.rejected";
+          "cuts.aged_out" ] };
+    (* The sharded solver on the pinned 5k scale-free scenario: it must
+       take the sharded path and its stitched solution must certify. *)
+    { block = "xl_gate";
+      invariants =
+        [ ("xl.certified", Eq 1.0); ("check.violations", Eq 0.0);
+          ("isp.shard_count", At_least 2.0) ];
+      drift = [ "isp.shard_count"; "isp.shard_delegated"; "xl.repairs_total" ];
+      live = [];
+      present = [] };
+    (* Greedy, local search and the MILP oracle on the pinned scheduling
+       scenario: the oracle proves, every round prefix certifies, and the
+       regret of greedy + local search stays within 5% (AUC microunits). *)
+    { block = "sched_gate";
+      invariants =
+        [ ("sched.oracle_proved", Eq 1.0); ("sched.certified", Eq 1.0);
+          ("sched.regret_microunits", At_most 50_000.0) ];
+      drift =
+        [ "sched.plan_rounds"; "sched.greedy_auc_microunits";
+          "sched.ls_auc_microunits"; "sched.oracle_auc_microunits" ];
+      live =
+        [ "sched.plans"; "sched.rounds"; "sched.evals"; "sched.oracle_solves";
+          "sched.oracle_nodes"; "sched.plan_rounds" ];
+      present = [] } ]
+
+(* Run-wide snapshot requirements for every bench mode.  The xl and
+   sched gates run in every mode, so their counters are live too;
+   moves_applied and the fixup/delegation/skip counters are materialised
+   at 0 and may stay there. *)
+let run_wide =
+  List.map
+    (fun k -> Counter (k, Positive))
+    [ "isp.iterations"; "simplex.pivots"; "dijkstra.calls";
+      "centrality.cache_hits"; "parallel.cells"; "simplex.warm_starts";
+      "simplex.phase1_skipped"; "milp.nodes"; "milp.nodes_pruned";
+      "isp.shard_count"; "isp.shard_region_vertices"; "isp.shard_cut_demands";
+      "centrality.sampled_recomputed"; "sched.plans"; "sched.rounds";
+      "sched.evals"; "sched.ls_passes"; "sched.moves_tried";
+      "sched.oracle_solves"; "sched.oracle_nodes"; "presolve.runs";
+      "presolve.vars_fixed"; "presolve.rows_dropped";
+      "presolve.bounds_tightened"; "cuts.separated"; "cuts.added";
+      "cuts.root_solves"; "simplex.dse_pivots" ]
+  @ List.map
+      (fun k -> Counter (k, Present))
+      [ "centrality.cache_misses"; "isp.shard_fixup_paths";
+        "isp.shard_delegated"; "centrality.sampled_skipped";
+        "sched.moves_applied" ]
+  @ [ Gauge ("parallel.cells_per_domain", "samples");
+      Gauge ("parallel.cells_per_domain", "max") ]
+  @ List.map
+      (fun k -> Histogram k)
+      [ "isp.iteration_ms"; "isp.solve_ms"; "shard.solve_ms";
+        "simplex.pivots_per_solve"; "milp.nodes_per_solve";
+        "dijkstra.settled_per_call"; "parallel.batch_cells";
+        "sched.round_satisfaction" ]
+  @ [ Progress "isp.residual" ]
+
+(* The bench modes that run the daemon load generator, and what it must
+   leave behind. *)
+let serve_modes = [ "default"; "quick"; "serve" ]
+
+let serve_rules =
+  List.map
+    (fun k -> Counter (k, Positive))
+    [ "serve.requests"; "serve.queries"; "serve.ok"; "serve.cache_hits";
+      "serve.cache_misses"; "serve.connections" ]
+  @ [ Histogram "serve.client_latency_ms";
+      Gauge ("serve.latency_p50_ms", "samples");
+      Gauge ("serve.latency_p99_ms", "samples") ]
+
+let histogram_keys = [ "min"; "max"; "p50"; "p90"; "p99" ]
+
+let holds bound v =
+  match bound with
+  | Present -> true
+  | Positive -> v > 0.0
+  | Eq x -> v = x
+  | At_most x -> v <= x
+  | At_least x -> v >= x
+
+let bound_to_string = function
+  | Present -> "present"
+  | Positive -> "> 0"
+  | Eq x -> Printf.sprintf "= %g" x
+  | At_most x -> Printf.sprintf "<= %g" x
+  | At_least x -> Printf.sprintf ">= %g" x
+
+let num key doc = Option.bind (Json.member key doc) Json.number
+
+(* [None] when [key] of [doc] satisfies [bound]; otherwise a message
+   naming [where] and [key]. *)
+let check where doc (key, bound) =
+  match num key doc with
+  | None -> Some (Printf.sprintf "%s %s: missing" where key)
+  | Some v when holds bound v -> None
+  | Some v ->
+    Some
+      (Printf.sprintf "%s %s: %g, must be %s" where key v
+         (bound_to_string bound))
+
+(* Everything a block must carry, each key once (first requirement
+   wins, so an invariant key that is also drift-gated keeps its bound). *)
+let requirements g =
+  g.invariants
+  @ List.map (fun k -> (k, Positive)) g.live
+  @ List.map (fun k -> (k, Present)) (g.drift @ g.present)
+  |> List.fold_left
+       (fun acc (k, b) -> if List.mem_assoc k acc then acc else (k, b) :: acc)
+       []
+  |> List.rev
+
+(* One section per gate block.  Hard invariants are checked on the
+   current run whatever the baseline says; drift keys are deterministic
+   integers gated on [lp_tolerance] in either direction; any baseline
+   key missing from the current block is a regression. *)
+let section_gate cfg ctx ~base ~current g =
+  match (Json.member g.block base, Json.member g.block current) with
+  | None, _ -> line ctx "%s: no baseline section, skipped" g.block
+  | Some _, None -> regress ctx "%s: section missing from current run" g.block
   | Some b, Some c ->
-    line ctx "sched_gate (deterministic counters, tolerance %.0f%%):"
+    line ctx "%s (deterministic counters, tolerance %.0f%%):" g.block
       (pct cfg.lp_tolerance);
-    (match Option.bind (Json.member "sched.oracle_proved" c) Json.number with
-    | Some 1.0 -> ()
-    | Some cv ->
-      regress ctx "sched_gate sched.oracle_proved: optimality not proved (%.0f)"
-        cv
-    | None -> regress ctx "sched_gate sched.oracle_proved: missing from current");
-    (match Option.bind (Json.member "sched.certified" c) Json.number with
-    | Some 1.0 -> ()
-    | Some cv ->
-      regress ctx "sched_gate sched.certified: round prefixes not clean (%.0f)"
-        cv
-    | None -> regress ctx "sched_gate sched.certified: missing from current");
-    (match Option.bind (Json.member "sched.regret_microunits" c) Json.number
-     with
-    | Some cv when cv <= 50_000.0 -> ()
-    | Some cv ->
-      regress ctx "sched_gate sched.regret_microunits: %.0f > 50000 (5%% gate)"
-        cv
-    | None ->
-      regress ctx "sched_gate sched.regret_microunits: missing from current");
-    let hard =
-      [ "sched.oracle_proved"; "sched.certified"; "sched.regret_microunits" ]
-    in
-    let gated =
-      [ "sched.plan_rounds"; "sched.greedy_auc_microunits";
-        "sched.ls_auc_microunits"; "sched.oracle_auc_microunits" ]
-    in
+    List.iter
+      (fun inv -> Option.iter (regress ctx "%s") (check g.block c inv))
+      g.invariants;
     List.iter
       (fun (name, bv) ->
-        if not (List.mem name hard) then
-          match Json.number bv with
-          | None -> ()
-          | Some bv -> (
-            match Option.bind (Json.member name c) Json.number with
-            | None -> regress ctx "sched_gate %s: missing from current" name
-            | Some cv ->
-              let rel =
-                if bv <> 0.0 then (cv -. bv) /. Float.abs bv
-                else if cv = 0.0 then 0.0
-                else infinity
-              in
-              if List.mem name gated && Float.abs rel > cfg.lp_tolerance then
-                regress ctx
-                  "sched_gate %s: %.0f -> %.0f (%+.1f%% drift > %.0f%%)" name
-                  bv cv (pct rel) (pct cfg.lp_tolerance)
-              else
-                line ctx "  ok   %-32s %10.0f -> %10.0f (%+.1f%%)" name bv cv
-                  (pct rel)))
+        match (Json.number bv, num name c) with
+        | None, _ -> ()
+        | Some _, None ->
+          if not (List.mem_assoc name g.invariants) then
+            regress ctx "%s %s: missing from current" g.block name
+        | Some bv, Some cv ->
+          let rel =
+            if bv <> 0.0 then (cv -. bv) /. Float.abs bv
+            else if cv = 0.0 then 0.0
+            else infinity
+          in
+          if List.mem name g.drift && Float.abs rel > cfg.lp_tolerance then
+            regress ctx "%s %s: %.0f -> %.0f (%+.1f%% drift > %.0f%%)" g.block
+              name bv cv (pct rel) (pct cfg.lp_tolerance)
+          else
+            line ctx "  ok   %-32s %10.0f -> %10.0f (%+.1f%%)" name bv cv
+              (pct rel))
       (Json.obj_members b)
 
 let quantile_keys = [ "p50"; "p90"; "p99" ]
@@ -485,12 +521,12 @@ let section_counters cfg ctx ~base ~current ~modes_match =
       line ctx "counters: no drift beyond %.0f%%" (pct cfg.tolerance)
   | _ -> line ctx "counters: not comparable, skipped"
 
+let mode doc =
+  Option.value ~default:""
+    (Option.bind (Json.member "mode" doc) Json.string_val)
+
 let diff cfg ~base ~current =
   let ctx = { out = []; regs = [] } in
-  let mode doc =
-    Option.value ~default:""
-      (Option.bind (Json.member "mode" doc) Json.string_val)
-  in
   let modes_match = mode base = mode current && mode base <> "" in
   (match
      ( Option.bind (Json.member "schema" base) Json.string_val,
@@ -504,11 +540,68 @@ let diff cfg ~base ~current =
            (mode base) (mode current))
   | _ -> line ctx "schema: missing field in one document");
   section_benchmarks cfg ctx ~base ~current;
-  section_lp_gate cfg ctx ~base ~current;
-  section_xl_gate cfg ctx ~base ~current;
-  section_sched_gate cfg ctx ~base ~current;
+  List.iter (section_gate cfg ctx ~base ~current) gates;
   section_histograms cfg ctx ~base ~current ~modes_match;
   section_counters cfg ctx ~base ~current ~modes_match;
+  { lines = List.rev ctx.out; regressions = List.rev ctx.regs }
+
+(* ---- validation of one document against the table ---- *)
+
+let field name doc = Option.value ~default:Json.Null (Json.member name doc)
+
+let rule_failures metrics = function
+  | Counter (k, b) ->
+    Option.to_list (check "counter" (field "counters" metrics) (k, b))
+  | Gauge (k, f) ->
+    Option.to_list
+      (check ("gauge " ^ k) (field k (field "gauges" metrics)) (f, Positive))
+  | Histogram k -> (
+    match Json.member k (field "histograms" metrics) with
+    | None -> [ Printf.sprintf "histogram %s: missing" k ]
+    | Some h ->
+      List.filter_map
+        (check ("histogram " ^ k) h)
+        (("count", Positive)
+        :: List.map (fun q -> (q, Present)) histogram_keys))
+  | Progress k ->
+    let by_name = field "by_name" (field "progress" metrics) in
+    Option.to_list (check "progress" by_name (k, Positive))
+
+let validate doc =
+  let ctx = { out = []; regs = [] } in
+  let fail_all = List.iter (regress ctx "%s") in
+  (match Option.bind (Json.member "schema" doc) Json.string_val with
+  | Some s when s = schema -> line ctx "schema: %s (mode %S)" s (mode doc)
+  | Some s -> regress ctx "schema: %S, must be %S" s schema
+  | None -> regress ctx "schema: missing");
+  List.iter
+    (fun g ->
+      match Json.member g.block doc with
+      | None -> regress ctx "%s: block missing" g.block
+      | Some c -> (
+        let reqs = requirements g in
+        match List.filter_map (check g.block c) reqs with
+        | [] ->
+          line ctx "%s: %d requirement(s) hold" g.block (List.length reqs)
+        | errs -> fail_all errs))
+    gates;
+  let metrics = field "metrics" doc in
+  let rules =
+    run_wide @ if List.mem (mode doc) serve_modes then serve_rules else []
+  in
+  (match List.concat_map (rule_failures metrics) rules with
+  | [] ->
+    line ctx "metrics: %d run-wide requirement(s) hold" (List.length rules)
+  | errs -> fail_all errs);
+  (* Spans are exported path-sorted so two documents align positionally. *)
+  let paths =
+    List.filter_map
+      (fun sp -> Option.bind (Json.member "path" sp) Json.string_val)
+      (Json.arr_items (field "spans" metrics))
+  in
+  if paths <> List.sort compare paths then
+    regress ctx "spans: not sorted by path"
+  else line ctx "spans: %d, sorted by path" (List.length paths);
   { lines = List.rev ctx.out; regressions = List.rev ctx.regs }
 
 let read_file path =
@@ -517,20 +610,29 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* An unreadable or unparsable file is a structured error, never an
+   exception. *)
+let load label path =
+  match Json.parse (read_file path) with
+  | v -> Ok v
+  | exception Json.Parse_error msg ->
+    Error (Printf.sprintf "%s %s: invalid JSON (%s)" label path msg)
+  | exception Sys_error msg -> Error (Printf.sprintf "%s %s: %s" label path msg)
+  | exception End_of_file ->
+    Error (Printf.sprintf "%s %s: truncated read" label path)
+
+let failed errs = { lines = errs; regressions = errs }
+
 let diff_files cfg ~base ~current =
-  let load label path =
-    match Json.parse (read_file path) with
-    | v -> Ok v
-    | exception Json.Parse_error msg ->
-      Error (Printf.sprintf "%s %s: invalid JSON (%s)" label path msg)
-    | exception Sys_error msg ->
-      Error (Printf.sprintf "%s %s: %s" label path msg)
-  in
   match (load "baseline" base, load "current" current) with
   | Ok b, Ok c -> diff cfg ~base:b ~current:c
-  | Error e, Ok _ | Ok _, Error e -> { lines = [ e ]; regressions = [ e ] }
-  | Error e1, Error e2 ->
-    { lines = [ e1; e2 ]; regressions = [ e1; e2 ] }
+  | Error e, Ok _ | Ok _, Error e -> failed [ e ]
+  | Error e1, Error e2 -> failed [ e1; e2 ]
+
+let validate_file path =
+  match load "metrics" path with
+  | Ok doc -> validate doc
+  | Error e -> failed [ e ]
 
 let report_to_string r =
   let buf = Buffer.create 1024 in

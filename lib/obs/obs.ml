@@ -815,17 +815,24 @@ let metrics_json () =
            (json_float s.major_words)
            s.compactions))
     (span_stats ());
-  Buffer.add_string buf "],\"progress\":[";
+  (* Progress is summarised, not dumped: the raw stream goes to
+     [write_events] (results/progress.jsonl in the bench). *)
+  let evs = events () in
+  let counts = Hashtbl.create 16 in
+  List.iter
+    (fun e ->
+      Hashtbl.replace counts e.name
+        (1 + Option.value ~default:0 (Hashtbl.find_opt counts e.name)))
+    evs;
+  Buffer.add_string buf
+    (Printf.sprintf "],\"progress\":{\"events\":%d,\"dropped\":%d,\"by_name\":{"
+       (List.length evs) (progress_dropped ()));
   List.iteri
-    (fun i e ->
+    (fun i (name, n) ->
       if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"seq\":%d,\"t_s\":%s,\"dom\":%d,\"fields\":{%s}}"
-           (json_escape e.name) e.seq (json_float e.t_s) e.dom
-           (event_fields_json e.fields)))
-    (events ());
-  Buffer.add_string buf "]}";
+      Buffer.add_string buf (Printf.sprintf "\"%s\":%d" (json_escape name) n))
+    (List.sort compare (Hashtbl.fold (fun k n acc -> (k, n) :: acc) counts []));
+  Buffer.add_string buf "}}}";
   Buffer.contents buf
 
 let chrome_trace () =

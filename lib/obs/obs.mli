@@ -254,8 +254,12 @@ val events_jsonl : unit -> string
 
 val metrics_json : unit -> string
 (** A single JSON object
-    [{"counters":{..},"gauges":{..},"histograms":{..},"spans":[..],"progress":[..]}]
-    — the payload embedded in the benchmark's [BENCH_metrics.json]. *)
+    [{"counters":{..},"gauges":{..},"histograms":{..},"spans":[..],"progress":{..}}]
+    — the payload embedded in the benchmark's [BENCH_metrics.json].
+    [progress] is a summary, not the raw stream ({!events_jsonl} has
+    that): [{"events":N,"dropped":D,"by_name":{"isp.residual":n,..}}]
+    counts the retained events, the overwritten ones, and the retained
+    events per name (sorted). *)
 
 val chrome_trace : unit -> string
 (** Chrome [trace_event] JSON (complete ["ph":"X"] events, microsecond

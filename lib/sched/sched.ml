@@ -104,8 +104,7 @@ let validated_exn ctx inst order =
     invalid_arg (ctx ^ ": " ^ Schedule.order_error_to_string e)
 
 let greedy ?(cap = default_cap) inst solution =
-  let flat = Schedule.greedy inst solution in
-  let order = List.map (fun s -> s.Schedule.element) flat.Schedule.steps in
+  let order = Schedule.greedy_order inst solution in
   let baseline = Schedule.baseline_satisfaction inst in
   finish_plan ~baseline inst (chunk cap inst order)
 
@@ -287,6 +286,10 @@ let oracle ?(budget = Budget.unlimited) ?(node_limit = 20_000)
     done;
     let live = Array.of_list !live in
     let nlive = Array.length live in
+    (* Position of each edge in [live], -1 when unusable: shared by the
+       vertex big-M rows and flow conservation. *)
+    let slot = Array.make ne (-1) in
+    Array.iteri (fun le e -> slot.(e) <- le) live;
     let demands =
       Array.of_list
         (List.filter
@@ -390,8 +393,6 @@ let oracle ?(budget = Budget.unlimited) ?(node_limit = 20_000)
            (big-M = total live incident capacity). *)
         for v = 0 to nv - 1 do
           if Failure.vertex_broken fl v && sched_v.(v) >= 0 then begin
-            let slot = Array.make ne (-1) in
-            Array.iteri (fun le e -> slot.(e) <- le) live;
             let inc =
               List.filter_map
                 (fun (_, e) -> if slot.(e) >= 0 then Some slot.(e) else None)
@@ -422,8 +423,6 @@ let oracle ?(budget = Budget.unlimited) ?(node_limit = 20_000)
         (* Flow conservation per (round, commodity, usable vertex);
            served volume [s] enters at the source and leaves at the
            sink.  Forward flow runs first->second endpoint. *)
-        let slot = Array.make ne (-1) in
-        Array.iteri (fun le e -> slot.(e) <- le) live;
         let incident_live =
           Array.init nv (fun v ->
               if not (v_usable v) then []

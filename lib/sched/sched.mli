@@ -14,8 +14,8 @@
     ({!Netrec_core.Schedule.prefix_satisfactions}, so their AUCs are
     eps-consistent and directly comparable):
 
-    - {!greedy}: the marginal-gain order of [Schedule.greedy], chunked
-      into capacity-respecting rounds;
+    - {!greedy}: the marginal-gain order of [Schedule.greedy_order],
+      chunked into capacity-respecting rounds;
     - {!local_search}: best-improvement swap/insert search over the
       flat order, deterministically parallel (a {!Pool} evaluates the
       move neighborhood; ties break on the lowest move index, so [-j 1]
@@ -90,7 +90,8 @@ val of_order :
     indexed. *)
 
 val greedy : ?cap:capacity -> Instance.t -> Instance.solution -> plan
-(** [Schedule.greedy]'s marginal-gain order, chunked by [cap].
+(** [Schedule.greedy_order]'s marginal-gain order, chunked by [cap]
+    ([cap] defaults to one crew, no budget: one element per round).
     @raise Invalid_argument when the solution's repairs do not pass
     [Schedule.validate_order] (rendered [order_error]). *)
 

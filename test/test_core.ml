@@ -666,16 +666,20 @@ let test_candidate_links_choose_cheaper () =
 
 (* ---- Schedule ---- *)
 
+(* Exact satisfaction after each single repair of [order]. *)
+let step_curve inst order =
+  Schedule.prefix_satisfactions inst (List.map (fun el -> [ el ]) order)
+
 let test_schedule_orders_all_repairs () =
   let g = path_graph 4 in
   let inst = make_inst g [ demand 0 3 ] (Failure.complete g) in
   let sol, _ = Isp.solve inst in
-  let sched = Schedule.greedy inst sol in
+  let order = Schedule.greedy_order inst sol in
   Alcotest.(check int) "one step per repair"
     (Instance.total_repairs sol)
-    (List.length sched.Schedule.steps);
+    (List.length order);
   (* Monotone non-decreasing satisfaction, ending at 1. *)
-  let sats = List.map (fun s -> s.Schedule.satisfied_after) sched.Schedule.steps in
+  let sats = step_curve inst order in
   let rec monotone = function
     | a :: (b :: _ as rest) -> a <= b +. 1e-9 && monotone rest
     | _ -> true
@@ -691,56 +695,27 @@ let test_schedule_greedy_beats_or_ties_arbitrary () =
       (Failure.complete g)
   in
   let sol, _ = Isp.solve inst in
-  let greedy = Schedule.greedy inst sol in
+  let auc order = Netrec_util.Stats.mean (step_curve inst order) in
+  let greedy = auc (Schedule.greedy_order inst sol) in
   let arbitrary =
-    Schedule.in_order inst
+    auc
       (List.map (fun v -> `Vertex v) sol.Instance.repaired_vertices
       @ List.map (fun e -> `Edge e) sol.Instance.repaired_edges)
   in
-  Alcotest.(check bool) "greedy >= arbitrary" true
-    (greedy.Schedule.auc >= arbitrary.Schedule.auc -. 1e-9)
-
-let test_schedule_staged_chunks () =
-  let g = path_graph 4 in
-  let inst = make_inst g [ demand 0 3 ] (Failure.complete g) in
-  let sol, _ = Isp.solve inst in
-  let total = Instance.total_repairs sol in
-  let stages = Schedule.staged ~per_stage:3 inst sol in
-  let counted =
-    List.fold_left (fun acc s -> acc + List.length s.Schedule.elements) 0 stages
-  in
-  Alcotest.(check int) "all repairs staged" total counted;
-  List.iter
-    (fun s ->
-      Alcotest.(check bool) "budget respected" true
-        (List.length s.Schedule.elements <= 3))
-    stages;
-  let last = List.nth stages (List.length stages - 1) in
-  Alcotest.(check (float 1e-6)) "fully restored at the end" 1.0
-    last.Schedule.satisfied
-
-let test_schedule_staged_rejects_zero () =
-  let g = path_graph 3 in
-  let inst = make_inst g [ demand 0 2 ] (Failure.complete g) in
-  Alcotest.check_raises "budget" (Invalid_argument "Schedule.staged: per_stage < 1")
-    (fun () -> ignore (Schedule.staged ~per_stage:0 inst Instance.empty_solution))
+  Alcotest.(check bool) "greedy >= arbitrary" true (greedy >= arbitrary -. 1e-9)
 
 let test_schedule_empty_solution () =
-  (* An empty schedule's curve is flat at the unrepaired instance's
-     satisfaction: on a fully broken instance that is 0, not a perfect
-     1.0.  (The old behavior scored empty solutions as perfect.) *)
+  (* Nothing to order; round 0 of the curve is the unrepaired instance's
+     satisfaction: 0 on a fully broken instance, 1 on an intact one. *)
   let g = path_graph 3 in
   let broken = make_inst g [ demand 0 2 ] (Failure.complete g) in
-  let sched = Schedule.greedy broken Instance.empty_solution in
-  Alcotest.(check int) "no steps" 0 (List.length sched.Schedule.steps);
-  Alcotest.(check (float 1e-9)) "auc is baseline" 0.0 sched.Schedule.auc;
-  Alcotest.(check (float 1e-9)) "baseline matches" 0.0
+  Alcotest.(check int) "no steps" 0
+    (List.length (Schedule.greedy_order broken Instance.empty_solution));
+  Alcotest.(check (float 1e-9)) "broken baseline" 0.0
     (Schedule.baseline_satisfaction broken);
-  (* On an undamaged instance the baseline — and hence the empty
-     schedule's auc — really is 1. *)
   let intact = make_inst g [ demand 0 2 ] (Failure.none g) in
-  let sched = Schedule.greedy intact Instance.empty_solution in
-  Alcotest.(check (float 1e-9)) "intact baseline" 1.0 sched.Schedule.auc
+  Alcotest.(check (float 1e-9)) "intact baseline" 1.0
+    (Schedule.baseline_satisfaction intact)
 
 (* Table-driven malformed repair orders: each case pins the structured
    [order_error] reported before any state array is indexed (matching
@@ -776,16 +751,9 @@ let test_schedule_malformed_table () =
       (match Schedule.validate_order inst order with
       | Ok () -> Alcotest.failf "%s: validated successfully" label
       | Error e -> Alcotest.check order_error_t (label ^ ": error") want e);
-      (match Schedule.in_order_result inst order with
-      | Ok _ -> Alcotest.failf "%s: in_order_result accepted" label
-      | Error e ->
-        Alcotest.check order_error_t (label ^ ": in_order_result") want e);
-      let want_exn =
-        Invalid_argument
-          ("Schedule.in_order: " ^ Schedule.order_error_to_string want)
-      in
-      Alcotest.check_raises (label ^ ": in_order raises") want_exn (fun () ->
-          ignore (Schedule.in_order inst order)))
+      match Netrec_sched.Sched.of_order inst order with
+      | Ok _ -> Alcotest.failf "%s: Sched.of_order accepted" label
+      | Error e -> Alcotest.check order_error_t (label ^ ": of_order") want e)
     schedule_malformed_cases
 
 let test_schedule_greedy_rejects_malformed_solution () =
@@ -796,9 +764,9 @@ let test_schedule_greedy_rejects_malformed_solution () =
   in
   Alcotest.check_raises "greedy validates"
     (Invalid_argument
-       ("Schedule.greedy: "
+       ("Schedule.greedy_order: "
        ^ Schedule.order_error_to_string (Schedule.Out_of_range (`Vertex 42))))
-    (fun () -> ignore (Schedule.greedy inst sol))
+    (fun () -> ignore (Schedule.greedy_order inst sol))
 
 let test_schedule_valid_orders_accepted () =
   let g = path_graph 3 in
@@ -809,7 +777,7 @@ let test_schedule_valid_orders_accepted () =
     (Schedule.validate_order inst [ `Vertex 1; `Edge 0 ] = Ok ())
 
 let test_schedule_perf_sanity () =
-  (* ~200-element solution: the greedy scheduler must stay comfortably
+  (* ~200-element solution: the greedy ordering must stay comfortably
      sub-quadratic-in-practice (baseline hoisted out of the scoring
      loop, boolean-array membership in completion_element).  The
      generous bound only guards against the removed O(k^2 * route)
@@ -821,15 +789,11 @@ let test_schedule_perf_sanity () =
   Alcotest.(check int) "about 200 elements" (2 * n - 1)
     (Instance.total_repairs sol);
   let t0 = Unix.gettimeofday () in
-  let sched = Schedule.greedy inst sol in
+  let order = Schedule.greedy_order inst sol in
   let dt = Unix.gettimeofday () -. t0 in
-  Alcotest.(check int) "all scheduled" (2 * n - 1)
-    (List.length sched.Schedule.steps);
-  let last =
-    List.nth sched.Schedule.steps (List.length sched.Schedule.steps - 1)
-  in
-  Alcotest.(check (float 1e-6)) "fully restored" 1.0
-    last.Schedule.satisfied_after;
+  Alcotest.(check int) "all scheduled" (2 * n - 1) (List.length order);
+  Alcotest.(check (list (float 1e-6))) "fully restored" [ 1.0 ]
+    (Schedule.prefix_satisfactions inst [ order ]);
   if dt > 30.0 then
     Alcotest.failf "greedy on %d elements took %.1fs (expected seconds)"
       (2 * n - 1) dt
@@ -1189,8 +1153,6 @@ let () =
       ( "schedule",
         [ tc "orders all repairs" test_schedule_orders_all_repairs;
           tc "greedy beats arbitrary" test_schedule_greedy_beats_or_ties_arbitrary;
-          tc "staged chunks" test_schedule_staged_chunks;
-          tc "staged rejects zero" test_schedule_staged_rejects_zero;
           tc "empty solution" test_schedule_empty_solution;
           tc "malformed order table" test_schedule_malformed_table;
           tc "greedy rejects malformed solution"

@@ -394,6 +394,317 @@ let test_diff_xl_gate () =
   check_bool "no baseline section, skipped" true
     ((run_diff without without).Diff.regressions = [])
 
+(* A baseline key that vanishes from the current gate block regresses,
+   drift-gated or not, in every block. *)
+let test_diff_vanished_gate_keys () =
+  let base = doc_with_xl ~certified:1 ~violations:0 ~shards:4 in
+  let cur =
+    {|{"schema":"netrec-bench-metrics/2","mode":"quick",
+      "benchmarks":{"fig4:isp":100},
+      "lp_gate":{"opt.proved":1},
+      "xl_gate":{"xl.certified":1,"check.violations":0,
+                 "isp.shard_cut_demands":12},
+      "metrics":{"counters":{},"gauges":{},"histograms":{},
+                 "spans":[],"progress":[]}}|}
+  in
+  let regs = (run_diff base cur).Diff.regressions in
+  List.iter
+    (fun key ->
+      check_bool (key ^ " vanishing regresses") true
+        (List.exists (fun s -> contains s key) regs))
+    [ "simplex.pivots"; "milp.nodes"; "isp.shard_count"; "isp.shard_delegated";
+      "xl.repairs_total" ]
+
+(* ---- the gate table, one case per row ---- *)
+
+let num_obj kvs = Diff.Json.Obj (List.map (fun (k, v) -> (k, Diff.Json.Num v)) kvs)
+
+(* A block meeting every requirement of its row: invariant keys at their
+   bound, every other key at 100. *)
+let satisfying_block (g : Diff.gate) =
+  let at_bound = function
+    | Diff.Eq x | Diff.At_most x | Diff.At_least x -> x
+    | Diff.Positive | Diff.Present -> 100.0
+  in
+  List.fold_left
+    (fun acc k -> if List.mem_assoc k acc then acc else acc @ [ (k, 100.0) ])
+    (List.map (fun (k, b) -> (k, at_bound b)) g.Diff.invariants)
+    (g.Diff.drift @ g.Diff.live @ g.Diff.present)
+
+let gate_doc (g : Diff.gate) kvs =
+  Diff.Json.Obj
+    [ ("schema", Diff.Json.Str Diff.schema); ("mode", Diff.Json.Str "quick");
+      (g.Diff.block, num_obj kvs) ]
+
+let with_value kvs key v =
+  List.map (fun (k, x) -> if k = key then (k, v) else (k, x)) kvs
+
+let test_diff_gate_table () =
+  let rows = Diff.gates in
+  (* The table carries the documented hard invariants and drift keys. *)
+  List.iter
+    (fun (block, key) ->
+      check_bool
+        (Printf.sprintf "%s %s in the table" block key)
+        true
+        (List.exists
+           (fun (g : Diff.gate) ->
+             g.Diff.block = block
+             && (List.mem_assoc key g.Diff.invariants || List.mem key g.Diff.drift))
+           rows))
+    [ ("lp_gate", "opt.proved"); ("lp_gate", "simplex.pivots");
+      ("lp_gate", "milp.nodes"); ("xl_gate", "xl.certified");
+      ("xl_gate", "check.violations"); ("xl_gate", "isp.shard_count");
+      ("xl_gate", "isp.shard_delegated"); ("xl_gate", "xl.repairs_total");
+      ("sched_gate", "sched.oracle_proved"); ("sched_gate", "sched.certified");
+      ("sched_gate", "sched.regret_microunits");
+      ("sched_gate", "sched.plan_rounds") ];
+  let regs base cur =
+    (Diff.diff Diff.default_config ~base ~current:cur).Diff.regressions
+  in
+  List.iter
+    (fun (g : Diff.gate) ->
+      let kvs = satisfying_block g in
+      let base = gate_doc g kvs in
+      check_bool (g.Diff.block ^ " self-diff clean") true (regs base base = []);
+      (* Every hard invariant: a violating current run regresses. *)
+      List.iter
+        (fun (key, bound) ->
+          let bad =
+            match bound with
+            | Diff.Eq x -> Some (if x = 0.0 then 1.0 else 0.0)
+            | Diff.At_most x -> Some (x +. 1.0)
+            | Diff.At_least x -> Some (x -. 1.0)
+            | Diff.Positive -> Some 0.0
+            | Diff.Present -> None
+          in
+          let cur =
+            match bad with
+            | Some v -> with_value kvs key v
+            | None -> List.remove_assoc key kvs
+          in
+          check_bool
+            (Printf.sprintf "%s %s violation regresses" g.Diff.block key)
+            true
+            (List.exists (fun s -> contains s key) (regs base (gate_doc g cur))))
+        g.Diff.invariants;
+      (* Every drift key: more than 10% either way regresses, 5% passes. *)
+      List.iter
+        (fun key ->
+          let v = List.assoc key kvs in
+          List.iter
+            (fun f ->
+              check_bool
+                (Printf.sprintf "%s %s x%.2f regresses" g.Diff.block key f)
+                true
+                (List.exists
+                   (fun s -> contains s key)
+                   (regs base (gate_doc g (with_value kvs key (f *. v))))))
+            [ 1.11; 0.89 ];
+          let nudged = with_value kvs key (1.05 *. v) in
+          check_bool
+            (Printf.sprintf "%s %s +5%% passes" g.Diff.block key)
+            true
+            (regs base (gate_doc g nudged) = []))
+        g.Diff.drift)
+    rows
+
+(* ---- metrics validate ---- *)
+
+(* The run-record requirements, written out independently of the table
+   in Metrics_diff: every rule the bench validator has always enforced. *)
+let live_counters =
+  [ "isp.iterations"; "simplex.pivots"; "dijkstra.calls";
+    "centrality.cache_hits"; "parallel.cells"; "simplex.warm_starts";
+    "simplex.phase1_skipped"; "milp.nodes"; "milp.nodes_pruned";
+    "isp.shard_count"; "isp.shard_region_vertices"; "isp.shard_cut_demands";
+    "centrality.sampled_recomputed"; "sched.plans"; "sched.rounds";
+    "sched.evals"; "sched.ls_passes"; "sched.moves_tried";
+    "sched.oracle_solves"; "sched.oracle_nodes"; "presolve.runs";
+    "presolve.vars_fixed"; "presolve.rows_dropped";
+    "presolve.bounds_tightened"; "cuts.separated"; "cuts.added";
+    "cuts.root_solves"; "simplex.dse_pivots" ]
+
+let present_counters =
+  [ "centrality.cache_misses"; "isp.shard_fixup_paths"; "isp.shard_delegated";
+    "centrality.sampled_skipped"; "sched.moves_applied" ]
+
+let serve_counters =
+  [ "serve.requests"; "serve.queries"; "serve.ok"; "serve.cache_hits";
+    "serve.cache_misses"; "serve.connections" ]
+
+let required_histograms =
+  [ "isp.iteration_ms"; "isp.solve_ms"; "shard.solve_ms";
+    "simplex.pivots_per_solve"; "milp.nodes_per_solve";
+    "dijkstra.settled_per_call"; "parallel.batch_cells";
+    "sched.round_satisfaction"; "serve.client_latency_ms" ]
+
+let lp_gate_live =
+  [ "simplex.pivots"; "simplex.solves"; "simplex.warm_starts"; "milp.nodes";
+    "simplex.dse_pivots"; "presolve.runs"; "presolve.vars_fixed";
+    "cuts.separated"; "cuts.added"; "cuts.root_solves" ]
+
+let lp_gate_present =
+  [ "presolve.rows_dropped"; "presolve.bounds_tightened";
+    "presolve.coefs_tightened"; "simplex.dse_resets"; "cuts.rejected";
+    "cuts.aged_out" ]
+
+let sched_gate_live =
+  [ "sched.plans"; "sched.rounds"; "sched.evals"; "sched.oracle_solves";
+    "sched.oracle_nodes"; "sched.plan_rounds" ]
+
+let minimal_valid_doc ~mode =
+  let open Diff.Json in
+  let ones = List.map (fun k -> (k, 1.0)) and zeros = List.map (fun k -> (k, 0.0)) in
+  let gauge = num_obj [ ("last", 1.0); ("min", 1.0); ("max", 1.0); ("samples", 1.0) ] in
+  let hist =
+    num_obj
+      [ ("count", 1.0); ("sum", 1.0); ("min", 1.0); ("max", 1.0); ("p50", 1.0);
+        ("p90", 1.0); ("p99", 1.0) ]
+  in
+  Obj
+    [ ("schema", Str "netrec-bench-metrics/3"); ("mode", Str mode);
+      ("benchmarks", Obj []);
+      ( "lp_gate",
+        num_obj ((("opt.proved", 1.0) :: ones lp_gate_live) @ zeros lp_gate_present) );
+      ( "xl_gate",
+        num_obj
+          [ ("xl.certified", 1.0); ("check.violations", 0.0);
+            ("isp.shard_count", 2.0); ("isp.shard_delegated", 0.0);
+            ("xl.repairs_total", 1.0) ] );
+      ( "sched_gate",
+        num_obj
+          ([ ("sched.oracle_proved", 1.0); ("sched.certified", 1.0);
+             ("sched.regret_microunits", 50_000.0);
+             ("sched.greedy_auc_microunits", 1.0);
+             ("sched.ls_auc_microunits", 1.0);
+             ("sched.oracle_auc_microunits", 1.0) ]
+          @ ones sched_gate_live) );
+      ( "metrics",
+        Obj
+          [ ( "counters",
+              num_obj (ones live_counters @ zeros present_counters @ ones serve_counters) );
+            ( "gauges",
+              Obj
+                [ ("parallel.cells_per_domain", gauge);
+                  ("serve.latency_p50_ms", gauge); ("serve.latency_p99_ms", gauge) ] );
+            ("histograms", Obj (List.map (fun h -> (h, hist)) required_histograms));
+            ( "spans",
+              Arr [ Obj [ ("path", Str "a") ]; Obj [ ("path", Str "a/b") ] ] );
+            ( "progress",
+              Obj
+                [ ("events", Num 1.0); ("dropped", Num 0.0);
+                  ("by_name", num_obj [ ("isp.residual", 1.0) ]) ] ) ] ) ]
+
+(* Replace the member at [path] with [v], or remove it when [v] is [None]. *)
+let rec edit path v doc =
+  let open Diff.Json in
+  match (path, doc) with
+  | [ k ], Obj kvs ->
+    Obj
+      (List.filter (fun (k', _) -> k' <> k) kvs
+      @ match v with Some v -> [ (k, v) ] | None -> [])
+  | k :: rest, Obj kvs ->
+    Obj (List.map (fun (k', x) -> if k' = k then (k', edit rest v x) else (k', x)) kvs)
+  | _ -> doc
+
+let test_validate_rules () =
+  let open Diff.Json in
+  let valid = minimal_valid_doc ~mode:"quick" in
+  let failures doc = (Diff.validate doc).Diff.regressions in
+  check_bool "minimal document is valid" true (failures valid = []);
+  let zero = Some (Num 0.0) and gone = None in
+  let counter k = [ "metrics"; "counters"; k ] in
+  let mutations =
+    [ ("schema", [ "schema" ], Some (Str "netrec-bench-metrics/2"));
+      ("opt.proved", [ "lp_gate"; "opt.proved" ], zero);
+      ("xl.certified", [ "xl_gate"; "xl.certified" ], zero);
+      ("check.violations", [ "xl_gate"; "check.violations" ], Some (Num 2.0));
+      ("isp.shard_count", [ "xl_gate"; "isp.shard_count" ], Some (Num 1.0));
+      ("xl_gate", [ "xl_gate" ], gone);
+      ("sched.oracle_proved", [ "sched_gate"; "sched.oracle_proved" ], zero);
+      ("sched.certified", [ "sched_gate"; "sched.certified" ], zero);
+      ( "sched.regret_microunits",
+        [ "sched_gate"; "sched.regret_microunits" ],
+        Some (Num 50_001.0) );
+      ( "parallel.cells_per_domain",
+        [ "metrics"; "gauges"; "parallel.cells_per_domain"; "samples" ],
+        zero );
+      ( "parallel.cells_per_domain",
+        [ "metrics"; "gauges"; "parallel.cells_per_domain"; "max" ],
+        zero );
+      ("serve.latency_p50_ms", [ "metrics"; "gauges"; "serve.latency_p50_ms" ], gone);
+      ( "serve.latency_p99_ms",
+        [ "metrics"; "gauges"; "serve.latency_p99_ms"; "samples" ],
+        zero );
+      ( "isp.residual",
+        [ "metrics"; "progress"; "by_name"; "isp.residual" ],
+        gone );
+      ( "spans",
+        [ "metrics"; "spans" ],
+        Some (Arr [ Obj [ ("path", Str "b") ]; Obj [ ("path", Str "a") ] ]) ) ]
+    @ List.map (fun k -> (k, counter k, zero)) (live_counters @ serve_counters)
+    @ List.map (fun k -> (k, counter k, gone)) present_counters
+    @ List.map (fun k -> (k, [ "lp_gate"; k ], zero)) lp_gate_live
+    @ List.map (fun k -> (k, [ "lp_gate"; k ], gone)) lp_gate_present
+    @ List.map (fun k -> (k, [ "sched_gate"; k ], zero)) sched_gate_live
+    @ List.concat_map
+        (fun h ->
+          let at q = [ "metrics"; "histograms"; h; q ] in
+          [ (h, [ "metrics"; "histograms"; h ], gone); (h, at "count", zero);
+            (h, at "p50", gone); (h, at "p90", gone); (h, at "p99", gone);
+            (h, at "min", gone); (h, at "max", gone) ])
+        required_histograms
+  in
+  List.iter
+    (fun (key, path, v) ->
+      let fs = failures (edit path v valid) in
+      check_bool
+        (Printf.sprintf "%s: mutation fails naming the key" (String.concat "/" path))
+        true
+        (fs <> [] && List.exists (fun s -> contains s key) fs))
+    mutations;
+  (* The serve block is only required of modes that run the daemon. *)
+  let no_serve =
+    List.fold_left
+      (fun doc k -> edit (counter k) None doc)
+      (minimal_valid_doc ~mode:"fig4") serve_counters
+  in
+  check_bool "fig4 mode needs no serve block" true (failures no_serve = []);
+  check_bool "quick mode does" true
+    (failures (edit [ "mode" ] (Some (Str "quick")) no_serve) <> [])
+
+let test_validate_committed_baseline () =
+  (* Under dune the test runs in _build/default/test. *)
+  let path =
+    if Sys.file_exists "../BENCH_metrics.json" then "../BENCH_metrics.json"
+    else "BENCH_metrics.json"
+  in
+  let r = Diff.validate_file path in
+  if r.Diff.regressions <> [] then
+    Alcotest.failf "committed baseline invalid:\n%s" (Diff.report_to_string r)
+
+let test_validate_bad_files () =
+  let fails r = r.Diff.regressions <> [] in
+  check_bool "missing file fails" true
+    (fails (Diff.validate_file "/nonexistent/BENCH_metrics.json"));
+  List.iter
+    (fun (label, contents) ->
+      let path = Filename.temp_file "netrec_metrics" ".json" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          let oc = open_out_bin path in
+          output_string oc contents;
+          close_out oc;
+          match Diff.validate_file path with
+          | r -> check_bool (label ^ " fails") true (fails r)
+          | exception e ->
+            Alcotest.failf "%s raised %s" label (Printexc.to_string e)))
+    [ ("empty file", ""); ("truncated object", {|{"schema":|});
+      ("trailing garbage", "{} x"); ("bad unicode escape", {|{"a":"\uZZZZ"}|});
+      ("not an object", "[1,2,3]"); ("wrong types", {|{"schema":3,"metrics":[]}|}) ]
+
 let test_json_parser () =
   let open Diff.Json in
   (match parse {| {"a":[1,2.5,-3e2],"b":"x\n\"yA","c":true,"d":null} |} with
@@ -547,6 +858,15 @@ let () =
           Alcotest.test_case "diff: missing quantile key" `Quick
             test_diff_missing_quantile_key;
           Alcotest.test_case "diff: xl gate" `Quick test_diff_xl_gate;
+          Alcotest.test_case "diff: vanished gate keys regress" `Quick
+            test_diff_vanished_gate_keys;
+          Alcotest.test_case "diff: gate table rows" `Quick test_diff_gate_table;
+          Alcotest.test_case "validate: one mutation per rule" `Quick
+            test_validate_rules;
+          Alcotest.test_case "validate: committed baseline" `Quick
+            test_validate_committed_baseline;
+          Alcotest.test_case "validate: bad files fail" `Quick
+            test_validate_bad_files;
           Alcotest.test_case "vendored json parser" `Quick test_json_parser;
           Alcotest.test_case "jsonl well-formedness" `Quick
             test_jsonl_well_formed;

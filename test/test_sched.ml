@@ -110,27 +110,34 @@ let test_of_order_rejects_malformed () =
     Alcotest.(check bool) "structured error" true
       (e = Schedule.Out_of_range (`Vertex 99))
 
-(* ---- greedy / staged consistency ---- *)
+(* ---- greedy ---- *)
 
-let test_greedy_plan_matches_staged () =
-  (* Sched.greedy with pure crews capacity is Schedule.staged on the
-     same greedy order: element chunks and per-round satisfactions
-     agree. *)
+let test_greedy_chunks_greedy_order () =
+  (* Sched.greedy under pure crews capacity is Schedule.greedy_order cut
+     into runs of [crews], each round evaluated exactly: every repair is
+     placed, no round exceeds the crew cap, and the curve ends restored. *)
   let g = path_graph 4 in
   let inst = make_inst g [ demand 0 3 ] (Failure.complete g) in
   let sol, _ = Isp.solve inst in
   let cap = Sched.capacity ~crews:3 () in
   let plan = Sched.greedy ~cap inst sol in
-  let stages = Schedule.staged ~per_stage:3 inst sol in
-  Alcotest.(check int) "same round count" (List.length stages)
-    (List.length plan.Sched.rounds);
-  List.iter2
-    (fun stage r ->
-      Alcotest.(check bool) "same elements" true
-        (stage.Schedule.elements = r.Sched.elements);
-      Alcotest.(check (float 1e-9)) "same satisfaction"
-        stage.Schedule.satisfied r.Sched.satisfied)
-    stages plan.Sched.rounds
+  let order = Schedule.greedy_order inst sol in
+  let rec chunks = function
+    | a :: b :: c :: rest -> [ a; b; c ] :: chunks rest
+    | [] -> []
+    | tail -> [ tail ]
+  in
+  let groups = chunks order in
+  Alcotest.(check bool) "rounds are greedy-order chunks" true
+    (List.map (fun r -> r.Sched.elements) plan.Sched.rounds = groups);
+  Alcotest.(check int) "all repairs placed" (Instance.total_repairs sol)
+    (List.length (Sched.order_of plan));
+  Alcotest.(check (list (float 1e-9))) "exact per-round satisfaction"
+    (Schedule.prefix_satisfactions inst groups)
+    (List.map (fun r -> r.Sched.satisfied) plan.Sched.rounds);
+  let last = List.nth plan.Sched.rounds (List.length plan.Sched.rounds - 1) in
+  Alcotest.(check (float 1e-6)) "fully restored at the end" 1.0
+    last.Sched.satisfied
 
 (* ---- oracle ---- *)
 
@@ -343,13 +350,11 @@ let round_concat_prop =
       let plan = ok_plan (Sched.of_order ~cap inst order) in
       Sched.order_of plan = order
       &&
-      (* ... and the per-round curve matches the flat curve sampled at
-         round boundaries. *)
-      let flat = Schedule.in_order inst order in
+      (* ... and the per-round curve matches the one-crew curve of the
+         same order sampled at round boundaries. *)
+      let flat = ok_plan (Sched.of_order inst order) in
       let sats = List.map (fun r -> r.Sched.satisfied) plan.Sched.rounds in
-      let flat_sats =
-        List.map (fun s -> s.Schedule.satisfied_after) flat.Schedule.steps
-      in
+      let flat_sats = List.map (fun r -> r.Sched.satisfied) flat.Sched.rounds in
       let rec boundaries acc taken = function
         | [] -> List.rev acc
         | r :: rest ->
@@ -383,7 +388,7 @@ let () =
           tc "concat equals flat" test_round_concat_equals_flat_order;
           tc "empty plan baseline" test_empty_plan_reports_baseline;
           tc "rejects malformed" test_of_order_rejects_malformed;
-          tc "greedy matches staged" test_greedy_plan_matches_staged ] );
+          tc "greedy chunks greedy order" test_greedy_chunks_greedy_order ] );
       ( "oracle",
         [ tc "proves gate instance" test_oracle_proves_gate_instance;
           tc "milp auc consistent" test_oracle_milp_auc_consistent;
