@@ -351,14 +351,18 @@ let lp_gate_metrics () =
 
 (* Deterministic xl work gate: the sharded solver on the pinned 5k
    scale-free Gaussian smoke scenario.  Shard/cut/fixup counts, sampled
-   centrality work and the certificate are machine-independent integers,
-   so CI can hold the line on both sharding-shape and correctness
-   regressions exactly (check.violations must stay 0). *)
+   centrality work, hop-search work (bidir.scanned) and the certificate
+   are machine-independent integers, so CI can hold the line on both
+   sharding-shape and correctness regressions exactly
+   (check.violations must stay 0). *)
 let xl_gate_metrics () =
   let inst = E.Fig9_xl.smoke_scenario () in
   let was = Obs.enabled () in
   Obs.set_enabled true;
-  let keys = [ "centrality.sampled_recomputed"; "centrality.sampled_skipped" ] in
+  let keys =
+    [ "centrality.sampled_recomputed"; "centrality.sampled_skipped";
+      "bidir.scanned" ]
+  in
   let before = List.map (fun k -> (k, Obs.counter_value k)) keys in
   let sol, st = Netrec_shard.Shard.solve inst in
   let deltas = List.map (fun (k, v) -> (k, Obs.counter_value k - v)) before in
@@ -452,11 +456,13 @@ let write_bench_metrics ~mode ~benchmarks =
 (* The xl smoke run behind scripts/check_xl.sh: solve the pinned 5k
    scale-free Gaussian scenario on the sharded solver with a -jN pool
    and print only deterministic facts (no wall clock), so the script
-   can diff -j1 against -j4 byte-for-byte and grep the certificate. *)
+   can diff -j1 against -j4 byte-for-byte, grep the certificate and
+   hold the hop-search work under its ceiling. *)
 let xl_smoke ~jobs =
   let inst = E.Fig9_xl.smoke_scenario () in
   let pool = E.Common.Pool.create ~jobs in
   let sol, st = Netrec_shard.Shard.solve ~pool inst in
+  let scanned = Obs.counter_value "bidir.scanned" in
   let module Shard = Netrec_shard.Shard in
   let ids l = String.concat "," (List.map string_of_int (List.sort compare l)) in
   Printf.printf "xl-smoke: n=%d ne=%d demands=%d\n"
@@ -474,7 +480,9 @@ let xl_smoke ~jobs =
     (Netrec_core.Evaluate.satisfied_fraction inst sol);
   Printf.printf "violations=%d\ncertified=%b\n"
     (List.length st.Shard.certificate.Netrec_check.Check.violations)
-    (Netrec_check.Check.ok st.Shard.certificate)
+    (Netrec_check.Check.ok st.Shard.certificate);
+  (* Merged over every pool domain, so the same for any -j. *)
+  Printf.printf "bidir.scanned=%d\n" scanned
 
 (* The sched smoke run behind scripts/check_sched.sh: schedule the
    pinned two-corridor scenario with greedy + local search on a -jN

@@ -191,8 +191,8 @@ let work_counters =
   [ "isp.iterations"; "simplex.pivots"; "simplex.dse_pivots";
     "simplex.solves"; "simplex.warm_starts"; "milp.nodes";
     "milp.nodes_pruned"; "presolve.runs"; "presolve.vars_fixed";
-    "cuts.separated"; "cuts.added"; "dijkstra.calls"; "maxflow.calls";
-    "maxflow.augmentations" ]
+    "cuts.separated"; "cuts.added"; "dijkstra.calls"; "bidir.calls";
+    "bidir.scanned"; "maxflow.calls"; "maxflow.augmentations" ]
 
 let print_work_footer () =
   let parts =

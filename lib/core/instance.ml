@@ -61,17 +61,32 @@ let vertex_repairs s = List.length s.repaired_vertices
 let edge_repairs s = List.length s.repaired_edges
 let total_repairs s = vertex_repairs s + edge_repairs s
 
-let repaired_vertex_ok t s v =
-  (not (Failure.vertex_broken t.failure v)) || List.mem v s.repaired_vertices
+(* Membership arrays built once per partial application, so the
+   predicates searches call once per relaxation are one array read.
+   Out-of-range repair ids (a parsed solution may carry them; Check
+   reports them) mark nothing. *)
+let working broken repaired =
+  let ok = Array.map not broken in
+  List.iter
+    (fun x -> if x >= 0 && x < Array.length ok then ok.(x) <- true)
+    repaired;
+  ok
 
-let repaired_edge_ok t s e =
-  let edge_itself =
-    (not (Failure.edge_broken t.failure e)) || List.mem e s.repaired_edges
-  in
-  edge_itself
-  &&
-  let u, v = Graph.endpoints t.graph e in
-  repaired_vertex_ok t s u && repaired_vertex_ok t s v
+let repaired_vertex_ok t s =
+  let ok = working t.failure.Failure.broken_vertices s.repaired_vertices in
+  fun v -> ok.(v)
+
+let repaired_edge_ok t s =
+  let vertex_ok = repaired_vertex_ok t s in
+  let ok = working t.failure.Failure.broken_edges s.repaired_edges in
+  Array.iteri
+    (fun e itself ->
+      if itself then begin
+        let u, v = Graph.endpoints t.graph e in
+        ok.(e) <- vertex_ok u && vertex_ok v
+      end)
+    ok;
+  fun e -> ok.(e)
 
 let no_duplicates l = List.length (List.sort_uniq compare l) = List.length l
 
@@ -82,11 +97,12 @@ let valid t s =
        &&
        (* every loaded edge must be available after the repairs *)
        let load = Routing.edge_load t.graph s.routing in
+       let edge_ok = repaired_edge_ok t s in
        let ok = ref true in
        Array.iteri
          (fun e l ->
-           if Num.positive ~eps:Num.flow_eps l && not (repaired_edge_ok t s e)
-           then ok := false)
+           if Num.positive ~eps:Num.flow_eps l && not (edge_ok e) then
+             ok := false)
          load;
        !ok)
   in

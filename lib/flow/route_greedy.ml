@@ -10,17 +10,19 @@ let route_one ~vertex_ok ~edge_ok ~metric g resid demand =
   let open Commodity in
   let eps = Num.flow_eps in
   let edge_live e = edge_ok e && resid.(e) > eps in
-  let length e =
+  (* [Hop] is unit-length Dijkstra; the bidirectional search returns the
+     very same path without settling the whole graph. *)
+  let shortest_path =
     match metric with
-    | Hop -> 1.0
-    | Inverse_capacity -> 1.0 /. Float.max resid.(e) eps
+    | Hop -> Bidir.path ~tie:Bidir.By_id
+    | Inverse_capacity ->
+      Dijkstra.shortest_path ~length:(fun e -> 1.0 /. Float.max resid.(e) eps)
   in
   let rec collect acc remaining =
     if remaining <= eps then Some (List.rev acc)
     else
       match
-        Dijkstra.shortest_path ~vertex_ok ~edge_ok:edge_live ~length g
-          demand.src demand.dst
+        shortest_path ~vertex_ok ~edge_ok:edge_live g demand.src demand.dst
       with
       | None | Some [] -> if acc = [] then None else Some (List.rev acc)
       | Some p ->
@@ -51,10 +53,11 @@ let orders demands =
     demands ]
 
 (* The portfolio as thunks, in the fixed deterministic order.  Lazy on
-   purpose: on xl graphs one attempt costs |demands| Dijkstra runs over
-   the whole graph, and the first attempt usually routes everything —
-   evaluating the remaining five eagerly multiplied the final-routing
-   cost of the sharded solver several-fold for identical output. *)
+   purpose: on xl graphs an [Inverse_capacity] attempt costs |demands|
+   Dijkstra runs over the whole graph, and the first attempt usually
+   routes everything — evaluating the remaining five eagerly multiplied
+   the final-routing cost of the sharded solver several-fold for
+   identical output. *)
 let portfolio ~vertex_ok ~edge_ok ~cap g demands =
   List.concat_map
     (fun order ->

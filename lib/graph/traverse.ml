@@ -1,11 +1,9 @@
 let all_vertices _ = true
 let all_edges _ = true
 
-let bfs_core ?(vertex_ok = all_vertices) ?(edge_ok = all_edges) g src =
+let bfs_dist ?(vertex_ok = all_vertices) ?(edge_ok = all_edges) g src =
   let n = Graph.nv g in
   let dist = Array.make n max_int in
-  let pred = Array.make n (-1) in
-  (* pred.(v) = edge id used to reach v *)
   if src < 0 || src >= n then invalid_arg "Traverse: source out of range";
   if vertex_ok src then begin
     let queue = Queue.create () in
@@ -16,51 +14,57 @@ let bfs_core ?(vertex_ok = all_vertices) ?(edge_ok = all_edges) g src =
       Graph.iter_incident g u (fun w e ->
           if vertex_ok w && edge_ok e && dist.(w) = max_int then begin
             dist.(w) <- dist.(u) + 1;
-            pred.(w) <- e;
             Queue.add w queue
           end)
     done
   end;
-  (dist, pred)
-
-let bfs_dist ?vertex_ok ?edge_ok g src =
-  fst (bfs_core ?vertex_ok ?edge_ok g src)
+  dist
 
 let reachable ?vertex_ok ?edge_ok g src dst =
   let dist = bfs_dist ?vertex_ok ?edge_ok g src in
   dist.(dst) < max_int
 
 let bfs_path ?vertex_ok ?edge_ok g src dst =
-  let dist, pred = bfs_core ?vertex_ok ?edge_ok g src in
-  if dist.(dst) = max_int then None
-  else begin
-    let rec walk v acc =
-      if v = src then acc
-      else
-        let e = pred.(v) in
-        walk (Graph.other_end g e v) (e :: acc)
-    in
-    Some (walk dst [])
-  end
+  Bidir.path ?vertex_ok ?edge_ok ~tie:Bidir.Fifo g src dst
 
-let components ?(vertex_ok = all_vertices) ?(edge_ok = all_edges) g =
+(* One BFS labelling pass over a shared array queue: each vertex is
+   enqueued once, so k components cost O(n + e), not O(k * n).  Scanning
+   sources in increasing order numbers components by smallest vertex. *)
+let component_ids ?(vertex_ok = all_vertices) ?(edge_ok = all_edges) g =
   let n = Graph.nv g in
-  let seen = Array.make n false in
-  let comps = ref [] in
+  let comp = Array.make n (-1) in
+  let queue = Array.make n 0 in
+  let next = ref 0 in
   for src = 0 to n - 1 do
-    if vertex_ok src && not seen.(src) then begin
-      let dist = bfs_dist ~vertex_ok ~edge_ok g src in
-      let comp = ref [] in
-      for v = n - 1 downto 0 do
-        if dist.(v) < max_int then begin
-          seen.(v) <- true;
-          comp := v :: !comp
-        end
-      done;
-      comps := !comp :: !comps
+    if comp.(src) < 0 && vertex_ok src then begin
+      let c = !next in
+      incr next;
+      comp.(src) <- c;
+      queue.(0) <- src;
+      let head = ref 0 and tail = ref 1 in
+      while !head < !tail do
+        let u = queue.(!head) in
+        incr head;
+        Graph.iter_incident g u (fun w e ->
+            if comp.(w) < 0 && vertex_ok w && edge_ok e then begin
+              comp.(w) <- c;
+              queue.(!tail) <- w;
+              incr tail
+            end)
+      done
     end
   done;
-  List.rev !comps
+  comp
+
+let components ?vertex_ok ?edge_ok g =
+  let comp = component_ids ?vertex_ok ?edge_ok g in
+  let k = Array.fold_left max (-1) comp + 1 in
+  let buckets = Array.make k [] in
+  for v = Array.length comp - 1 downto 0 do
+    let c = comp.(v) in
+    if c >= 0 then buckets.(c) <- v :: buckets.(c)
+  done;
+  Array.to_list buckets
 
 let giant_component ?vertex_ok ?edge_ok g =
   let comps = components ?vertex_ok ?edge_ok g in

@@ -32,7 +32,20 @@ val bfs_path :
   Graph.vertex ->
   Graph.edge_id list option
 (** A minimum-hop working path as an edge sequence from source to target
-    ([Some []] when source = target and the source is ok). *)
+    ([Some []] when source = target and the source is ok): exactly the
+    path a FIFO BFS from the source with first-discovery parents
+    returns, found by {!Bidir.path} without scanning the whole graph.
+    @raise Invalid_argument on an out-of-range endpoint. *)
+
+val component_ids :
+  ?vertex_ok:(Graph.vertex -> bool) ->
+  ?edge_ok:(Graph.edge_id -> bool) ->
+  Graph.t ->
+  int array
+(** Component label of every vertex of the working subgraph, in one
+    O(n + e) pass: components are numbered [0, 1, ...] in order of their
+    smallest vertex; vertices failing [vertex_ok] get [-1].  Two vertices
+    are connected iff they share a label [>= 0]. *)
 
 val components :
   ?vertex_ok:(Graph.vertex -> bool) ->
@@ -40,7 +53,8 @@ val components :
   Graph.t ->
   Graph.vertex list list
 (** Connected components of the working subgraph (vertices failing
-    [vertex_ok] appear in no component). *)
+    [vertex_ok] appear in no component), ordered by smallest vertex,
+    each in ascending order — the buckets of {!component_ids}. *)
 
 val giant_component :
   ?vertex_ok:(Graph.vertex -> bool) ->

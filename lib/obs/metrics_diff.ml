@@ -297,12 +297,15 @@ let gates =
           "presolve.coefs_tightened"; "simplex.dse_resets"; "cuts.rejected";
           "cuts.aged_out" ] };
     (* The sharded solver on the pinned 5k scale-free scenario: it must
-       take the sharded path and its stitched solution must certify. *)
+       take the sharded path and its stitched solution must certify;
+       its hop searches must stay local (bidir.scanned). *)
     { block = "xl_gate";
       invariants =
         [ ("xl.certified", Eq 1.0); ("check.violations", Eq 0.0);
           ("isp.shard_count", At_least 2.0) ];
-      drift = [ "isp.shard_count"; "isp.shard_delegated"; "xl.repairs_total" ];
+      drift =
+        [ "isp.shard_count"; "isp.shard_delegated"; "xl.repairs_total";
+          "bidir.scanned" ];
       live = [];
       present = [] };
     (* Greedy, local search and the MILP oracle on the pinned scheduling

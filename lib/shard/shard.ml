@@ -85,16 +85,6 @@ let region_of ~halo inst =
 
 (* ---- demand segmentation ---- *)
 
-(* Component ids of the working subgraph: one O(n + e) pass answers every
-   per-demand reachability question (vertices failing [vertex_ok] get
-   id -1), where per-demand BFS would cost |demands| full-graph scans. *)
-let component_ids ~vertex_ok ~edge_ok g =
-  let comp = Array.make (Graph.nv g) (-1) in
-  List.iteri
-    (fun i verts -> List.iter (fun v -> comp.(v) <- i) verts)
-    (Netrec_graph.Traverse.components ~vertex_ok ~edge_ok g);
-  comp
-
 (* Cut one broken demand's full-graph shortest path into per-shard
    sub-demands: each maximal run of consecutive path vertices inside one
    shard becomes (entry, exit, amount).  Consecutive in-region path
@@ -225,7 +215,9 @@ let fixup ~cfg inst ~candidates ~broken_v ~broken_e ~repaired_v ~repaired_e =
     match demands with
     | [] -> []
     | _ ->
-      let comp = component_ids ~vertex_ok:working_v ~edge_ok:working_e g in
+      let comp =
+        Traverse.component_ids ~vertex_ok:working_v ~edge_ok:working_e g
+      in
       List.filter
         (fun h ->
           comp.(h.Commodity.src) < 0
@@ -303,16 +295,17 @@ let fixup ~cfg inst ~candidates ~broken_v ~broken_e ~repaired_v ~repaired_e =
 let final_solution ~cfg inst repaired_v repaired_e =
   Obs.span "shard.final_route" @@ fun () ->
   let g = inst.Instance.graph in
-  let repaired_vertices =
-    List.filter (fun v -> repaired_v.(v)) (Graph.vertices g)
-  in
-  let repaired_edges =
-    List.filter
-      (fun e -> repaired_e.(e))
-      (List.map (fun e -> e.Graph.id) (Graph.edges g))
+  let indices a =
+    let acc = ref [] in
+    for i = Array.length a - 1 downto 0 do
+      if a.(i) then acc := i :: !acc
+    done;
+    !acc
   in
   let sol0 =
-    { Instance.repaired_vertices; repaired_edges; routing = Routing.empty }
+    { Instance.repaired_vertices = indices repaired_v;
+      repaired_edges = indices repaired_e;
+      routing = Routing.empty }
   in
   let vertex_ok = Instance.repaired_vertex_ok inst sol0 in
   let edge_ok = Instance.repaired_edge_ok inst sol0 in
@@ -378,13 +371,9 @@ let solve_body ~cfg ~pool inst =
         wall_seconds = 0.0 } )
   end
   else begin
+    (* Shards in order of smallest vertex, each vertex list ascending. *)
     let components =
-      Netrec_graph.Traverse.components ~vertex_ok:(fun v -> in_region.(v)) g
-    in
-    let components =
-      List.sort
-        (fun a b -> compare (List.fold_left min max_int a) (List.fold_left min max_int b))
-        (List.map (List.sort compare) components)
+      Traverse.components ~vertex_ok:(fun v -> in_region.(v)) g
     in
     let shard_of = Array.make n (-1) in
     List.iteri
@@ -406,7 +395,9 @@ let solve_body ~cfg ~pool inst =
        not grow later; it doubles as the fixup candidate list. *)
     let broken_demands =
       Obs.span "shard.segment" @@ fun () ->
-      let comp = component_ids ~vertex_ok:working_v ~edge_ok:working_e g in
+      let comp =
+        Traverse.component_ids ~vertex_ok:working_v ~edge_ok:working_e g
+      in
       let broken_demands =
         List.filter
           (fun h ->
@@ -417,7 +408,7 @@ let solve_body ~cfg ~pool inst =
       List.iter
         (fun h ->
           match
-            Netrec_graph.Traverse.bfs_path g h.Commodity.src h.Commodity.dst
+            Traverse.bfs_path g h.Commodity.src h.Commodity.dst
           with
           | None | Some [] -> ()  (* disconnected even undamaged *)
           | Some p ->

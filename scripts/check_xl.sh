@@ -6,7 +6,10 @@
 #
 #   - the run takes the sharded path (several shards, not delegation),
 #   - the stitched solution is certified with zero violations,
-#   - the output is byte-identical for -j1 and -j4 pools.
+#   - the output is byte-identical for -j1 and -j4 pools,
+#   - the hop searches (demand segmentation and the final greedy
+#     routing) stay local: bidir.scanned <= 46500, about 1.5x the
+#     measured 31012; a one-sided search scans ~309k here.
 #
 # Fully deterministic (pinned seeds, no wall-clock in the output), so it
 # runs as part of @runtest via the @xl alias:
@@ -18,6 +21,8 @@
 set -eu
 
 cd "$(dirname "$0")/.."
+
+SCAN_CEILING=46500
 
 if [ -z "${BENCH_EXE:-}" ]; then
   dune build bench/main.exe
@@ -57,4 +62,11 @@ if [ "${shards:-0}" -lt 2 ]; then
   exit 1
 fi
 
-echo "OK: xl smoke sharded run certified and -j deterministic ($shards shards)"
+scanned=$(sed -n 's/^bidir.scanned=\([0-9]*\)$/\1/p' "$TMP/j1.txt")
+if [ -z "$scanned" ] || [ "$scanned" -gt "$SCAN_CEILING" ]; then
+  echo "FAIL: xl-smoke: bidir.scanned '${scanned:-}' exceeds the $SCAN_CEILING ceiling" >&2
+  cat "$TMP/j1.txt" >&2
+  exit 1
+fi
+
+echo "OK: xl smoke sharded run certified and -j deterministic ($shards shards, $scanned incidences scanned)"

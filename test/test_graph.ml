@@ -241,6 +241,176 @@ let dijkstra_matches_bfs_prop =
           if b = max_int then d = infinity else abs_float (d -. float_of_int b) < 1e-9)
         bfs dij)
 
+(* ---- Bidirectional hop search ---- *)
+
+(* Random masked graphs where tie-breaks matter: multigraphs with
+   parallel edges, grids (every shortest path ties) with vertex ids and
+   edge order scrambled so discovery order and id order disagree, and
+   small scale-free graphs; each under random vertex and edge masks. *)
+let masked_graph seed =
+  let rng = Rng.create seed in
+  let g =
+    match Rng.int rng 3 with
+    | 0 ->
+      let n = 2 + Rng.int rng 30 in
+      let edges =
+        List.init (Rng.int rng (3 * n)) (fun _ ->
+            let u = Rng.int rng n in
+            (u, (u + 1 + Rng.int rng (n - 1)) mod n, 1.0))
+      in
+      Graph.make ~n ~edges ()
+    | 1 ->
+      let grid =
+        Generate.grid ~width:(1 + Rng.int rng 8) ~height:(1 + Rng.int rng 8)
+          ~capacity:1.0
+      in
+      let n = Graph.nv grid in
+      let perm = Array.init n Fun.id in
+      Rng.shuffle rng perm;
+      let edges =
+        Array.of_list
+          (List.map (fun e -> (perm.(e.Graph.u), perm.(e.Graph.v), 1.0))
+             (Graph.edges grid))
+      in
+      Rng.shuffle rng edges;
+      Graph.of_edge_array ~n edges
+    | _ ->
+      let m = 1 + Rng.int rng 3 in
+      Generate.scale_free ~rng ~n:(m + 2 + Rng.int rng 60) ~m ~capacity:1.0 ()
+  in
+  let pv = Rng.float rng 0.3 and pe = Rng.float rng 0.3 in
+  let vmask = Array.init (Graph.nv g) (fun _ -> not (Rng.bernoulli rng pv)) in
+  let emask = Array.init (Graph.ne g) (fun _ -> not (Rng.bernoulli rng pe)) in
+  (rng, g, (fun v -> vmask.(v)), fun e -> emask.(e))
+
+(* [f] holds for 20 random (src, dst) pairs of a masked graph. *)
+let for_random_pairs seed f =
+  let rng, g, vertex_ok, edge_ok = masked_graph seed in
+  let n = Graph.nv g in
+  List.for_all
+    (fun _ -> f g ~vertex_ok ~edge_ok (Rng.int rng n) (Rng.int rng n))
+    (List.init 20 Fun.id)
+
+(* The whole-graph FIFO BFS that [Traverse.bfs_path] must reproduce:
+   each vertex keeps the first (queue position, incidence slot) that
+   discovers it. *)
+let reference_bfs_path ~vertex_ok ~edge_ok g src dst =
+  let pred = Array.make (Graph.nv g) (-2) (* -2 unseen, -1 source *) in
+  let q = Queue.create () in
+  if vertex_ok src then begin
+    pred.(src) <- -1;
+    Queue.add src q
+  end;
+  while not (Queue.is_empty q) do
+    let u = Queue.pop q in
+    List.iter
+      (fun (w, e) ->
+        if pred.(w) = -2 && vertex_ok w && edge_ok e then begin
+          pred.(w) <- e;
+          Queue.add w q
+        end)
+      (Graph.incident g u)
+  done;
+  if pred.(dst) = -2 then None
+  else
+    let rec walk v acc =
+      if v = src then acc
+      else walk (Graph.other_end g pred.(v) v) (pred.(v) :: acc)
+    in
+    Some (walk dst [])
+
+let bidir_hop_matches_dijkstra_prop =
+  QCheck.Test.make ~name:"bidir By_id path = unit-length dijkstra path"
+    ~count:300 QCheck.int (fun seed ->
+      for_random_pairs seed (fun g ~vertex_ok ~edge_ok src dst ->
+          Bidir.path ~vertex_ok ~edge_ok ~tie:Bidir.By_id g src dst
+          = Dijkstra.shortest_path ~vertex_ok ~edge_ok ~length:unit_len g src
+              dst))
+
+let bfs_path_matches_reference_prop =
+  QCheck.Test.make ~name:"bfs_path = reference FIFO BFS path" ~count:300
+    QCheck.int (fun seed ->
+      for_random_pairs seed (fun g ~vertex_ok ~edge_ok src dst ->
+          Traverse.bfs_path ~vertex_ok ~edge_ok g src dst
+          = reference_bfs_path ~vertex_ok ~edge_ok g src dst))
+
+(* Components by one BFS distance row per unseen source. *)
+let components_match_reference_prop =
+  QCheck.Test.make ~name:"components = per-source BFS reference" ~count:300
+    QCheck.int (fun seed ->
+      let _, g, vertex_ok, edge_ok = masked_graph seed in
+      let n = Graph.nv g in
+      let seen = Array.make n false in
+      let reference = ref [] in
+      for src = 0 to n - 1 do
+        if vertex_ok src && not seen.(src) then begin
+          let dist = Traverse.bfs_dist ~vertex_ok ~edge_ok g src in
+          let comp = List.filter (fun v -> dist.(v) < max_int) (List.init n Fun.id) in
+          List.iter (fun v -> seen.(v) <- true) comp;
+          reference := comp :: !reference
+        end
+      done;
+      let reference = List.rev !reference in
+      let ids = Traverse.component_ids ~vertex_ok ~edge_ok g in
+      Traverse.components ~vertex_ok ~edge_ok g = reference
+      && List.for_all2
+           (fun i comp -> List.for_all (fun v -> ids.(v) = i) comp)
+           (List.init (List.length reference) Fun.id)
+           reference
+      && Array.for_all2 (fun id s -> (id >= 0) = s) ids seen)
+
+(* Every entry point of the search, on 0 - 1 - 2 plus a separate 3 - 4. *)
+let test_bidir_edge_cases () =
+  let g = Graph.make ~n:5 ~edges:[ (0, 1, 1.0); (1, 2, 1.0); (3, 4, 1.0) ] () in
+  let all _ = true and not1 v = v <> 1 in
+  List.iter
+    (fun (name, search) ->
+      let check what = Alcotest.(check (option (list int))) (name ^ ": " ^ what) in
+      check "src = dst" (Some []) (search all g 2 2);
+      check "masked src = dst" None (search not1 g 1 1);
+      check "masked src" None (search not1 g 1 2);
+      check "masked dst" None (search not1 g 0 1);
+      check "cut by a masked vertex" None (search not1 g 0 2);
+      check "disconnected" None (search all g 0 4);
+      check "path" (Some [ 0; 1 ]) (search all g 0 2);
+      Alcotest.check_raises (name ^ ": src out of range")
+        (Invalid_argument "Bidir.path: source out of range") (fun () ->
+          ignore (search all g 5 0));
+      Alcotest.check_raises (name ^ ": dst out of range")
+        (Invalid_argument "Bidir.path: target out of range") (fun () ->
+          ignore (search all g 0 (-1))))
+    [ ("By_id", fun vertex_ok g -> Bidir.path ~vertex_ok ~tie:Bidir.By_id g);
+      ("Fifo", fun vertex_ok g -> Bidir.path ~vertex_ok ~tie:Bidir.Fifo g);
+      ("bfs_path", fun vertex_ok g -> Traverse.bfs_path ~vertex_ok g) ]
+
+(* The point of the search.  Vertex 0 has 30 neighbours with 30 leaves
+   each (961 vertices within two hops) and reaches the target over a
+   thin 3-hop path.  Growing the cheaper frontier walks the path from
+   the target and never enters the dense side (75 incidences scanned,
+   vertex 0's own 31 twice among them); a one-sided search from 0
+   scans 1,905. *)
+let test_bidir_grows_the_cheap_side () =
+  let module Obs = Netrec_obs.Obs in
+  let hubs = List.init 30 (fun i -> (0, 1 + i, 1.0)) in
+  let leaves =
+    List.concat
+      (List.init 30 (fun i -> List.init 30 (fun j -> (1 + i, 31 + (30 * i) + j, 1.0))))
+  in
+  let path = [ (0, 931, 1.0); (931, 932, 1.0); (932, 933, 1.0) ] in
+  let g = Graph.make ~n:934 ~edges:(hubs @ leaves @ path) () in
+  Obs.set_enabled true;
+  Obs.reset ();
+  let p = Bidir.path ~tie:Bidir.By_id g 0 933 in
+  let calls = Obs.counter_value "bidir.calls" in
+  let scanned = Obs.counter_value "bidir.scanned" in
+  Obs.reset ();
+  Obs.set_enabled false;
+  Alcotest.(check (option (list int))) "path" (Some [ 930; 931; 932 ]) p;
+  Alcotest.(check int) "one call" 1 calls;
+  Alcotest.(check bool)
+    (Printf.sprintf "scanned %d incidences, not the dense side" scanned)
+    true (scanned <= 100)
+
 (* ---- Maxflow ---- *)
 
 let test_maxflow_two_disjoint_paths () =
@@ -603,6 +773,12 @@ let () =
           QCheck_alcotest.to_alcotest dijkstra_target_matches_full_prop;
           QCheck_alcotest.to_alcotest dijkstra_matches_bfs_prop;
           QCheck_alcotest.to_alcotest dijkstra_triangle_prop ] );
+      ( "bidir",
+        [ tc "edge cases" test_bidir_edge_cases;
+          tc "grows the cheap side" test_bidir_grows_the_cheap_side;
+          QCheck_alcotest.to_alcotest bidir_hop_matches_dijkstra_prop;
+          QCheck_alcotest.to_alcotest bfs_path_matches_reference_prop;
+          QCheck_alcotest.to_alcotest components_match_reference_prop ] );
       ( "maxflow",
         [ tc "two disjoint paths" test_maxflow_two_disjoint_paths;
           tc "bottleneck" test_maxflow_bottleneck;

@@ -456,7 +456,7 @@ let test_diff_gate_table () =
       ("lp_gate", "milp.nodes"); ("xl_gate", "xl.certified");
       ("xl_gate", "check.violations"); ("xl_gate", "isp.shard_count");
       ("xl_gate", "isp.shard_delegated"); ("xl_gate", "xl.repairs_total");
-      ("sched_gate", "sched.oracle_proved"); ("sched_gate", "sched.certified");
+      ("xl_gate", "bidir.scanned"); ("sched_gate", "sched.oracle_proved"); ("sched_gate", "sched.certified");
       ("sched_gate", "sched.regret_microunits");
       ("sched_gate", "sched.plan_rounds") ];
   let regs base cur =
@@ -571,7 +571,7 @@ let minimal_valid_doc ~mode =
         num_obj
           [ ("xl.certified", 1.0); ("check.violations", 0.0);
             ("isp.shard_count", 2.0); ("isp.shard_delegated", 0.0);
-            ("xl.repairs_total", 1.0) ] );
+            ("xl.repairs_total", 1.0); ("bidir.scanned", 1.0) ] );
       ( "sched_gate",
         num_obj
           ([ ("sched.oracle_proved", 1.0); ("sched.certified", 1.0);
@@ -622,6 +622,7 @@ let test_validate_rules () =
       ("check.violations", [ "xl_gate"; "check.violations" ], Some (Num 2.0));
       ("isp.shard_count", [ "xl_gate"; "isp.shard_count" ], Some (Num 1.0));
       ("xl_gate", [ "xl_gate" ], gone);
+      ("bidir.scanned", [ "xl_gate"; "bidir.scanned" ], gone);
       ("sched.oracle_proved", [ "sched_gate"; "sched.oracle_proved" ], zero);
       ("sched.certified", [ "sched_gate"; "sched.certified" ], zero);
       ( "sched.regret_microunits",
