@@ -27,13 +27,6 @@ let bell_canada_instance () =
   let demands = E.Common.feasible_demands ~rng ~count:4 ~amount:10.0 g in
   Instance.make ~graph:g ~demands ~failure:(Failure.complete g) ()
 
-let gaussian_instance () =
-  let g = Netrec_topo.Bell_canada.graph () in
-  let rng = Rng.create 2 in
-  let demands = E.Common.feasible_demands ~rng ~count:4 ~amount:10.0 g in
-  let failure = Netrec_disrupt.Models.gaussian ~rng ~variance:70.0 g in
-  Instance.make ~graph:g ~demands ~failure ()
-
 let er_instance () =
   let rng = Rng.create 3 in
   let g =
@@ -55,7 +48,7 @@ let caida_instance () =
 let micro_benchmarks () =
   let open Bechamel in
   let bc = bell_canada_instance () in
-  let gauss = gaussian_instance () in
+  let gauss = E.Gates.opt_scenario () in
   let er_g, er = er_instance () in
   let caida = caida_instance () in
   let xl_smoke = E.Fig9_xl.smoke_scenario () in
@@ -324,110 +317,13 @@ let run_all s =
   Obs.write_events "results/progress.jsonl";
   Printf.printf "wrote results/progress.jsonl\n%!"
 
-(* Deterministic LP work gate: exact counter deltas for one full OPT
-   solve of the gaussian Bell Canada scenario.  Unlike the wall-clock
-   micro-benchmarks these integers are machine-independent, so CI can
-   hold the line on simplex/branch-and-bound work regressions exactly. *)
-let lp_gate_metrics () =
-  let inst = gaussian_instance () in
-  let was = Obs.enabled () in
-  Obs.set_enabled true;
-  let keys =
-    [ "simplex.pivots"; "simplex.bound_flips"; "simplex.solves";
-      "simplex.warm_starts"; "simplex.phase1_skipped";
-      "simplex.dse_pivots"; "simplex.dse_resets"; "milp.nodes";
-      "milp.nodes_pruned"; "presolve.runs"; "presolve.vars_fixed";
-      "presolve.rows_dropped"; "presolve.bounds_tightened";
-      "presolve.coefs_tightened"; "cuts.separated"; "cuts.added";
-      "cuts.rejected"; "cuts.root_solves"; "cuts.aged_out" ]
-  in
-  let before = List.map (fun k -> (k, Obs.counter_value k)) keys in
-  let r = Netrec_heuristics.Opt.solve inst in
-  let deltas = List.map (fun (k, v) -> (k, Obs.counter_value k - v)) before in
-  Obs.set_enabled was;
-  ("opt.proved", if r.Netrec_heuristics.Opt.proved then 1 else 0)
-  :: ("opt.nodes", r.Netrec_heuristics.Opt.nodes)
-  :: deltas
-
-(* Deterministic xl work gate: the sharded solver on the pinned 5k
-   scale-free Gaussian smoke scenario.  Shard/cut/fixup counts, sampled
-   centrality work, hop-search work (bidir.scanned) and the certificate
-   are machine-independent integers, so CI can hold the line on both
-   sharding-shape and correctness regressions exactly
-   (check.violations must stay 0). *)
-let xl_gate_metrics () =
-  let inst = E.Fig9_xl.smoke_scenario () in
-  let was = Obs.enabled () in
-  Obs.set_enabled true;
-  let keys =
-    [ "centrality.sampled_recomputed"; "centrality.sampled_skipped";
-      "bidir.scanned" ]
-  in
-  let before = List.map (fun k -> (k, Obs.counter_value k)) keys in
-  let sol, st = Netrec_shard.Shard.solve inst in
-  let deltas = List.map (fun (k, v) -> (k, Obs.counter_value k - v)) before in
-  Obs.set_enabled was;
-  let module Shard = Netrec_shard.Shard in
-  [ ("xl.certified", if Netrec_check.Check.ok st.Shard.certificate then 1 else 0);
-    ("check.violations", List.length st.Shard.certificate.Netrec_check.Check.violations);
-    ("xl.repairs_total", Instance.total_repairs sol);
-    ("isp.shard_count", st.Shard.shards);
-    ("isp.shard_region_vertices", st.Shard.region_vertices);
-    ("isp.shard_cut_demands", st.Shard.cut_demands);
-    ("isp.shard_fixup_paths", st.Shard.fixup_paths);
-    ("isp.shard_delegated", if st.Shard.delegated then 1 else 0) ]
-  @ deltas
-
-(* Deterministic scheduling gate: greedy, greedy + local search and the
-   MILP oracle on the pinned two-corridor smoke scenario.  AUC and
-   regret enter as microunits so the block stays integer-valued like
-   the other gates; scripts/check_sched.sh asserts that the oracle
-   proves optimality, the refined plan stays within 5% regret
-   (sched.regret_microunits <= 50_000) and every round certifies. *)
-let sched_gate_metrics () =
-  let module Sched = Netrec_sched.Sched in
-  let inst = E.Fig_sched.smoke_scenario () in
-  let cap = Sched.capacity ~crews:E.Fig_sched.smoke_crews () in
-  let was = Obs.enabled () in
-  Obs.set_enabled true;
-  let keys =
-    [ "sched.plans"; "sched.rounds"; "sched.evals"; "sched.ls_passes";
-      "sched.moves_tried"; "sched.moves_applied"; "sched.oracle_solves";
-      "sched.oracle_nodes" ]
-  in
-  let before = List.map (fun k -> (k, Obs.counter_value k)) keys in
-  let greedy = Sched.greedy ~cap inst (Instance.repair_all inst) in
-  let refined, _ = Sched.local_search ~cap inst (Sched.order_of greedy) in
-  let oracle =
-    match Sched.oracle ~cap inst (E.Fig_sched.smoke_elements ()) with
-    | Ok r -> r
-    | Error _ -> failwith "sched gate: oracle refused the smoke scenario"
-  in
-  let deltas = List.map (fun (k, v) -> (k, Obs.counter_value k - v)) before in
-  Obs.set_enabled was;
-  let micro x = int_of_float (Float.round (1e6 *. x)) in
-  let certified =
-    List.for_all Netrec_check.Check.ok (Sched.certify_rounds inst refined)
-  in
-  [ ("sched.oracle_proved", if oracle.Sched.proved then 1 else 0);
-    ("sched.plan_rounds", List.length refined.Sched.rounds);
-    ("sched.greedy_auc_microunits", micro greedy.Sched.auc);
-    ("sched.ls_auc_microunits", micro refined.Sched.auc);
-    ("sched.oracle_auc_microunits", micro oracle.Sched.plan.Sched.auc);
-    ( "sched.regret_microunits",
-      micro (Sched.regret ~oracle:oracle.Sched.plan refined) );
-    ("sched.certified", if certified then 1 else 0) ]
-  @ deltas
-
 (* Machine-readable run record: micro-benchmark estimates, the
-   deterministic LP, xl and sched work gates, plus the counter/gauge/
+   deterministic LP, xl and sched gate blocks (Gates), plus the counter/gauge/
    histogram/span snapshot and progress summary of the figure
    regeneration.  `recover metrics validate` checks it against the gate
    table in lib/obs/metrics_diff.ml. *)
 let write_bench_metrics ~mode ~benchmarks =
-  let lp_gate = lp_gate_metrics () in
-  let xl_gate = xl_gate_metrics () in
-  let sched_gate = sched_gate_metrics () in
+  let gates = E.Gates.blocks () in
   let buf = Buffer.create 4096 in
   Printf.bprintf buf "{\"schema\":\"%s\"," Netrec_obs.Metrics_diff.schema;
   Printf.bprintf buf "\"mode\":\"%s\",\"benchmarks\":{" mode;
@@ -444,7 +340,7 @@ let write_bench_metrics ~mode ~benchmarks =
           if i > 0 then Buffer.add_char buf ',';
           Printf.bprintf buf "\"%s\":%d" name v)
         kvs)
-    [ ("lp_gate", lp_gate); ("xl_gate", xl_gate); ("sched_gate", sched_gate) ];
+    gates;
   Buffer.add_string buf "},\"metrics\":";
   Buffer.add_string buf (Obs.metrics_json ());
   Buffer.add_string buf "}\n";
@@ -452,133 +348,6 @@ let write_bench_metrics ~mode ~benchmarks =
   output_string oc (Buffer.contents buf);
   close_out oc;
   Printf.printf "wrote BENCH_metrics.json\n%!"
-
-(* The xl smoke run behind scripts/check_xl.sh: solve the pinned 5k
-   scale-free Gaussian scenario on the sharded solver with a -jN pool
-   and print only deterministic facts (no wall clock), so the script
-   can diff -j1 against -j4 byte-for-byte, grep the certificate and
-   hold the hop-search work under its ceiling. *)
-let xl_smoke ~jobs =
-  let inst = E.Fig9_xl.smoke_scenario () in
-  let pool = E.Common.Pool.create ~jobs in
-  let sol, st = Netrec_shard.Shard.solve ~pool inst in
-  let scanned = Obs.counter_value "bidir.scanned" in
-  let module Shard = Netrec_shard.Shard in
-  let ids l = String.concat "," (List.map string_of_int (List.sort compare l)) in
-  Printf.printf "xl-smoke: n=%d ne=%d demands=%d\n"
-    (G.nv inst.Instance.graph) (G.ne inst.Instance.graph)
-    (List.length inst.Instance.demands);
-  Printf.printf
-    "region=%d shards=%d cut=%d fixup=%d delegated=%b\n"
-    st.Shard.region_vertices st.Shard.shards st.Shard.cut_demands
-    st.Shard.fixup_paths st.Shard.delegated;
-  Printf.printf "repaired_vertices=[%s]\nrepaired_edges=[%s]\n"
-    (ids sol.Instance.repaired_vertices)
-    (ids sol.Instance.repaired_edges);
-  Printf.printf "repair_cost=%.6f\n" (Instance.repair_cost inst sol);
-  Printf.printf "satisfied=%.6f\n"
-    (Netrec_core.Evaluate.satisfied_fraction inst sol);
-  Printf.printf "violations=%d\ncertified=%b\n"
-    (List.length st.Shard.certificate.Netrec_check.Check.violations)
-    (Netrec_check.Check.ok st.Shard.certificate);
-  (* Merged over every pool domain, so the same for any -j. *)
-  Printf.printf "bidir.scanned=%d\n" scanned
-
-(* The sched smoke run behind scripts/check_sched.sh: schedule the
-   pinned two-corridor scenario with greedy + local search on a -jN
-   pool, prove the optimum with the MILP oracle, and print only
-   deterministic facts (no wall clock), so the script can diff -j1
-   against -j4 byte-for-byte and grep the gate facts. *)
-let sched_smoke ~jobs =
-  let module Sched = Netrec_sched.Sched in
-  let inst = E.Fig_sched.smoke_scenario () in
-  let cap = Sched.capacity ~crews:E.Fig_sched.smoke_crews () in
-  let pool = E.Common.Pool.create ~jobs in
-  let el_str = function
-    | `Vertex v -> Printf.sprintf "v%d" v
-    | `Edge e -> Printf.sprintf "e%d" e
-  in
-  let round_str r =
-    Printf.sprintf "[%s] cost=%.1f satisfied=%.6f"
-      (String.concat "," (List.map el_str r.Sched.elements))
-      r.Sched.cost r.Sched.satisfied
-  in
-  let greedy = Sched.greedy ~cap inst (Instance.repair_all inst) in
-  let refined, stats =
-    Sched.local_search ~pool ~cap inst (Sched.order_of greedy)
-  in
-  let oracle =
-    match Sched.oracle ~cap inst (E.Fig_sched.smoke_elements ()) with
-    | Ok r -> r
-    | Error _ -> failwith "sched-smoke: oracle refused the smoke scenario"
-  in
-  Printf.printf "sched-smoke: n=%d ne=%d elements=%d crews=%d\n"
-    (G.nv inst.Instance.graph) (G.ne inst.Instance.graph)
-    (List.length (E.Fig_sched.smoke_elements ()))
-    E.Fig_sched.smoke_crews;
-  List.iteri
-    (fun i r -> Printf.printf "round %d: %s\n" (i + 1) (round_str r))
-    refined.Sched.rounds;
-  Printf.printf "greedy_auc=%.6f\nls_auc=%.6f\noracle_auc=%.6f\n"
-    greedy.Sched.auc refined.Sched.auc oracle.Sched.plan.Sched.auc;
-  Printf.printf "ls_passes=%d ls_moves_applied=%d\n" stats.Sched.passes
-    stats.Sched.moves_applied;
-  Printf.printf "oracle_proved=%b\nregret=%.6f\ncertified=%b\n"
-    oracle.Sched.proved
-    (Sched.regret ~oracle:oracle.Sched.plan refined)
-    (List.for_all Netrec_check.Check.ok (Sched.certify_rounds inst refined))
-
-(* The opt smoke run behind scripts/check_opt.sh: one full OPT solve of
-   the pinned lp_gate scenario with the exact-solver accelerations on
-   (presolve + cuts + dual steepest edge), then one solve per
-   acceleration individually disabled, printing only deterministic facts
-   (no wall clock).  The script asserts the pivot/node ceilings, that
-   every variant proves optimality, and that the proved objective is
-   bit-identical across variants — the differential safety net for the
-   model-side performance layer.  The midsize row is a harder Gaussian
-   scenario under a node budget that only the accelerated solver closes:
-   base (no presolve, no cuts, Dantzig) must leave it unproved. *)
-let opt_smoke () =
-  let module Opt = Netrec_heuristics.Opt in
-  let counters =
-    [ "simplex.pivots"; "milp.nodes"; "cuts.added"; "cuts.root_solves";
-      "presolve.runs"; "simplex.dse_pivots"; "mcf.feasible_solves";
-      "mcf.feasible_pivots"; "mcf.max_scale_solves"; "mcf.max_scale_pivots" ]
-  in
-  let deltas f =
-    let before = List.map (fun k -> (k, Obs.counter_value k)) counters in
-    let r = f () in
-    (r, List.map (fun (k, v) -> (k, Obs.counter_value k - v)) before)
-  in
-  let row name ?presolve ?cuts ?pricing ?node_limit inst =
-    let r, ds =
-      deltas (fun () -> Opt.solve ?presolve ?cuts ?pricing ?node_limit inst)
-    in
-    Printf.printf "%s: proved=%b objective=%.6f nodes=%d %s\n" name
-      r.Opt.proved r.Opt.objective r.Opt.nodes
-      (String.concat " " (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) ds));
-    r
-  in
-  Printf.printf "opt-smoke: pinned bell-canada gaussian (seed 2, variance 70)\n";
-  ignore (row "pinned" (gaussian_instance ()));
-  ignore (row "nopresolve" ~presolve:false (gaussian_instance ()));
-  ignore (row "nocuts" ~cuts:false (gaussian_instance ()));
-  ignore
-    (row "dantzig" ~pricing:Netrec_lp.Tuning.Dantzig (gaussian_instance ()));
-  let midsize () =
-    let g = Netrec_topo.Bell_canada.graph () in
-    let rng = Rng.create 5 in
-    let demands = E.Common.feasible_demands ~rng ~count:5 ~amount:10.0 g in
-    let failure = Netrec_disrupt.Models.gaussian ~rng ~variance:120.0 g in
-    Instance.make ~graph:g ~demands ~failure ()
-  in
-  let base =
-    row "midsize-base" ~presolve:false ~cuts:false
-      ~pricing:Netrec_lp.Tuning.Dantzig ~node_limit:600 (midsize ())
-  in
-  let full = row "midsize-full" ~node_limit:600 (midsize ()) in
-  Printf.printf "midsize: base_proved=%b full_proved=%b\n"
-    base.Netrec_heuristics.Opt.proved full.Netrec_heuristics.Opt.proved
 
 (* [-jN] anywhere on the command line sets the pool size for figure
    regeneration (default 2; results are identical for any N). *)
@@ -623,15 +392,6 @@ let () =
   | [ "bench" ] ->
     let benchmarks = micro_benchmarks () in
     write_bench_metrics ~mode:"bench" ~benchmarks
-  | [ "xl-smoke" ] ->
-    Obs.set_enabled true;
-    xl_smoke ~jobs:(Option.value ~default:1 jobs)
-  | [ "sched-smoke" ] ->
-    Obs.set_enabled true;
-    sched_smoke ~jobs:(Option.value ~default:1 jobs)
-  | [ "opt-smoke" ] ->
-    Obs.set_enabled true;
-    opt_smoke ()
   | [ "figures" ] ->
     Obs.set_enabled true;
     run_all (with_jobs default);

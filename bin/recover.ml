@@ -794,7 +794,7 @@ let check_instances_arg =
   let doc = "Number of seeded random instances to generate." in
   Arg.(value & opt int 200 & info [ "instances"; "n" ] ~doc)
 
-let check_opt_nodes_arg =
+let check_node_budget_arg =
   let doc = "Branch-and-bound node budget for the OPT column." in
   Arg.(value & opt int 400 & info [ "opt-nodes" ] ~doc)
 
@@ -820,7 +820,7 @@ let check_cmd =
     (Cmd.info "check" ~doc)
     Term.(
       const (fun () -> check) $ tuning_term $ seed_arg
-      $ check_instances_arg $ check_opt_nodes_arg
+      $ check_instances_arg $ check_node_budget_arg
       $ jobs_arg)
 
 (* ---- metrics command (regression diff of two run records) ---- *)
@@ -835,50 +835,8 @@ let diff_current_arg =
   let doc = "Current metrics file to compare against the baseline." in
   Arg.(required & pos 1 (some string) None & info [] ~docv:"CURRENT" ~doc)
 
-let pct_arg names ~default ~doc =
-  Arg.(value & opt float default & info names ~docv:"PERCENT" ~doc)
-
-let tolerance_arg =
-  pct_arg [ "tolerance" ]
-    ~default:(100.0 *. Metrics_diff.default_config.tolerance)
-    ~doc:
-      "Allowed relative increase of a wall-clock benchmark before it counts \
-       as a regression (percent)."
-
-let quantile_tolerance_arg =
-  pct_arg [ "quantile-tolerance" ]
-    ~default:(100.0 *. Metrics_diff.default_config.quantile_tolerance)
-    ~doc:
-      "Allowed relative increase of a histogram quantile (p50/p90/p99) \
-       before it counts as a regression (percent)."
-
-let lp_tolerance_arg =
-  pct_arg [ "lp-tolerance" ]
-    ~default:(100.0 *. Metrics_diff.default_config.lp_tolerance)
-    ~doc:
-      "Allowed relative drift — either direction — of the deterministic \
-       LP-gate counters (percent)."
-
-let abs_floor_arg =
-  let doc =
-    "Ignore wall-clock increases smaller than $(docv) milliseconds even \
-     when they exceed the relative tolerance (timer noise on fast \
-     benchmarks)."
-  in
-  Arg.(
-    value
-    & opt float Metrics_diff.default_config.abs_floor_ms
-    & info [ "abs-floor-ms" ] ~docv:"MS" ~doc)
-
-let metrics_diff base current tolerance quantile_tolerance lp_tolerance
-    abs_floor_ms =
-  let cfg =
-    { Metrics_diff.tolerance = tolerance /. 100.0;
-      quantile_tolerance = quantile_tolerance /. 100.0;
-      lp_tolerance = lp_tolerance /. 100.0;
-      abs_floor_ms }
-  in
-  let r = Metrics_diff.diff_files cfg ~base ~current in
+let metrics_diff base current =
+  let r = Metrics_diff.diff_files ~base ~current in
   print_string (Metrics_diff.report_to_string r);
   if r.Metrics_diff.regressions = [] then 0 else 1
 
@@ -889,18 +847,18 @@ let metrics_diff_cmd =
   let man =
     [ `S Manpage.s_description;
       `P
-        "Compares benchmarks (relative tolerance plus an absolute floor), \
-         the deterministic lp/xl/sched gate blocks (tight drift tolerance, \
-         hard invariants such as $(b,opt.proved) = 1, no key may \
+        "Compares benchmarks (a 25% increase above a 1 ms floor fails), \
+         the deterministic lp/xl/sched gate blocks (10% drift either way \
+         fails, hard invariants such as $(b,opt.proved) = 1, no key may \
          vanish), and — when both records were produced by the same \
-         bench mode — histogram quantiles and counters.  Exits 0 when no \
-         section regressed, 1 otherwise." ]
+         bench mode — histogram quantiles (a 10% p50/p90/p99 increase \
+         fails) and counters.  Exits 0 when no section regressed, 1 \
+         otherwise." ]
   in
   Cmd.v
     (Cmd.info "diff" ~doc ~man)
     Term.(
-      const metrics_diff $ diff_base_arg $ diff_current_arg $ tolerance_arg
-      $ quantile_tolerance_arg $ lp_tolerance_arg $ abs_floor_arg)
+      const metrics_diff $ diff_base_arg $ diff_current_arg)
 
 let validate_file_arg =
   let doc = "Metrics file to validate (e.g. the committed BENCH_metrics.json)." in

@@ -20,7 +20,7 @@ let certifier : (Instance.t -> Instance.solution -> unit) option ref =
 
 let set_certifier f = certifier := f
 
-let best_routing ?lp_var_budget inst sol =
+let best_routing inst sol =
   let g = inst.Instance.graph in
   let own = sol.Instance.routing in
   (* Validity is a single precondition, computed once: an invalid own
@@ -38,8 +38,8 @@ let best_routing ?lp_var_budget inst sol =
     let vertex_ok = Instance.repaired_vertex_ok inst sol in
     let edge_ok = Instance.repaired_edge_ok inst sol in
     let computed =
-      Oracle.max_satisfiable ~vertex_ok ~edge_ok ?lp_var_budget
-        ~cap:(Graph.capacity g) g inst.Instance.demands
+      Oracle.max_satisfiable ~vertex_ok ~edge_ok ~cap:(Graph.capacity g) g
+        inst.Instance.demands
     in
     (* Keep whichever routes more (the solution's own partial routing can
        beat the oracle's greedy fallback). *)
@@ -48,9 +48,9 @@ let best_routing ?lp_var_budget inst sol =
     else computed
   end
 
-let assess ?lp_var_budget inst sol =
+let assess inst sol =
   (match !certifier with Some f -> f inst sol | None -> ());
-  let routing = best_routing ?lp_var_budget inst sol in
+  let routing = best_routing inst sol in
   { vertex_repairs = Instance.vertex_repairs sol;
     edge_repairs = Instance.edge_repairs sol;
     total_repairs = Instance.total_repairs sol;
@@ -58,5 +58,4 @@ let assess ?lp_var_budget inst sol =
     satisfied_fraction = Routing.satisfaction ~demands:inst.Instance.demands routing;
     routing }
 
-let satisfied_fraction ?lp_var_budget inst sol =
-  (assess ?lp_var_budget inst sol).satisfied_fraction
+let satisfied_fraction inst sol = (assess inst sol).satisfied_fraction

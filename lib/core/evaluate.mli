@@ -17,7 +17,7 @@ type report = {
   routing : Netrec_flow.Routing.t;  (** the routing the fraction refers to *)
 }
 
-val assess : ?lp_var_budget:int -> Instance.t -> Instance.solution -> report
+val assess : Instance.t -> Instance.solution -> report
 (** Evaluate a solution against its instance.  Invokes the installed
     {!set_certifier} hook (if any) on the solution first. *)
 
@@ -30,5 +30,5 @@ val set_certifier :
     checker.  Install before spawning worker domains; the hook runs on
     whichever domain calls {!assess} and must be domain-safe. *)
 
-val satisfied_fraction : ?lp_var_budget:int -> Instance.t -> Instance.solution -> float
+val satisfied_fraction : Instance.t -> Instance.solution -> float
 (** Just the satisfaction ratio of {!assess}. *)

@@ -16,10 +16,6 @@ type length_mode = Dynamic | Hop
 
 type config = {
   length_mode : length_mode;
-  length_const : float;
-  max_iterations : int option;
-  lp_var_budget : int;
-  gk_eps : float;
   split_candidates : int;
   incremental_centrality : bool;
   centrality_sample : int option;
@@ -28,10 +24,6 @@ type config = {
 
 let default_config =
   { length_mode = Dynamic;
-    length_const = 1.0;
-    max_iterations = None;
-    lp_var_budget = 2500;
-    gk_eps = 0.05;
     split_candidates = 5;
     incremental_centrality = true;
     centrality_sample = None;
@@ -69,6 +61,14 @@ type state = {
 
 let eps = Num.flow_eps
 
+(* The [const] of the §IV-D metric: the length of a working link. *)
+let length_const = 1.0
+
+(* Exact-LP size threshold for the inner oracles, and the GK accuracy
+   used above it. *)
+let lp_var_budget = 2500
+let gk_eps = 0.05
+
 (* ---- availability predicates ---- *)
 
 let working_vertex st v = not st.broken_v.(v)
@@ -93,7 +93,7 @@ let length_metric st e =
       if st.broken_v.(w) then st.inst.Instance.vertex_cost.(w) else 0.0
     in
     let c = Float.max st.resid.(e) eps in
-    (st.cfg.length_const +. ke +. ((kv u +. kv v) /. 2.0)) /. c
+    (length_const +. ke +. ((kv u +. kv v) /. 2.0)) /. c
 
 (* ---- repairs ---- *)
 
@@ -128,7 +128,7 @@ let termination_check st =
   Oracle.routable ~budget:st.budget
     ~vertex_ok:(working_vertex st)
     ~edge_ok:(fun e -> working_edge st e)
-    ~lp_var_budget:st.cfg.lp_var_budget ~gk_eps:st.cfg.gk_eps
+    ~lp_var_budget ~gk_eps
     ~cap:(fun e -> st.resid.(e))
     st.inst.Instance.graph st.demands
 
@@ -298,7 +298,7 @@ let max_split_amount st h v =
         (Commodity.make ~src:v ~dst:h.Commodity.dst ~amount:0.0, 1.0) ]
   in
   match
-    Mcf_lp.max_scale ~budget:st.budget ~var_budget:st.cfg.lp_var_budget
+    Mcf_lp.max_scale ~budget:st.budget ~var_budget:lp_var_budget
       ~cap:(fun e -> st.resid.(e))
       ~tmax:flow_upper g param
   with
@@ -434,7 +434,7 @@ let final_solution st =
   let routing =
     match
       Oracle.routable ~budget:st.budget ~vertex_ok ~edge_ok
-        ~lp_var_budget:st.cfg.lp_var_budget ~gk_eps:st.cfg.gk_eps
+        ~lp_var_budget ~gk_eps
         ~cap:(Graph.capacity g) g inst.Instance.demands
     with
     | Oracle.Routable r -> r
@@ -442,7 +442,7 @@ let final_solution st =
       (* Oracle incompleteness or a genuinely infeasible instance: report
          the best routing we can find. *)
       Oracle.max_satisfiable ~budget:st.budget ~vertex_ok ~edge_ok
-        ~lp_var_budget:st.cfg.lp_var_budget ~cap:(Graph.capacity g) g
+        ~lp_var_budget ~cap:(Graph.capacity g) g
         inst.Instance.demands
   in
   { sol0 with Instance.routing }
@@ -478,11 +478,9 @@ let solve_body ~config ~budget inst =
         st.endpoint_repairs <- st.endpoint_repairs + 1
       end)
     (Commodity.endpoints st.demands);
+  (* Safety cap; the fallback finishes whatever is left. *)
   let max_iters =
-    match config.max_iterations with
-    | Some n -> n
-    | None ->
-      (20 * (Graph.nv g + Graph.ne g)) + (100 * List.length st.demands)
+    (20 * (Graph.nv g + Graph.ne g)) + (100 * List.length st.demands)
   in
   let iters = ref 0 in
   let finished = ref false in

@@ -17,30 +17,24 @@
     certified against the full residual supply graph, termination against
     the working one; demand endpoints that are broken are repaired
     upfront (any feasible solution must); the split amount [dx] uses the
-    exact LP when the instance fits the simplex budget and a certified
-    binary search over the constructive router otherwise.  An iteration
-    cap with a shortest-repair-path fallback guarantees termination even
-    when the oracles are inconclusive; the [stats] record reports whether
-    the fallback fired (it does not in any shipped experiment). *)
+    exact LP when the instance fits the simplex budget (2500 variables)
+    and a certified binary search over the constructive router
+    otherwise.  An iteration cap ([20 * (nv + ne) + 100 * |H|]) with a
+    shortest-repair-path fallback guarantees termination even when the
+    oracles are inconclusive; the [stats] record reports whether the
+    fallback fired (it does not in any shipped experiment). *)
 
 type length_mode =
   | Dynamic
       (** the §IV-D repair-aware metric
-          [(const + ke + (kv_u + kv_v)/2) / residual_capacity], updated
-          every iteration — the paper's choice *)
+          [(const + ke + (kv_u + kv_v)/2) / residual_capacity] with
+          [const = 1] (a working link's length), updated every
+          iteration — the paper's choice *)
   | Hop  (** unit lengths: ablation switch to measure what the dynamic
              metric buys (see the fig4 ablation bench) *)
 
 type config = {
   length_mode : length_mode;  (** default [Dynamic] *)
-  length_const : float;
-      (** the [const] of the §IV-D metric accounting for the length of a
-          working link (default 1.0) *)
-  max_iterations : int option;
-      (** safety cap; default [20 * (nv + ne) + 100 * |H|] *)
-  lp_var_budget : int;
-      (** exact-LP size threshold for the inner oracles (default 2500) *)
-  gk_eps : float;  (** GK accuracy for oversize instances (default 0.05) *)
   split_candidates : int;
       (** how many top-centrality vertices to try per split step
           (default 5) *)

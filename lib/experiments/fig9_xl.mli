@@ -23,9 +23,8 @@ val scenario :
     scenario (no coordinates, empty disaster area). *)
 
 val smoke_scenario : unit -> Netrec_core.Instance.t
-(** The pinned 5000-vertex smoke scenario shared by the bench harness's
-    [xl-smoke]/[xl_gate] modes and [scripts/check_xl.sh]: several
-    shards, cut demands, subsecond. *)
+(** The pinned 5000-vertex smoke scenario behind the [xl_gate] block
+    ({!Gates.xl}): several shards, cut demands, subsecond. *)
 
 val default_sizes : int list
 (** [[20_000; 50_000; 100_000]]. *)

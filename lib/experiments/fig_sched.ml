@@ -6,10 +6,10 @@ module Failure = Netrec_disrupt.Failure
 module Sched = Netrec_sched.Sched
 open Common
 
-(* The pinned scheduling smoke scenario shared by `bench/main.exe
-   sched-smoke`, the BENCH_metrics.json sched_gate block and
-   scripts/check_sched.sh: two parallel corridors between the demand
-   endpoints, everything broken except the endpoints.  Small enough
+(* The pinned scheduling smoke scenario behind the sched_gate block
+   (Gates) and the fig-sched curve table: two parallel corridors
+   between the demand endpoints, everything broken except the
+   endpoints.  Small enough
    that the MILP oracle proves optimality in milliseconds, rich enough
    that order matters (the short corridor must be restored first). *)
 let smoke_scenario () =

@@ -6,9 +6,8 @@
     EXPERIMENTS.md). *)
 
 val smoke_scenario : unit -> Netrec_core.Instance.t
-(** The pinned 5-vertex two-corridor scenario shared by the bench
-    harness's [sched-smoke]/[sched_gate] modes and
-    [scripts/check_sched.sh]: the oracle proves optimality in
+(** The pinned 5-vertex two-corridor scenario behind the [sched_gate]
+    block ({!Gates.sched}): the oracle proves optimality in
     milliseconds and optimal play restores full service in round one. *)
 
 val smoke_elements : unit -> Netrec_sched.Sched.element list

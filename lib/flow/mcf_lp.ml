@@ -136,10 +136,10 @@ let feasible ?budget ?presolve ?(vertex_ok = all) ?(edge_ok = all)
       for h = 0 to nh - 1 do
         conservation ~extra_terms:(fun _ _ -> []) ~rhs h
       done;
-      let __pv0 = Obs.counter_value "simplex.pivots" in
+      let __pv0 = Obs.domain_counter_value "simplex.pivots" in
       let sol = Presolve.solve ?budget ?enabled:presolve skel.lp in
       Obs.count "mcf.feasible_solves";
-      Obs.count ~n:(Obs.counter_value "simplex.pivots" - __pv0)
+      Obs.count ~n:(Obs.domain_counter_value "simplex.pivots" - __pv0)
         "mcf.feasible_pivots";
       match sol.Lp.status with
       | Lp.Optimal ->
@@ -188,10 +188,10 @@ let max_scale ?budget ?presolve ?(vertex_ok = all) ?(edge_ok = all)
       for h = 0 to nh - 1 do
         conservation ~extra_terms ~rhs h
       done;
-      let __pv0 = Obs.counter_value "simplex.pivots" in
+      let __pv0 = Obs.domain_counter_value "simplex.pivots" in
       let sol = Presolve.solve ?budget ?enabled:presolve skel.lp in
       Obs.count "mcf.max_scale_solves";
-      Obs.count ~n:(Obs.counter_value "simplex.pivots" - __pv0)
+      Obs.count ~n:(Obs.domain_counter_value "simplex.pivots" - __pv0)
         "mcf.max_scale_pivots";
       match sol.Lp.status with
       | Lp.Optimal -> `Max sol.Lp.values.(t)
@@ -240,10 +240,10 @@ let max_total ?budget ?presolve ?(vertex_ok = all) ?(edge_ok = all)
       for h = 0 to nh - 1 do
         conservation ~extra_terms ~rhs h
       done;
-      let __pv0 = Obs.counter_value "simplex.pivots" in
+      let __pv0 = Obs.domain_counter_value "simplex.pivots" in
       let sol = Presolve.solve ?budget ?enabled:presolve skel.lp in
       Obs.count "mcf.max_total_solves";
-      Obs.count ~n:(Obs.counter_value "simplex.pivots" - __pv0)
+      Obs.count ~n:(Obs.domain_counter_value "simplex.pivots" - __pv0)
         "mcf.max_total_pivots";
       match sol.Lp.status with
       | Lp.Optimal ->

@@ -3,20 +3,20 @@
     [recover metrics validate] and [scripts/check_perf.sh].
 
     Three threshold regimes, reflecting how reproducible each section
-    is:
-    - {b wall-clock benchmarks} gate on {!config.tolerance} {e and} an
-      absolute floor ({!config.abs_floor_ms}) so sub-millisecond
-      wobble on fast benchmarks never fails a run;
+    is (the thresholds are fixed):
+    - {b wall-clock benchmarks} gate on a 25% increase {e and} a 1 ms
+      absolute floor, so sub-millisecond wobble on fast benchmarks
+      never fails a run;
     - {b gate blocks} ([lp_gate], [xl_gate], [sched_gate]: solver work
       on pinned scenarios) are deterministic, so drift of a gated key
-      beyond {!config.lp_tolerance} — in either direction — is flagged,
-      every {e hard invariant} ([opt.proved = 1], [xl.certified = 1],
-      regret within 5%, ...) must hold in the current run whatever the
-      baseline says, and a baseline key missing from the current block
-      is a regression;
-    - {b histogram quantiles} (p50/p90/p99 per metric) gate on
-      {!config.quantile_tolerance}; wall-clock histograms (names ending
-      in [_ms]) additionally require the absolute floor.
+      beyond 10% — in either direction — is flagged, every {e hard
+      invariant} ([opt.proved = 1], [xl.certified = 1], regret within
+      5%, ...) must hold in the current run whatever the baseline says,
+      and a baseline key missing from the current block is a
+      regression;
+    - {b histogram quantiles} (p50/p90/p99 per metric) gate on a 10%
+      increase; wall-clock histograms (names ending in [_ms])
+      additionally require the absolute floor.
 
     Workload-shaped sections (histograms, counters) are only compared
     when both documents carry the same ["mode"] — a quick bench and a
@@ -27,7 +27,7 @@
     Every gate requirement is one row of {!gates} (or of the run-wide
     rules behind {!validate}); {!diff} and {!validate} are its only
     readers, so adding a key to a gate block means editing its producer
-    in the bench harness and one row here. *)
+    ([Netrec_experiments.Gates]) and one row here. *)
 
 (** Dependency-free JSON representation and parser (the repo vendors no
     JSON library; documents here are small). *)
@@ -55,15 +55,6 @@ module Json : sig
   val string_val : t -> string option
 end
 
-type config = {
-  tolerance : float;  (** wall-clock benchmark gate, fraction (0.25) *)
-  quantile_tolerance : float;  (** histogram quantile gate (0.10) *)
-  lp_tolerance : float;  (** deterministic counter drift gate (0.10) *)
-  abs_floor_ms : float;  (** ignore wall-clock drift below this (1.0) *)
-}
-
-val default_config : config
-
 type report = {
   lines : string list;  (** full per-metric report, in section order *)
   regressions : string list;  (** failures only; empty means pass *)
@@ -87,7 +78,7 @@ type gate = {
   invariants : (string * bound) list;
       (** hard invariants, checked on every current run *)
   drift : string list;
-      (** deterministic keys gated on {!config.lp_tolerance} drift *)
+      (** deterministic keys gated on 10% drift either way *)
   live : string list;  (** keys that must be > 0 *)
   present : string list;  (** keys that must exist (may be 0) *)
 }
@@ -95,12 +86,18 @@ type gate = {
 val gates : gate list
 (** One row per gate block: [lp_gate], [xl_gate], [sched_gate]. *)
 
+val block_failures : gate -> Json.t -> string list
+(** Every requirement of the row that a block (a JSON object) fails:
+    invariants that do not hold, live keys not > 0, drift and present
+    keys missing.  Each failure names its key; empty means the block
+    passes.  {!validate} runs exactly this on each block. *)
+
 (** {1 Readers} *)
 
-val diff : config -> base:Json.t -> current:Json.t -> report
+val diff : base:Json.t -> current:Json.t -> report
 (** Compare two parsed metrics documents. *)
 
-val diff_files : config -> base:string -> current:string -> report
+val diff_files : base:string -> current:string -> report
 (** Read, parse and {!diff} two files.  An unreadable or unparsable
     file becomes a regression in the returned report rather than an
     exception, so callers get uniform exit semantics. *)

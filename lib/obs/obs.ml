@@ -279,13 +279,17 @@ let counters () =
   Hashtbl.fold (fun name v acc -> (name, v) :: acc) merged []
   |> List.sort compare
 
+let own_count st name =
+  match Hashtbl.find_opt st.counters_tbl name with Some c -> c.n | None -> 0
+
 let counter_value name =
-  List.fold_left
-    (fun acc st ->
-      match Hashtbl.find_opt st.counters_tbl name with
-      | Some c -> acc + c.n
-      | None -> acc)
-    0 (states ())
+  List.fold_left (fun acc st -> acc + own_count st name) 0 (states ())
+
+(* Disabled, nothing is being counted, so 0 keeps deltas exact without
+   creating (and registering) per-domain state for short-lived pool
+   domains. *)
+let domain_counter_value name =
+  if Atomic.get enabled_flag then own_count (state ()) name else 0
 
 (* ---- gauges ---- *)
 

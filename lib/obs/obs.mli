@@ -175,7 +175,15 @@ val gauges : unit -> (string * gauge_stat) list
     the global record order (cross-domain updates are sequenced). *)
 
 val counter_value : string -> int
-(** Current value of a counter (0 when never incremented). *)
+(** Current value of a counter (0 when never incremented), merged over
+    every domain. *)
+
+val domain_counter_value : string -> int
+(** The calling domain's own share of a counter: what this domain has
+    added to it.  Lock-free, and unaffected by work other domains run
+    concurrently, so a delta of it around a sequential call measures
+    exactly that call.  Disabled mode: [0] after one flag check (nothing
+    is counted then, so such deltas stay exact). *)
 
 type hist_stat = {
   count : int;

@@ -15,21 +15,26 @@ let log_src = Logs.Src.create "netrec.shard" ~doc:"sharded ISP trace"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-type config = {
-  halo : int;
-  delegate_fraction : float;
-  oracle_nv_limit : int;
-  shard_isp : Isp.config;
-}
+(* BFS hops around broken elements included in the region.  The fringe
+   is what lets sub-demand endpoints sit on working vertices; keep it
+   small on heavy-tailed graphs, where a 2-hop fringe through a hub can
+   swallow most of a scale-free network. *)
+let halo = 1
 
-let default_config =
-  { halo = 1;
-    delegate_fraction = 0.25;
-    oracle_nv_limit = 2048;
-    shard_isp =
-      { Isp.default_config with
-        Isp.centrality_sample = Some 32;
-        bundle_max_paths = Some 16 } }
+(* Delegate to plain ISP when the region covers at least this fraction
+   of all vertices. *)
+let delegate_fraction = 0.25
+
+(* Above this vertex count the final routing pass stays with the
+   constructive greedy router instead of the LP/GK oracle ladder. *)
+let oracle_nv_limit = 2048
+
+(* Per-shard ISP, with sampled centrality and capped bundles: shards
+   re-verify globally, so sampling is safe. *)
+let shard_isp =
+  { Isp.default_config with
+    Isp.centrality_sample = Some 32;
+    bundle_max_paths = Some 16 }
 
 type stats = {
   shards : int;
@@ -192,7 +197,7 @@ let build_sub inst verts demands =
    invalidation contract ISP's loop relies on, so cached and fresh
    bundles stay bit-identical (see the equality property in
    test_shard.ml). *)
-let fixup ~cfg inst ~candidates ~broken_v ~broken_e ~repaired_v ~repaired_e =
+let fixup inst ~candidates ~broken_v ~broken_e ~repaired_v ~repaired_e =
   let g = inst.Instance.graph in
   let resid = Array.init (Graph.ne g) (Graph.capacity g) in
   let cache = Centrality.Cache.create () in
@@ -239,8 +244,8 @@ let fixup ~cfg inst ~candidates ~broken_v ~broken_e ~repaired_v ~repaired_e =
     | [] -> ()
     | _ ->
       let cent =
-        Centrality.compute ~cache ?sample:cfg.shard_isp.Isp.centrality_sample
-          ?max_paths:cfg.shard_isp.Isp.bundle_max_paths ~length
+        Centrality.compute ~cache ?sample:shard_isp.Isp.centrality_sample
+          ?max_paths:shard_isp.Isp.bundle_max_paths ~length
           ~cap:(fun e -> resid.(e))
           g remaining
       in
@@ -292,7 +297,7 @@ let fixup ~cfg inst ~candidates ~broken_v ~broken_e ~repaired_v ~repaired_e =
 
 (* ---- final routing (mirrors Isp.final_solution, size-gated) ---- *)
 
-let final_solution ~cfg inst repaired_v repaired_e =
+let final_solution inst repaired_v repaired_e =
   Obs.span "shard.final_route" @@ fun () ->
   let g = inst.Instance.graph in
   let indices a =
@@ -312,7 +317,7 @@ let final_solution ~cfg inst repaired_v repaired_e =
   let cap = Graph.capacity g in
   let demands = inst.Instance.demands in
   let routing =
-    if Graph.nv g <= cfg.oracle_nv_limit then
+    if Graph.nv g <= oracle_nv_limit then
       match Oracle.routable ~vertex_ok ~edge_ok ~cap g demands with
       | Oracle.Routable r -> r
       | Oracle.Unroutable | Oracle.Unknown ->
@@ -329,7 +334,7 @@ let final_solution ~cfg inst repaired_v repaired_e =
 
 (* ---- the solver ---- *)
 
-let solve_body ~cfg ~pool inst =
+let solve_body ~pool inst =
   let g = inst.Instance.graph in
   let n = Graph.nv g in
   Obs.count ~n:0 "isp.shard_count";
@@ -340,7 +345,7 @@ let solve_body ~cfg ~pool inst =
   Obs.count ~n:0 "check.violations";
   let in_region =
     Obs.span "shard.region" @@ fun () ->
-    region_of ~halo:(max 1 cfg.halo) inst
+    region_of ~halo inst
   in
   let region_vertices =
     Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 in_region
@@ -349,7 +354,7 @@ let solve_body ~cfg ~pool inst =
   if
     n = 0
     || float_of_int region_vertices
-       >= cfg.delegate_fraction *. float_of_int n
+       >= delegate_fraction *. float_of_int n
   then begin
     (* The disaster is not local: sharding would cut nothing.  Delegate
        to plain ISP (default config), which keeps small/global scenarios
@@ -444,7 +449,7 @@ let solve_body ~cfg ~pool inst =
     let results =
       Obs.span "shard.subsolve" @@ fun () ->
       Pool.map pool
-        (fun _ sub -> Isp.solve ~config:cfg.shard_isp sub.sinst)
+        (fun _ sub -> Isp.solve ~config:shard_isp sub.sinst)
         sub_arr
     in
     (* Stitch: union of per-shard repairs, mapped back to global ids. *)
@@ -474,10 +479,10 @@ let solve_body ~cfg ~pool inst =
       results;
     let fixup_paths =
       Obs.span "shard.fixup" @@ fun () ->
-      fixup ~cfg inst ~candidates:broken_demands ~broken_v ~broken_e
+      fixup inst ~candidates:broken_demands ~broken_v ~broken_e
         ~repaired_v ~repaired_e
     in
-    let sol = final_solution ~cfg inst repaired_v repaired_e in
+    let sol = final_solution inst repaired_v repaired_e in
     let certificate = Check.certify inst sol in
     ( sol,
       { shards = Array.length sub_arr;
@@ -490,12 +495,12 @@ let solve_body ~cfg ~pool inst =
         wall_seconds = 0.0 } )
   end
 
-let solve ?(config = default_config) ?pool inst =
+let solve ?pool inst =
   let pool =
     match pool with Some p -> p | None -> Pool.create ~jobs:1
   in
   let (sol, stats), wall =
-    Obs.timed "shard.solve" (fun () -> solve_body ~cfg:config ~pool inst)
+    Obs.timed "shard.solve" (fun () -> solve_body ~pool inst)
   in
   Obs.observe "shard.solve_ms" (1e3 *. wall);
   (sol, { stats with wall_seconds = wall })

@@ -8,7 +8,7 @@
     This solver instead (DESIGN §16):
 
     + computes the {e disaster region} — every broken element plus a
-      [halo]-hop BFS fringe — and its connected components, the
+      one-hop BFS fringe — and its connected components, the
       {e shards};
     + cuts each demand that lost working connectivity along its
       full-graph shortest path into per-shard {e sub-demands} (path
@@ -16,19 +16,23 @@
       the region contains every broken element);
     + solves each shard as an independent small {!Netrec_core.Isp}
       instance on the caller's domain pool ({!Netrec_parallel.Pool.map},
-      deterministic for any [-j]);
+      deterministic for any [-j]), with centrality sampled to 32
+      demands and bundles capped at 16 paths (shards re-verify
+      globally, so sampling is safe);
     + {e stitches} the per-shard repairs back together and runs a
       boundary-demand {e fixup} pass repairing a repair-aware shortest
       path for any demand the stitched repairs left disconnected —
       driving the {!Netrec_core.Centrality.Cache} invalidation contract
       ([note_improved] on repairs, [note_worse] on capacity consumption)
       exactly as ISP's own loop does;
-    + routes the original demands globally over the repaired network and
-      runs the result through {!Netrec_check.Check.certify}, so scale
-      never silently costs correctness.
+    + routes the original demands globally over the repaired network
+      (the LP/GK oracle ladder up to 2048 vertices, the constructive
+      greedy router above) and runs the result through
+      {!Netrec_check.Check.certify}, so scale never silently costs
+      correctness.
 
-    When the region covers at least [delegate_fraction] of the graph the
-    solver {e delegates} to plain [Isp.solve] with the default config —
+    When the region covers at least a quarter of the graph the solver
+    {e delegates} to plain [Isp.solve] with the default config —
     global disasters (e.g. fig9's complete destruction) produce
     byte-identical solutions to the unsharded solver.
 
@@ -36,28 +40,6 @@
     [isp.shard_cut_demands], [isp.shard_fixup_paths],
     [isp.shard_delegated] (all materialised at 0), plus
     [shard.solve_ms]. *)
-
-type config = {
-  halo : int;
-      (** BFS hops around broken elements included in the region
-          (default 1, minimum 1 — the fringe is what lets sub-demand
-          endpoints sit on working vertices).  Keep this small on
-          heavy-tailed graphs: a 2-hop fringe through a hub can swallow
-          most of a scale-free network. *)
-  delegate_fraction : float;
-      (** delegate to plain ISP when the region covers at least this
-          fraction of all vertices (default 0.25) *)
-  oracle_nv_limit : int;
-      (** above this vertex count the final routing pass stays with the
-          constructive greedy router instead of the LP/GK oracle ladder
-          (default 2048) *)
-  shard_isp : Netrec_core.Isp.config;
-      (** per-shard solver config; the default turns on
-          [centrality_sample = Some 32] and [bundle_max_paths = Some 16]
-          (shards re-verify globally, so sampling is safe) *)
-}
-
-val default_config : config
 
 type stats = {
   shards : int;  (** shards actually solved (those with sub-demands) *)
@@ -75,7 +57,6 @@ type stats = {
 }
 
 val solve :
-  ?config:config ->
   ?pool:Netrec_parallel.Pool.t ->
   Netrec_core.Instance.t ->
   Netrec_core.Instance.solution * stats

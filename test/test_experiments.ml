@@ -94,6 +94,32 @@ let test_ablation_single_run () =
     Alcotest.(check int) "srt rows" 3 (rows srt_t)
   | _ -> Alcotest.fail "ablation must emit its tables"
 
+(* ---- Gates ---- *)
+
+module Diff = Netrec_obs.Metrics_diff
+
+(* Every gate block built live on a 1-domain and a 4-domain pool: the
+   blocks are equal (counters merge over domains, so the pool size must
+   not show), and each passes its row of the gate table through the
+   same per-block check `recover metrics validate` runs. *)
+let test_gate_blocks () =
+  let build jobs = Gates.blocks ~pool:(Common.Pool.create ~jobs) () in
+  let j1 = build 1 and j4 = build 4 in
+  Alcotest.(check (list string))
+    "one block per table row, in table order"
+    (List.map (fun (g : Diff.gate) -> g.Diff.block) Diff.gates)
+    (List.map fst j1);
+  List.iter2
+    (fun (block, kvs) (_, kvs4) ->
+      Alcotest.(check (list (pair string int))) (block ^ ": -j1 = -j4") kvs kvs4;
+      let row = List.find (fun (g : Diff.gate) -> g.Diff.block = block) Diff.gates in
+      let doc =
+        Diff.Json.Obj (List.map (fun (k, v) -> (k, Diff.Json.Num (float_of_int v))) kvs)
+      in
+      Alcotest.(check (list string)) (block ^ " passes its row") []
+        (Diff.block_failures row doc))
+    j1 j4
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   let slow name f = Alcotest.test_case name `Slow f in
@@ -105,6 +131,7 @@ let () =
           tc "feasible demands routable" test_feasible_demands_routable;
           tc "complete instance" test_complete_instance_breaks_everything;
           tc "measure" test_measure_runs_algorithm ] );
+      ("gates", [ slow "blocks: -j1 = -j4, each passes its row" test_gate_blocks ]);
       ( "figures",
         [ slow "fig4 single point" test_fig4_single_point;
           slow "ablation single run" test_ablation_single_run ] ) ]

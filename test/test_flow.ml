@@ -234,6 +234,35 @@ let test_mcf_lp_max_total_dead_endpoint () =
     Alcotest.(check (float 1e-6)) "partial" 2.0 (Routing.total_routed r)
   | _ -> Alcotest.fail "expected a routing"
 
+(* Each solve records the rise of its own domain's simplex.pivots as
+   mcf.feasible_pivots, so solves running concurrently on other domains
+   never leak into it: over a 2-domain batch both counters rise by the
+   same amount. *)
+let test_mcf_lp_pivots_per_domain () =
+  let module Obs = Netrec_obs.Obs in
+  let module Pool = Netrec_parallel.Pool in
+  let g = Netrec_topo.Bell_canada.graph () in
+  let batch =
+    Array.init 64 (fun i ->
+        Netrec_experiments.Common.feasible_demands ~rng:(Rng.create i)
+          ~count:4 ~amount:10.0 g)
+  in
+  let read () =
+    (Obs.counter_value "simplex.pivots", Obs.counter_value "mcf.feasible_pivots")
+  in
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  let simplex0, mcf0 = read () in
+  ignore
+    (Pool.map (Pool.create ~jobs:2)
+       (fun _ d -> Mcf_lp.feasible ~cap:(cap_of g) g d)
+       batch);
+  let simplex1, mcf1 = read () in
+  Obs.set_enabled was;
+  Alcotest.(check bool) "the solves pivoted" true (simplex1 > simplex0);
+  Alcotest.(check int) "mcf.feasible_pivots rise = simplex.pivots rise"
+    (simplex1 - simplex0) (mcf1 - mcf0)
+
 (* ---- Gk ---- *)
 
 let test_gk_certifies_feasible () =
@@ -482,6 +511,7 @@ let () =
           tc "max_scale capacity bound" test_mcf_lp_max_scale_capacity_bound;
           tc "max_total" test_mcf_lp_max_total;
           tc "max_total dead endpoint" test_mcf_lp_max_total_dead_endpoint;
+          tc "pivots counted per domain" test_mcf_lp_pivots_per_domain;
           QCheck_alcotest.to_alcotest mcf_single_equals_maxflow_prop;
           QCheck_alcotest.to_alcotest max_scale_sound_prop;
           QCheck_alcotest.to_alcotest gk_max_sum_lower_bound_prop ] );

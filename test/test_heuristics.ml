@@ -270,6 +270,43 @@ let test_opt_partial_failure () =
   let r = Opt.solve ~node_limit:100 inst in
   Alcotest.(check int) "one edge" 1 (Instance.total_repairs r.Opt.solution)
 
+(* The exact-solver accelerations change the work, never the answer: on
+   the pinned lp_gate scenario, presolve off, cuts off and Dantzig
+   pricing each prove the full pipeline's objective exactly.  They are
+   also what closes a harder scenario: under a 600-node budget the
+   mid-size Gaussian instance stays unproved with all three off and
+   proves with all three on. *)
+let test_opt_accelerations () =
+  let pinned = Netrec_experiments.Gates.opt_scenario () in
+  let full = Opt.solve pinned in
+  Alcotest.(check bool) "full pipeline proves" true full.Opt.proved;
+  List.iter
+    (fun (name, solve) ->
+      let r = solve pinned in
+      Alcotest.(check bool) (name ^ " proves") true r.Opt.proved;
+      Alcotest.(check bool)
+        (name ^ " proves the same objective")
+        true
+        (Float.equal r.Opt.objective full.Opt.objective))
+    [ ("presolve off", fun i -> Opt.solve ~presolve:false i);
+      ("cuts off", fun i -> Opt.solve ~cuts:false i);
+      ("dantzig pricing", fun i -> Opt.solve ~pricing:Netrec_lp.Tuning.Dantzig i) ];
+  let midsize () =
+    let g = Netrec_topo.Bell_canada.graph () in
+    let rng = Rng.create 5 in
+    let demands =
+      Netrec_experiments.Common.feasible_demands ~rng ~count:5 ~amount:10.0 g
+    in
+    make_inst g demands (Netrec_disrupt.Models.gaussian ~rng ~variance:120.0 g)
+  in
+  let base =
+    Opt.solve ~presolve:false ~cuts:false ~pricing:Netrec_lp.Tuning.Dantzig
+      ~node_limit:600 (midsize ())
+  in
+  Alcotest.(check bool) "mid-size unproved without them" false base.Opt.proved;
+  let accelerated = Opt.solve ~node_limit:600 (midsize ()) in
+  Alcotest.(check bool) "mid-size proved with them" true accelerated.Opt.proved
+
 let opt_bounded_by_isp_prop =
   QCheck.Test.make ~name:"opt never worse than isp" ~count:8 QCheck.small_int
     (fun seed ->
@@ -536,6 +573,8 @@ let () =
           tc "proxy on oversize" test_opt_proxy_on_oversize;
           tc "partial failure" test_opt_partial_failure;
           tc "nothing broken" test_opt_nothing_broken;
+          Alcotest.test_case "accelerations keep the optimum" `Slow
+            test_opt_accelerations;
           QCheck_alcotest.to_alcotest opt_bounded_by_isp_prop ] );
       ( "mcf_heuristic",
         [ tc "orders" test_mcf_orders;

@@ -281,7 +281,7 @@ let doc_with ~mode ~bench_ms ~pivots ~p99 =
   Printf.sprintf
     {|{"schema":"netrec-bench-metrics/2","mode":"%s",
       "benchmarks":{"fig4:isp":%g},
-      "lp_gate":{"opt.proved":1,"simplex.pivots":%d,"milp.nodes":71},
+      "lp_gate":{"opt.proved":1,"simplex.pivots":%d,"milp.nodes":43},
       "metrics":{"counters":{"isp.iterations":100},
                  "gauges":{},
                  "histograms":{"simplex.pivots_per_solve":
@@ -291,18 +291,17 @@ let doc_with ~mode ~bench_ms ~pivots ~p99 =
     mode bench_ms pivots p99
 
 let run_diff base current =
-  Diff.diff Diff.default_config ~base:(Diff.Json.parse base)
-    ~current:(Diff.Json.parse current)
+  Diff.diff ~base:(Diff.Json.parse base) ~current:(Diff.Json.parse current)
 
 let test_diff_clean () =
-  let d = doc_with ~mode:"quick" ~bench_ms:100.0 ~pivots:9000 ~p99:40.0 in
+  let d = doc_with ~mode:"quick" ~bench_ms:100.0 ~pivots:6794 ~p99:40.0 in
   let r = run_diff d d in
   check_bool "self-diff has no regressions" true (r.Diff.regressions = [])
 
 let test_diff_flags_p99_regression () =
-  let base = doc_with ~mode:"quick" ~bench_ms:100.0 ~pivots:9000 ~p99:40.0 in
+  let base = doc_with ~mode:"quick" ~bench_ms:100.0 ~pivots:6794 ~p99:40.0 in
   (* +12.5% p99 > the 10% quantile gate *)
-  let cur = doc_with ~mode:"quick" ~bench_ms:100.0 ~pivots:9000 ~p99:45.0 in
+  let cur = doc_with ~mode:"quick" ~bench_ms:100.0 ~pivots:6794 ~p99:45.0 in
   let r = run_diff base cur in
   check_bool "p99 regression flagged" true
     (List.exists
@@ -310,35 +309,36 @@ let test_diff_flags_p99_regression () =
        r.Diff.regressions);
   (* The same drift across modes must NOT gate: the workloads differ. *)
   let cur_bench =
-    doc_with ~mode:"bench" ~bench_ms:100.0 ~pivots:9000 ~p99:45.0
+    doc_with ~mode:"bench" ~bench_ms:100.0 ~pivots:6794 ~p99:45.0
   in
   let r = run_diff base cur_bench in
   check_bool "cross-mode quantiles skipped" true (r.Diff.regressions = [])
 
 let test_diff_gates_benchmarks_and_lp () =
-  let base = doc_with ~mode:"quick" ~bench_ms:100.0 ~pivots:9000 ~p99:40.0 in
-  let slow = doc_with ~mode:"quick" ~bench_ms:140.0 ~pivots:9000 ~p99:40.0 in
+  let base = doc_with ~mode:"quick" ~bench_ms:100.0 ~pivots:6794 ~p99:40.0 in
+  let slow = doc_with ~mode:"quick" ~bench_ms:140.0 ~pivots:6794 ~p99:40.0 in
   let r = run_diff base slow in
   check_bool "+40% wall clock fails at 25%" true
     (List.exists (fun s -> contains s "fig4:isp") r.Diff.regressions);
-  let fast = doc_with ~mode:"quick" ~bench_ms:60.0 ~pivots:9000 ~p99:40.0 in
+  let fast = doc_with ~mode:"quick" ~bench_ms:60.0 ~pivots:6794 ~p99:40.0 in
   check_bool "improvements pass" true ((run_diff base fast).Diff.regressions = []);
-  let drift = doc_with ~mode:"quick" ~bench_ms:100.0 ~pivots:11000 ~p99:40.0 in
+  (* 8289 is +22% yet under the 8310 ceiling: this fails on drift alone. *)
+  let drift = doc_with ~mode:"quick" ~bench_ms:100.0 ~pivots:8289 ~p99:40.0 in
   let r = run_diff base drift in
   check_bool "+22% pivot drift fails the lp gate" true
     (List.exists (fun s -> contains s "simplex.pivots") r.Diff.regressions);
   (* Sub-floor absolute increases never fail, whatever the percentage. *)
-  let tiny_base = doc_with ~mode:"quick" ~bench_ms:0.1 ~pivots:9000 ~p99:40.0 in
-  let tiny_cur = doc_with ~mode:"quick" ~bench_ms:0.5 ~pivots:9000 ~p99:40.0 in
+  let tiny_base = doc_with ~mode:"quick" ~bench_ms:0.1 ~pivots:6794 ~p99:40.0 in
+  let tiny_cur = doc_with ~mode:"quick" ~bench_ms:0.5 ~pivots:6794 ~p99:40.0 in
   check_bool "sub-millisecond wobble passes" true
     ((run_diff tiny_base tiny_cur).Diff.regressions = [])
 
 let test_diff_missing_quantile_key () =
-  let base = doc_with ~mode:"quick" ~bench_ms:100.0 ~pivots:9000 ~p99:40.0 in
+  let base = doc_with ~mode:"quick" ~bench_ms:100.0 ~pivots:6794 ~p99:40.0 in
   let cur =
     {|{"schema":"netrec-bench-metrics/2","mode":"quick",
       "benchmarks":{"fig4:isp":100},
-      "lp_gate":{"opt.proved":1,"simplex.pivots":9000,"milp.nodes":71},
+      "lp_gate":{"opt.proved":1,"simplex.pivots":6794,"milp.nodes":43},
       "metrics":{"counters":{},"gauges":{},
                  "histograms":{"simplex.pivots_per_solve":
                    {"count":10,"sum":100,"min":1,"max":40,"p50":20,"p90":35}},
@@ -354,10 +354,11 @@ let doc_with_xl ~certified ~violations ~shards =
   Printf.sprintf
     {|{"schema":"netrec-bench-metrics/2","mode":"quick",
       "benchmarks":{"fig4:isp":100},
-      "lp_gate":{"opt.proved":1,"simplex.pivots":9000,"milp.nodes":71},
+      "lp_gate":{"opt.proved":1,"simplex.pivots":6794,"milp.nodes":43},
       "xl_gate":{"xl.certified":%d,"check.violations":%d,
                  "isp.shard_count":%d,"isp.shard_delegated":0,
-                 "xl.repairs_total":50,"isp.shard_cut_demands":12},
+                 "xl.repairs_total":50,"isp.shard_cut_demands":12,
+                 "bidir.scanned":31012},
       "metrics":{"counters":{},"gauges":{},"histograms":{},
                  "spans":[],"progress":[]}}|}
     certified violations shards
@@ -386,7 +387,7 @@ let test_diff_xl_gate () =
        (fun s -> contains s "isp.shard_count")
        (run_diff base drifted).Diff.regressions);
   (* A missing section only regresses when the baseline had one. *)
-  let without = doc_with ~mode:"quick" ~bench_ms:100.0 ~pivots:9000 ~p99:40.0 in
+  let without = doc_with ~mode:"quick" ~bench_ms:100.0 ~pivots:6794 ~p99:40.0 in
   check_bool "section vanishing regresses" true
     (List.exists
        (fun s -> contains s "xl_gate")
@@ -419,11 +420,15 @@ let test_diff_vanished_gate_keys () =
 
 let num_obj kvs = Diff.Json.Obj (List.map (fun (k, v) -> (k, Diff.Json.Num v)) kvs)
 
-(* A block meeting every requirement of its row: invariant keys at their
-   bound, every other key at 100. *)
+(* A block meeting every requirement of its row: invariant keys at
+   their bound, or a factor of two inside it (so a drift probe of the
+   same key tests the drift gate, not the bound), every other key at
+   100. *)
 let satisfying_block (g : Diff.gate) =
   let at_bound = function
-    | Diff.Eq x | Diff.At_most x | Diff.At_least x -> x
+    | Diff.Eq x -> x
+    | Diff.At_most x -> x /. 2.0
+    | Diff.At_least x -> x *. 2.0
     | Diff.Positive | Diff.Present -> 100.0
   in
   List.fold_left
@@ -460,7 +465,7 @@ let test_diff_gate_table () =
       ("sched_gate", "sched.regret_microunits");
       ("sched_gate", "sched.plan_rounds") ];
   let regs base cur =
-    (Diff.diff Diff.default_config ~base ~current:cur).Diff.regressions
+    (Diff.diff ~base ~current:cur).Diff.regressions
   in
   List.iter
     (fun (g : Diff.gate) ->
@@ -618,9 +623,13 @@ let test_validate_rules () =
   let mutations =
     [ ("schema", [ "schema" ], Some (Str "netrec-bench-metrics/2"));
       ("opt.proved", [ "lp_gate"; "opt.proved" ], zero);
+      ("simplex.pivots", [ "lp_gate"; "simplex.pivots" ], Some (Num 8311.0));
+      ("milp.nodes", [ "lp_gate"; "milp.nodes" ], Some (Num 71.0));
       ("xl.certified", [ "xl_gate"; "xl.certified" ], zero);
       ("check.violations", [ "xl_gate"; "check.violations" ], Some (Num 2.0));
       ("isp.shard_count", [ "xl_gate"; "isp.shard_count" ], Some (Num 1.0));
+      ("isp.shard_delegated", [ "xl_gate"; "isp.shard_delegated" ], Some (Num 1.0));
+      ("bidir.scanned", [ "xl_gate"; "bidir.scanned" ], Some (Num 46501.0));
       ("xl_gate", [ "xl_gate" ], gone);
       ("bidir.scanned", [ "xl_gate"; "bidir.scanned" ], gone);
       ("sched.oracle_proved", [ "sched_gate"; "sched.oracle_proved" ], zero);
