@@ -290,7 +290,7 @@ let run_figure s fig =
   | "fig-opt" ->
     emit_tables "fig_opt" (E.Fig_opt.run ~pool ~runs:s.runs ())
   | "ablation" -> emit_tables "ablation" (E.Ablation.run ~runs:s.runs ())
-  | other -> Printf.eprintf "unknown figure %S\n" other
+  | other -> invalid_arg ("run_figure: unknown figure " ^ other)
 
 let all_figures =
   [ "fig3"; "fig4"; "fig5"; "fig6"; "fig7"; "fig9"; "fig9-xl"; "fig-sched";
@@ -399,6 +399,12 @@ let () =
   | figs ->
     let s = if List.mem "quick" figs then quick else default in
     let figs = List.filter (fun f -> f <> "quick") figs in
+    (match List.filter (fun f -> not (List.mem f all_figures)) figs with
+    | [] -> ()
+    | unknown ->
+      List.iter (Printf.eprintf "unknown figure %S\n") unknown;
+      Printf.eprintf "figures: %s\n" (String.concat " " all_figures);
+      exit 2);
     Obs.set_enabled true;
     List.iter (run_figure (with_jobs s)) figs;
     write_bench_metrics ~mode:(String.concat "+" figs) ~benchmarks:[]

@@ -492,7 +492,7 @@ let plan_cmd =
 (* ---- experiment command ---- *)
 
 let runs_arg =
-  let doc = "Runs (seeds) averaged per data point." in
+  let doc = "Runs (seeds) averaged per data point (at least 1)." in
   Arg.(value & opt int 3 & info [ "runs" ] ~doc)
 
 let opt_nodes_arg =
@@ -531,81 +531,87 @@ let jobs_arg =
 
 let experiment figure runs opt_nodes jobs certify journal_file trace_file
     metrics_file events_file verbose =
-  Obs.set_enabled true;
-  if certify then Check.install_certifier ();
-  (* SIGINT/SIGTERM stop the sweep at the next cell boundary: completed
-     cells are already in the journal, so the same --journal file
-     resumes exactly there.  The handler only sets a flag. *)
-  E.Common.reset_stop ();
-  let install sgn =
-    try Some (Sys.signal sgn (Sys.Signal_handle (fun _ -> E.Common.request_stop ())))
-    with Invalid_argument _ | Sys_error _ -> None
-  in
-  let restore sgn = function
-    | Some prev -> (try Sys.set_signal sgn prev with Invalid_argument _ | Sys_error _ -> ())
-    | None -> ()
-  in
-  let prev_int = install Sys.sigint in
-  let prev_term = install Sys.sigterm in
-  Fun.protect
-    ~finally:(fun () ->
-      restore Sys.sigint prev_int;
-      restore Sys.sigterm prev_term)
-  @@ fun () ->
-  let pool =
-    E.Common.Pool.create
-      ~jobs:(if jobs <= 0 then E.Common.Pool.default_jobs () else jobs)
-  in
-  let print = List.iter Netrec_util.Table.print in
-  let one ?journal name =
-    let tables =
-      Obs.span ("experiment." ^ name) @@ fun () ->
-      match name with
-      | "fig3" -> E.Fig3.run ?journal ~pool ~runs ?opt_nodes ()
-      | "fig4" -> E.Fig4.run ?journal ~pool ~runs ?opt_nodes ()
-      | "fig5" -> E.Fig5.run ?journal ~pool ~runs ?opt_nodes ()
-      | "fig6" -> E.Fig6.run ?journal ~pool ~runs ?opt_nodes ()
-      | "fig7" -> E.Fig7.run ?journal ~pool ~runs ()
-      | "fig9" -> E.Fig9.run ?journal ~pool ~runs ()
-      | "fig9-xl" -> E.Fig9_xl.run ?journal ~pool ~runs ()
-      | "fig-opt" -> E.Fig_opt.run ?journal ~pool ~runs ?opt_nodes ()
-      | other -> failwith (Printf.sprintf "unknown figure %S" other)
+  if runs < 1 then begin
+    Printf.eprintf "error: --runs must be >= 1\n";
+    2
+  end
+  else begin
+    Obs.set_enabled true;
+    if certify then Check.install_certifier ();
+    (* SIGINT/SIGTERM stop the sweep at the next cell boundary: completed
+       cells are already in the journal, so the same --journal file
+       resumes exactly there.  The handler only sets a flag. *)
+    E.Common.reset_stop ();
+    let install sgn =
+      try Some (Sys.signal sgn (Sys.Signal_handle (fun _ -> E.Common.request_stop ())))
+      with Invalid_argument _ | Sys_error _ -> None
     in
-    print tables
-  in
-  try
-    let journal = Option.map E.Journal.create journal_file in
+    let restore sgn = function
+      | Some prev -> (try Sys.set_signal sgn prev with Invalid_argument _ | Sys_error _ -> ())
+      | None -> ()
+    in
+    let prev_int = install Sys.sigint in
+    let prev_term = install Sys.sigterm in
     Fun.protect
-      ~finally:(fun () -> Option.iter E.Journal.close journal)
-      (fun () ->
-        match figure with
-        | "all" ->
-          List.iter (one ?journal)
-            [ "fig3"; "fig4"; "fig5"; "fig6"; "fig7"; "fig9" ]
-        | f -> one ?journal f);
-    print_work_footer ();
-    export_observability ~verbose ~trace_file ~metrics_file ~events_file;
-    if certify then begin
-      let certified = Obs.counter_value "check.certified" in
-      let violations = Obs.counter_value "check.violations" in
-      Printf.printf "certified %d solutions, %d violation(s)\n" certified
-        violations;
-      if violations > 0 then 1 else 0
-    end
-    else 0
-  with
-  | E.Common.Interrupted ->
-    print_work_footer ();
-    export_observability ~verbose ~trace_file ~metrics_file ~events_file;
-    Printf.printf "interrupted: stopped at a cell boundary%s\n"
-      (match journal_file with
-      | Some f ->
-        Printf.sprintf "; completed cells are in %s — rerun to resume" f
-      | None -> " (use --journal to make interrupted sweeps resumable)");
-    0
-  | Failure msg | Sys_error msg ->
-    Printf.eprintf "error: %s\n" msg;
-    1
+      ~finally:(fun () ->
+        restore Sys.sigint prev_int;
+        restore Sys.sigterm prev_term)
+    @@ fun () ->
+    let pool =
+      E.Common.Pool.create
+        ~jobs:(if jobs <= 0 then E.Common.Pool.default_jobs () else jobs)
+    in
+    let print = List.iter Netrec_util.Table.print in
+    let one ?journal name =
+      let tables =
+        Obs.span ("experiment." ^ name) @@ fun () ->
+        match name with
+        | "fig3" -> E.Fig3.run ?journal ~pool ~runs ?opt_nodes ()
+        | "fig4" -> E.Fig4.run ?journal ~pool ~runs ?opt_nodes ()
+        | "fig5" -> E.Fig5.run ?journal ~pool ~runs ?opt_nodes ()
+        | "fig6" -> E.Fig6.run ?journal ~pool ~runs ?opt_nodes ()
+        | "fig7" -> E.Fig7.run ?journal ~pool ~runs ()
+        | "fig9" -> E.Fig9.run ?journal ~pool ~runs ()
+        | "fig9-xl" -> E.Fig9_xl.run ?journal ~pool ~runs ()
+        | "fig-opt" -> E.Fig_opt.run ?journal ~pool ~runs ?opt_nodes ()
+        | other -> failwith (Printf.sprintf "unknown figure %S" other)
+      in
+      print tables
+    in
+    try
+      let journal = Option.map E.Journal.create journal_file in
+      Fun.protect
+        ~finally:(fun () -> Option.iter E.Journal.close journal)
+        (fun () ->
+          match figure with
+          | "all" ->
+            List.iter (one ?journal)
+              [ "fig3"; "fig4"; "fig5"; "fig6"; "fig7"; "fig9" ]
+          | f -> one ?journal f);
+      print_work_footer ();
+      export_observability ~verbose ~trace_file ~metrics_file ~events_file;
+      if certify then begin
+        let certified = Obs.counter_value "check.certified" in
+        let violations = Obs.counter_value "check.violations" in
+        Printf.printf "certified %d solutions, %d violation(s)\n" certified
+          violations;
+        if violations > 0 then 1 else 0
+      end
+      else 0
+    with
+    | E.Common.Interrupted ->
+      print_work_footer ();
+      export_observability ~verbose ~trace_file ~metrics_file ~events_file;
+      Printf.printf "interrupted: stopped at a cell boundary%s\n"
+        (match journal_file with
+        | Some f ->
+          Printf.sprintf "; completed cells are in %s — rerun to resume" f
+        | None -> " (use --journal to make interrupted sweeps resumable)");
+      0
+    | Failure msg | Sys_error msg ->
+      Printf.eprintf "error: %s\n" msg;
+      1
+  end
 
 let experiment_cmd =
   let doc = "regenerate the paper's evaluation tables" in

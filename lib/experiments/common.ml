@@ -6,53 +6,20 @@ module Commodity = Netrec_flow.Commodity
 module Rng = Netrec_util.Rng
 module Num = Netrec_util.Num
 module Obs = Netrec_obs.Obs
-
-type measurement = {
-  repairs_v : float;
-  repairs_e : float;
-  repairs_total : float;
-  satisfied : float;
-  seconds : float;
-}
+module Table = Netrec_util.Table
+module H = Netrec_heuristics
 
 let measure_precomputed inst sol ~seconds =
   let report = Evaluate.assess inst sol in
-  { repairs_v = float_of_int report.Evaluate.vertex_repairs;
-    repairs_e = float_of_int report.Evaluate.edge_repairs;
-    repairs_total = float_of_int report.Evaluate.total_repairs;
-    satisfied = report.Evaluate.satisfied_fraction;
-    seconds }
+  [ ("repairs_v", float_of_int report.Evaluate.vertex_repairs);
+    ("repairs_e", float_of_int report.Evaluate.edge_repairs);
+    ("repairs_total", float_of_int report.Evaluate.total_repairs);
+    ("satisfied", report.Evaluate.satisfied_fraction);
+    ("seconds", seconds) ]
 
 let measure ?(label = "measure") inst algorithm =
   let sol, seconds = Obs.timed label algorithm in
   measure_precomputed inst sol ~seconds
-
-(* Journal codec: a measurement as generic (field, value) pairs. *)
-let measurement_fields m =
-  [ ("repairs_v", m.repairs_v);
-    ("repairs_e", m.repairs_e);
-    ("repairs_total", m.repairs_total);
-    ("satisfied", m.satisfied);
-    ("seconds", m.seconds) ]
-
-let measurement_of_fields fields =
-  let get k = Option.value ~default:0.0 (List.assoc_opt k fields) in
-  { repairs_v = get "repairs_v";
-    repairs_e = get "repairs_e";
-    repairs_total = get "repairs_total";
-    satisfied = get "satisfied";
-    seconds = get "seconds" }
-
-let average = function
-  | [] -> invalid_arg "Common.average: no measurements"
-  | ms ->
-    let n = float_of_int (List.length ms) in
-    let sum f = List.fold_left (fun acc m -> acc +. f m) 0.0 ms in
-    { repairs_v = sum (fun m -> m.repairs_v) /. n;
-      repairs_e = sum (fun m -> m.repairs_e) /. n;
-      repairs_total = sum (fun m -> m.repairs_total) /. n;
-      satisfied = sum (fun m -> m.satisfied) /. n;
-      seconds = sum (fun m -> m.seconds) /. n }
 
 let feasible_demands ~rng ?(distinct = false) ?(max_tries = 60) ~count ~amount g =
   let draw () =
@@ -156,11 +123,39 @@ let run_jobs ?journal ?pool jobs =
       pending);
   Array.to_list out
 
+let run_indices runs =
+  if runs < 1 then invalid_arg "Common.run_indices: runs must be >= 1";
+  List.init runs (fun r -> r + 1)
+
+(* Hashtbl.find_all returns the latest binding first, so run lists are
+   latest job first: the order the committed tables' means are summed
+   in. *)
+let sweep ?journal ?pool jobs =
+  let acc = Hashtbl.create 64 in
+  List.iter2
+    (fun (x, _) cells ->
+      List.iter (fun (alg, fields) -> Hashtbl.add acc (x, alg) fields) cells)
+    jobs
+    (run_jobs ?journal ?pool (List.map snd jobs));
+  fun x alg -> Hashtbl.find_all acc (x, alg)
+
+let mean runs key =
+  match
+    List.filter_map
+      (fun fields ->
+        match List.assoc_opt key fields with
+        | Some x when not (Float.is_nan x) -> Some x
+        | _ -> None)
+      runs
+  with
+  | [] -> nan
+  | xs -> Netrec_util.Stats.mean xs
+
 let best_incumbent inst sol =
-  let pruned = Netrec_heuristics.Postpass.prune inst sol in
+  let pruned = H.Postpass.prune inst sol in
   let candidates =
-    match Netrec_heuristics.Mcf_heuristic.solve inst with
-    | Some r -> [ pruned; r.Netrec_heuristics.Mcf_heuristic.mcb ]
+    match H.Mcf_heuristic.solve inst with
+    | Some r -> [ pruned; r.H.Mcf_heuristic.mcb ]
     | None -> [ pruned ]
   in
   let fully_served s =
@@ -173,3 +168,42 @@ let best_incumbent inst sol =
   with
   | best :: _ -> best
   | [] -> pruned
+
+(* ---- Figs. 4-6: the five-way comparison ---- *)
+
+let comparison_cells ~fig ~opt_nodes inst =
+  let (isp_sol, _), isp_secs =
+    Obs.timed (fig ^ ".isp") (fun () -> Netrec_core.Isp.solve inst)
+  in
+  let isp = measure_precomputed inst isp_sol ~seconds:isp_secs in
+  let timed name solve = measure ~label:(fig ^ "." ^ name) inst solve in
+  let srt = timed "srt" (fun () -> H.Srt.solve inst) in
+  let gcom = timed "grd_com" (fun () -> H.Greedy.grd_com inst) in
+  let gnc = timed "grd_nc" (fun () -> H.Greedy.grd_nc inst) in
+  let warm = best_incumbent inst isp_sol in
+  let opt = H.Opt.solve ~node_limit:opt_nodes ~incumbent:warm inst in
+  let optm =
+    measure_precomputed inst opt.H.Opt.solution ~seconds:opt.H.Opt.wall_seconds
+  in
+  [ ("ISP", isp); ("SRT", srt); ("GRD-COM", gcom); ("GRD-NC", gnc);
+    ("OPT", optm) ]
+
+let comparison_tables ~column ~repairs ~satisfied runs points =
+  let series = [ "ISP"; "OPT"; "SRT"; "GRD-COM"; "GRD-NC" ] in
+  let table title series row =
+    let t = Table.create ~title ~columns:(column :: series) in
+    List.iter (fun x -> Table.add_float_row ~decimals:1 t (x :: row x)) points;
+    t
+  in
+  let repair_tables =
+    List.map
+      (fun (title, key, all) ->
+        table title (series @ [ "ALL" ]) (fun x ->
+            List.map (fun alg -> mean (runs x alg) key) series @ [ all x ]))
+      repairs
+  in
+  let served = [ "SRT"; "GRD-COM"; "ISP" ] in
+  repair_tables
+  @ [ table satisfied served (fun x ->
+          List.map (fun alg -> percent (mean (runs x alg) "satisfied")) served)
+    ]

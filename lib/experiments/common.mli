@@ -1,5 +1,6 @@
 (** Shared scaffolding for the figure reproductions: feasible-scenario
-    construction, timed measurement, and averaging over seeded runs.
+    construction, timed measurement, and the one sweep driver that runs,
+    journals and groups seeded runs for averaging.
 
     The paper averages each point over 20 runs; the harness takes the run
     count as a parameter (the shipped benchmark defaults to fewer for
@@ -10,32 +11,20 @@ module Instance = Netrec_core.Instance
 module Failure = Netrec_disrupt.Failure
 module Pool = Netrec_parallel.Pool
 
-type measurement = {
-  repairs_v : float;
-  repairs_e : float;
-  repairs_total : float;
-  satisfied : float;  (** fraction in [0,1] *)
-  seconds : float;  (** algorithm wall time *)
-}
-
 val measure :
-  ?label:string -> Instance.t -> (unit -> Instance.solution) -> measurement
+  ?label:string -> Instance.t -> (unit -> Instance.solution) ->
+  (string * float) list
 (** Run an algorithm, time it via [Netrec_obs.Obs.timed] (so the tracing
     collector sees the same number the figure table reports), and assess
-    the solution.  [label] names the span (default ["measure"]). *)
+    the solution.  [label] names the span (default ["measure"]).  The
+    result is the journal field list [repairs_v], [repairs_e],
+    [repairs_total], [satisfied] (fraction in [0,1]) and [seconds]
+    (algorithm wall time), in that order. *)
 
 val measure_precomputed :
-  Instance.t -> Instance.solution -> seconds:float -> measurement
-(** Assess an already-computed solution with a known runtime. *)
-
-val average : measurement list -> measurement
-(** Component-wise mean.  @raise Invalid_argument on []. *)
-
-val measurement_fields : measurement -> (string * float) list
-(** Encode a measurement as the generic field list {!Journal} stores. *)
-
-val measurement_of_fields : (string * float) list -> measurement
-(** Inverse of {!measurement_fields}; missing fields read as 0. *)
+  Instance.t -> Instance.solution -> seconds:float -> (string * float) list
+(** Assess an already-computed solution with a known runtime; the same
+    fields as {!measure}. *)
 
 val feasible_demands :
   rng:Netrec_util.Rng.t ->
@@ -118,6 +107,26 @@ val run_jobs :
     aggregation done over them in order) are identical for every
     [jobs] setting. *)
 
+val run_indices : int -> int list
+(** [run_indices runs] is [[1; ...; runs]], the journal run indices of
+    a sweep point.  @raise Invalid_argument when [runs < 1]. *)
+
+val sweep :
+  ?journal:Journal.t ->
+  ?pool:Netrec_parallel.Pool.t ->
+  ('x * job) list ->
+  'x ->
+  string ->
+  (string * float) list list
+(** The figure sweep driver: evaluate the [(point, job)] pairs with
+    {!run_jobs} and return [runs] such that [runs x alg] is the field
+    lists algorithm [alg] recorded at point [x], latest job first
+    ([[]] when none did).  Points are compared structurally. *)
+
+val mean : (string * float) list list -> string -> float
+(** [mean runs key] averages [key] over the runs that recorded it as a
+    non-NaN value, summed left to right; [nan] when none did. *)
+
 val best_incumbent :
   Instance.t -> Instance.solution -> Instance.solution
 (** Strongest cheap warm start for the OPT branch-and-bound: the better
@@ -125,3 +134,24 @@ val best_incumbent :
     redundancy postpass and the multicommodity-relaxation MCB solution.
     Falls back to the postpassed input when the relaxation is
     unavailable. *)
+
+val comparison_cells :
+  fig:string -> opt_nodes:int -> Instance.t -> Journal.cells
+(** The Figs. 4-6 cell: ISP, SRT, GRD-COM, GRD-NC and OPT (anytime
+    branch-and-bound with [opt_nodes] nodes, warm-started from
+    {!best_incumbent}) on one instance, each as {!measure} fields.  The
+    spans are [<fig>.isp], [<fig>.srt], [<fig>.grd_com] and
+    [<fig>.grd_nc]. *)
+
+val comparison_tables :
+  column:string ->
+  repairs:(string * string * (float -> float)) list ->
+  satisfied:string ->
+  (float -> string -> (string * float) list list) ->
+  float list ->
+  Netrec_util.Table.t list
+(** The Figs. 4-6 tables over {!comparison_cells} runs, one row per
+    point: for each [(title, key, all)] in [repairs] a table of the
+    mean [key] of ISP, OPT, SRT, GRD-COM and GRD-NC plus [all x] as the
+    ALL column, then the table titled [satisfied] of the % satisfied
+    demand of SRT, GRD-COM and ISP.  [column] heads the point column. *)

@@ -6,18 +6,12 @@ module H = Netrec_heuristics
 
 let amounts = [ 2.0; 4.0; 6.0; 8.0; 10.0; 12.0; 14.0; 16.0; 18.0 ]
 
-let run ?journal ?pool ?(runs = 3) ?(opt_nodes = 250) ?(seed = 3) () =
+let run ?journal ?pool ?(runs = 3) ?(opt_nodes = 250) () =
   let g = Netrec_topo.Bell_canada.graph () in
-  let master = Rng.create seed in
+  let master = Rng.create 3 in
   let table =
     Table.create ~title:"Fig 3: Bell-Canada, total repairs of multi-commodity solutions (4 pairs)"
       ~columns:[ "demand/pair"; "OPT"; "MCW"; "MCB"; "ALL" ]
-  in
-  let acc = Hashtbl.create 64 in
-  let push amount name x =
-    let key = (amount, name) in
-    let prev = Option.value ~default:[] (Hashtbl.find_opt acc key) in
-    Hashtbl.replace acc key (x :: prev)
   in
   (* Fixed pairs per run, intensity swept by scaling (paper §VII-A2).
      Rng-consuming generation happens while the jobs are built, in sweep
@@ -59,26 +53,13 @@ let run ?journal ?pool ?(runs = 3) ?(opt_nodes = 250) ?(seed = 3) () =
                     in
                     mcf_cells @ [ ("OPT", repairs opt.H.Opt.solution) ]) } ))
           amounts)
-      (List.init runs (fun r -> r + 1))
+      (Common.run_indices runs)
   in
-  List.iter2
-    (fun (amount, _) cells ->
-      List.iter
-        (fun (name, fields) ->
-          match List.assoc_opt "repairs_total" fields with
-          | Some x -> push amount name x
-          | None -> ())
-        cells)
-    jobs
-    (Common.run_jobs ?journal ?pool (List.map snd jobs));
+  let runs = Common.sweep ?journal ?pool jobs in
   let all_v, all_e = Failure.counts (Failure.complete g) in
   List.iter
     (fun amount ->
-      let mean name =
-        match Hashtbl.find_opt acc (amount, name) with
-        | Some xs -> Netrec_util.Stats.mean xs
-        | None -> nan
-      in
+      let mean name = Common.mean (runs amount name) "repairs_total" in
       Table.add_float_row ~decimals:1 table
         [ amount; mean "OPT"; mean "MCW"; mean "MCB";
           float_of_int (all_v + all_e) ])

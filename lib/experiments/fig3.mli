@@ -10,7 +10,6 @@ val run :
   ?pool:Netrec_parallel.Pool.t ->
   ?runs:int ->
   ?opt_nodes:int ->
-  ?seed:int ->
   unit ->
   Netrec_util.Table.t list
 (** Produce the table (one row per demand intensity). *)

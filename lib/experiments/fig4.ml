@@ -1,33 +1,14 @@
-module Table = Netrec_util.Table
 module Rng = Netrec_util.Rng
-module Obs = Netrec_obs.Obs
-module Instance = Netrec_core.Instance
-module H = Netrec_heuristics
 open Common
 
 let run ?journal ?pool ?(runs = 3) ?(opt_nodes = 250) ?(seed = 4) ?(max_pairs = 7)
     () =
   let g = Netrec_topo.Bell_canada.graph () in
   let master = Rng.create seed in
-  let edges_t =
-    Table.create ~title:"Fig 4(a): Bell-Canada, edge repairs vs number of demand pairs (10 units/pair)"
-      ~columns:[ "pairs"; "ISP"; "OPT"; "SRT"; "GRD-COM"; "GRD-NC"; "ALL" ]
-  in
-  let nodes_t =
-    Table.create ~title:"Fig 4(b): Bell-Canada, node repairs vs number of demand pairs"
-      ~columns:[ "pairs"; "ISP"; "OPT"; "SRT"; "GRD-COM"; "GRD-NC"; "ALL" ]
-  in
-  let total_t =
-    Table.create ~title:"Fig 4(c): Bell-Canada, total repairs vs number of demand pairs"
-      ~columns:[ "pairs"; "ISP"; "OPT"; "SRT"; "GRD-COM"; "GRD-NC"; "ALL" ]
-  in
-  let sat_t =
-    Table.create ~title:"Fig 4(d): Bell-Canada, % satisfied demand vs number of demand pairs"
-      ~columns:[ "pairs"; "SRT"; "GRD-COM"; "ISP" ]
-  in
   let all_v, all_e =
     Netrec_disrupt.Failure.counts (Netrec_disrupt.Failure.complete g)
   in
+  let pair_counts = List.init max_pairs (fun p -> p + 1) in
   (* Anything touching the rng happens while the jobs are built, in the
      (pairs, run) sweep order, so a resumed or pool-parallel evaluation
      draws the same instances as a sequential one. *)
@@ -38,74 +19,24 @@ let run ?journal ?pool ?(runs = 3) ?(opt_nodes = 250) ?(seed = 4) ?(max_pairs = 
           (fun r ->
             let rng = Rng.split master in
             let inst = complete_instance ~rng ~count:pairs ~amount:10.0 g in
-            ( pairs,
+            ( float_of_int pairs,
               { point = Printf.sprintf "fig4:pairs=%d" pairs;
                 run = r;
-                cells =
-                  (fun () ->
-                    let (isp_sol, _), isp_secs =
-                      Obs.timed "fig4.isp" (fun () ->
-                          Netrec_core.Isp.solve inst)
-                    in
-                    let isp =
-                      measure_precomputed inst isp_sol ~seconds:isp_secs
-                    in
-                    let srt =
-                      measure ~label:"fig4.srt" inst (fun () ->
-                          H.Srt.solve inst)
-                    in
-                    let gcom =
-                      measure ~label:"fig4.grd_com" inst (fun () ->
-                          H.Greedy.grd_com inst)
-                    in
-                    let gnc =
-                      measure ~label:"fig4.grd_nc" inst (fun () ->
-                          H.Greedy.grd_nc inst)
-                    in
-                    let warm = best_incumbent inst isp_sol in
-                    let opt =
-                      H.Opt.solve ~node_limit:opt_nodes ~incumbent:warm inst
-                    in
-                    let optm =
-                      measure_precomputed inst opt.H.Opt.solution
-                        ~seconds:opt.H.Opt.wall_seconds
-                    in
-                    List.map
-                      (fun (name, m) -> (name, measurement_fields m))
-                      [ ("ISP", isp); ("SRT", srt); ("GRD-COM", gcom);
-                        ("GRD-NC", gnc); ("OPT", optm) ]) } ))
-          (List.init runs (fun r -> r + 1)))
-      (List.init max_pairs (fun p -> p + 1))
+                cells = (fun () -> comparison_cells ~fig:"fig4" ~opt_nodes inst)
+              } ))
+          (run_indices runs))
+      pair_counts
   in
-  let acc = Hashtbl.create 64 in
-  let push pairs name m =
-    let key = (pairs, name) in
-    let prev = Option.value ~default:[] (Hashtbl.find_opt acc key) in
-    Hashtbl.replace acc key (m :: prev)
-  in
-  List.iter2
-    (fun (pairs, _) cells ->
-      List.iter
-        (fun (name, fields) -> push pairs name (measurement_of_fields fields))
-        cells)
-    jobs
-    (run_jobs ?journal ?pool (List.map snd jobs));
-  for pairs = 1 to max_pairs do
-    let avg name = average (Hashtbl.find acc (pairs, name)) in
-    let isp = avg "ISP" and opt = avg "OPT" and srt = avg "SRT" in
-    let gcom = avg "GRD-COM" and gnc = avg "GRD-NC" in
-    let p = float_of_int pairs in
-    Table.add_float_row ~decimals:1 edges_t
-      [ p; isp.repairs_e; opt.repairs_e; srt.repairs_e; gcom.repairs_e;
-        gnc.repairs_e; float_of_int all_e ];
-    Table.add_float_row ~decimals:1 nodes_t
-      [ p; isp.repairs_v; opt.repairs_v; srt.repairs_v; gcom.repairs_v;
-        gnc.repairs_v; float_of_int all_v ];
-    Table.add_float_row ~decimals:1 total_t
-      [ p; isp.repairs_total; opt.repairs_total; srt.repairs_total;
-        gcom.repairs_total; gnc.repairs_total; float_of_int (all_v + all_e) ];
-    Table.add_float_row ~decimals:1 sat_t
-      [ p; percent srt.satisfied; percent gcom.satisfied;
-        percent isp.satisfied ]
-  done;
-  [ edges_t; nodes_t; total_t; sat_t ]
+  let all n _ = float_of_int n in
+  comparison_tables ~column:"pairs"
+    ~repairs:
+      [ ( "Fig 4(a): Bell-Canada, edge repairs vs number of demand pairs (10 units/pair)",
+          "repairs_e", all all_e );
+        ( "Fig 4(b): Bell-Canada, node repairs vs number of demand pairs",
+          "repairs_v", all all_v );
+        ( "Fig 4(c): Bell-Canada, total repairs vs number of demand pairs",
+          "repairs_total", all (all_v + all_e) ) ]
+    ~satisfied:
+      "Fig 4(d): Bell-Canada, % satisfied demand vs number of demand pairs"
+    (sweep ?journal ?pool jobs)
+    (List.map float_of_int pair_counts)

@@ -1,35 +1,18 @@
-module Table = Netrec_util.Table
 module Rng = Netrec_util.Rng
-module Obs = Netrec_obs.Obs
 module Instance = Netrec_core.Instance
 module Failure = Netrec_disrupt.Failure
-module H = Netrec_heuristics
 open Common
 
 let amounts = [ 2.0; 4.0; 6.0; 8.0; 10.0; 12.0; 14.0; 16.0; 18.0 ]
 
-let run ?journal ?pool ?(runs = 3) ?(opt_nodes = 250) ?(seed = 5) () =
+let run ?journal ?pool ?(runs = 3) ?(opt_nodes = 250) () =
   let g = Netrec_topo.Bell_canada.graph () in
-  let master = Rng.create seed in
-  let total_t =
-    Table.create ~title:"Fig 5(a): Bell-Canada, total repairs vs demand per pair (4 pairs)"
-      ~columns:[ "demand/pair"; "ISP"; "OPT"; "SRT"; "GRD-COM"; "GRD-NC"; "ALL" ]
-  in
-  let sat_t =
-    Table.create ~title:"Fig 5(b): Bell-Canada, % satisfied demand vs demand per pair (4 pairs)"
-      ~columns:[ "demand/pair"; "SRT"; "GRD-COM"; "ISP" ]
-  in
+  let master = Rng.create 5 in
   let all_v, all_e = Failure.counts (Failure.complete g) in
   (* One demand-pair set per run, feasible at the top of the sweep, then
      scaled across it — the paper "fixes the number of demand pairs to 4
-     and varies the intensity of demand per pair" (§VII-A2). *)
-  let acc = Hashtbl.create 64 in
-  let push amount name m =
-    let key = (amount, name) in
-    let prev = Option.value ~default:[] (Hashtbl.find_opt acc key) in
-    Hashtbl.replace acc key (m :: prev)
-  in
-  (* Rng-consuming generation happens while the jobs are built, in sweep
+     and varies the intensity of demand per pair" (§VII-A2).
+     Rng-consuming generation happens while the jobs are built, in sweep
      order; the job closures are rng-free. *)
   let jobs =
     List.concat_map
@@ -49,59 +32,16 @@ let run ?journal ?pool ?(runs = 3) ?(opt_nodes = 250) ?(seed = 5) () =
             ( amount,
               { point = Printf.sprintf "fig5:amount=%g" amount;
                 run = r;
-                cells =
-                  (fun () ->
-                    let (isp_sol, _), isp_secs =
-                      Obs.timed "fig5.isp" (fun () ->
-                          Netrec_core.Isp.solve inst)
-                    in
-                    let isp =
-                      measure_precomputed inst isp_sol ~seconds:isp_secs
-                    in
-                    let srt =
-                      measure ~label:"fig5.srt" inst (fun () ->
-                          H.Srt.solve inst)
-                    in
-                    let gcom =
-                      measure ~label:"fig5.grd_com" inst (fun () ->
-                          H.Greedy.grd_com inst)
-                    in
-                    let gnc =
-                      measure ~label:"fig5.grd_nc" inst (fun () ->
-                          H.Greedy.grd_nc inst)
-                    in
-                    let warm = best_incumbent inst isp_sol in
-                    let opt =
-                      H.Opt.solve ~node_limit:opt_nodes ~incumbent:warm inst
-                    in
-                    let optm =
-                      measure_precomputed inst opt.H.Opt.solution
-                        ~seconds:opt.H.Opt.wall_seconds
-                    in
-                    List.map
-                      (fun (name, m) -> (name, measurement_fields m))
-                      [ ("ISP", isp); ("SRT", srt); ("GRD-COM", gcom);
-                        ("GRD-NC", gnc); ("OPT", optm) ]) } ))
+                cells = (fun () -> comparison_cells ~fig:"fig5" ~opt_nodes inst)
+              } ))
           amounts)
-      (List.init runs (fun r -> r + 1))
+      (run_indices runs)
   in
-  List.iter2
-    (fun (amount, _) cells ->
-      List.iter
-        (fun (name, fields) -> push amount name (measurement_of_fields fields))
-        cells)
-    jobs
-    (run_jobs ?journal ?pool (List.map snd jobs));
-  List.iter
-    (fun amount ->
-      let avg name = average (Hashtbl.find acc (amount, name)) in
-      let isp = avg "ISP" and opt = avg "OPT" and srt = avg "SRT" in
-      let gcom = avg "GRD-COM" and gnc = avg "GRD-NC" in
-      Table.add_float_row ~decimals:1 total_t
-        [ amount; isp.repairs_total; opt.repairs_total; srt.repairs_total;
-          gcom.repairs_total; gnc.repairs_total; float_of_int (all_v + all_e) ];
-      Table.add_float_row ~decimals:1 sat_t
-        [ amount; percent srt.satisfied; percent gcom.satisfied;
-          percent isp.satisfied ])
-    amounts;
-  [ total_t; sat_t ]
+  comparison_tables ~column:"demand/pair"
+    ~repairs:
+      [ ( "Fig 5(a): Bell-Canada, total repairs vs demand per pair (4 pairs)",
+          "repairs_total", fun _ -> float_of_int (all_v + all_e) ) ]
+    ~satisfied:
+      "Fig 5(b): Bell-Canada, % satisfied demand vs demand per pair (4 pairs)"
+    (sweep ?journal ?pool jobs)
+    amounts

@@ -1,32 +1,16 @@
-module Table = Netrec_util.Table
 module Rng = Netrec_util.Rng
-module Obs = Netrec_obs.Obs
 module Instance = Netrec_core.Instance
 module Failure = Netrec_disrupt.Failure
 module Models = Netrec_disrupt.Models
-module H = Netrec_heuristics
 open Common
 
 let variances = [ 10.0; 30.0; 50.0; 70.0; 90.0; 110.0; 130.0; 150.0 ]
 
-let run ?journal ?pool ?(runs = 3) ?(opt_nodes = 250) ?(seed = 6) () =
+let run ?journal ?pool ?(runs = 3) ?(opt_nodes = 250) () =
   let g = Netrec_topo.Bell_canada.graph () in
-  let master = Rng.create seed in
-  let total_t =
-    Table.create ~title:"Fig 6(a): Bell-Canada, total repairs vs variance of Gaussian disruption (4 pairs, 10 units)"
-      ~columns:[ "variance"; "ISP"; "OPT"; "SRT"; "GRD-COM"; "GRD-NC"; "ALL" ]
-  in
-  let sat_t =
-    Table.create ~title:"Fig 6(b): Bell-Canada, % satisfied demand vs variance of Gaussian disruption"
-      ~columns:[ "variance"; "SRT"; "GRD-COM"; "ISP" ]
-  in
-  let acc = Hashtbl.create 64 in
-  let push variance name m =
-    let key = (variance, name) in
-    let prev = Option.value ~default:[] (Hashtbl.find_opt acc key) in
-    Hashtbl.replace acc key (m :: prev)
-  in
-  let all_acc = Hashtbl.create 8 in
+  let master = Rng.create 6 in
+  (* Destroyed elements per (variance, run), for the ALL column. *)
+  let destroyed = Hashtbl.create 8 in
   (* The demand pairs are fixed per run; the disruption grows with the
      variance along the sweep (§VII-A3).  Every rng draw happens here,
      while the jobs are BUILT, in the sequential sweep order; the job
@@ -42,67 +26,21 @@ let run ?journal ?pool ?(runs = 3) ?(opt_nodes = 250) ?(seed = 6) () =
             let failure = Models.gaussian ~rng ~variance g in
             let inst = Instance.make ~graph:g ~demands ~failure () in
             let bv, be = Failure.counts failure in
-            let prev =
-              Option.value ~default:[] (Hashtbl.find_opt all_acc variance)
-            in
-            Hashtbl.replace all_acc variance (float_of_int (bv + be) :: prev);
+            Hashtbl.add destroyed variance (float_of_int (bv + be));
             ( variance,
               { point = Printf.sprintf "fig6:variance=%g" variance;
                 run = r;
-                cells =
-                  (fun () ->
-                    let (isp_sol, _), isp_secs =
-                      Obs.timed "fig6.isp" (fun () ->
-                          Netrec_core.Isp.solve inst)
-                    in
-                    let isp =
-                      measure_precomputed inst isp_sol ~seconds:isp_secs
-                    in
-                    let srt =
-                      measure ~label:"fig6.srt" inst (fun () ->
-                          H.Srt.solve inst)
-                    in
-                    let gcom =
-                      measure ~label:"fig6.grd_com" inst (fun () ->
-                          H.Greedy.grd_com inst)
-                    in
-                    let gnc =
-                      measure ~label:"fig6.grd_nc" inst (fun () ->
-                          H.Greedy.grd_nc inst)
-                    in
-                    let warm = best_incumbent inst isp_sol in
-                    let opt =
-                      H.Opt.solve ~node_limit:opt_nodes ~incumbent:warm inst
-                    in
-                    let optm =
-                      measure_precomputed inst opt.H.Opt.solution
-                        ~seconds:opt.H.Opt.wall_seconds
-                    in
-                    List.map
-                      (fun (name, m) -> (name, measurement_fields m))
-                      [ ("ISP", isp); ("SRT", srt); ("GRD-COM", gcom);
-                        ("GRD-NC", gnc); ("OPT", optm) ]) } ))
+                cells = (fun () -> comparison_cells ~fig:"fig6" ~opt_nodes inst)
+              } ))
           variances)
-      (List.init runs (fun r -> r + 1))
+      (run_indices runs)
   in
-  List.iter2
-    (fun (variance, _) cells ->
-      List.iter
-        (fun (name, fields) -> push variance name (measurement_of_fields fields))
-        cells)
-    jobs
-    (run_jobs ?journal ?pool (List.map snd jobs));
-  List.iter
-    (fun variance ->
-      let avg name = average (Hashtbl.find acc (variance, name)) in
-      let isp = avg "ISP" and opt = avg "OPT" and srt = avg "SRT" in
-      let gcom = avg "GRD-COM" and gnc = avg "GRD-NC" in
-      Table.add_float_row ~decimals:1 total_t
-        [ variance; isp.repairs_total; opt.repairs_total; srt.repairs_total;
-          gcom.repairs_total; gnc.repairs_total;
-          Netrec_util.Stats.mean (Hashtbl.find all_acc variance) ];
-      Table.add_float_row ~decimals:1 sat_t
-        [ variance; percent srt.satisfied; percent gcom.satisfied;
-          percent isp.satisfied ])
-    variances;
-  [ total_t; sat_t ]
+  comparison_tables ~column:"variance"
+    ~repairs:
+      [ ( "Fig 6(a): Bell-Canada, total repairs vs variance of Gaussian disruption (4 pairs, 10 units)",
+          "repairs_total",
+          fun v -> Netrec_util.Stats.mean (Hashtbl.find_all destroyed v) ) ]
+    ~satisfied:
+      "Fig 6(b): Bell-Canada, % satisfied demand vs variance of Gaussian disruption"
+    (sweep ?journal ?pool jobs)
+    variances

@@ -11,7 +11,6 @@ val run :
   ?pool:Netrec_parallel.Pool.t ->
   ?runs:int ->
   ?opt_nodes:int ->
-  ?seed:int ->
   unit ->
   Netrec_util.Table.t list
 (** Produce both tables (one row per variance 10..150). *)

@@ -21,9 +21,8 @@ let connected_er ~rng ~p =
 
 let ps = [ 0.1; 0.2; 0.3; 0.4; 0.5; 0.6; 0.7; 0.8; 0.9; 1.0 ]
 
-let run ?journal ?pool ?(runs = 3) ?(seed = 7) ?(milp_p_max = 0.0)
-    ?(milp_nodes = 1) () =
-  let master = Rng.create seed in
+let run ?journal ?pool ?(runs = 3) () =
+  let master = Rng.create 7 in
   let time_t =
     Table.create ~title:"Fig 7(a): Erdos-Renyi n=100, execution time (seconds) vs edge probability"
       ~columns:[ "p"; "ISP"; "SRT"; "OPT(exact-DP)"; "OPT(MILP root LP)" ]
@@ -50,13 +49,6 @@ let run ?journal ?pool ?(runs = 3) ?(seed = 7) ?(milp_p_max = 0.0)
             let pairs =
               List.map (fun d -> (d.Commodity.src, d.Commodity.dst)) demands
             in
-            (* MILP timing on the sparsest instances only, and only the
-               first run of the sweep: even the root LP relaxation takes
-               minutes at this size, which is precisely the paper's point
-               about OPT's scalability (their Gurobi runs reached ~27
-               hours at p=0.9).  Gated on the run index (not accumulator
-               state) so a journal replay makes the same choice. *)
-            let want_milp = Netrec_util.Num.leq ~eps:Netrec_util.Num.flow_eps p milp_p_max && r = 1 in
             ( p,
               { point = Printf.sprintf "fig7:p=%g" p;
                 run = r;
@@ -82,75 +74,27 @@ let run ?journal ?pool ?(runs = 3) ?(seed = 7) ?(milp_p_max = 0.0)
                         [ ("repairs_total", float_of_int repairs) ]
                       | None -> [])
                     in
-                    let milp_cells =
-                      if want_milp then begin
-                        let _, milp_secs =
-                          Obs.timed "fig7.milp" (fun () ->
-                              let warm =
-                                H.Postpass.prune inst
-                                  (fst (Netrec_core.Isp.solve inst))
-                              in
-                              H.Opt.solve ~node_limit:milp_nodes
-                                ~var_budget:6000 ~incumbent:warm inst)
-                        in
-                        [ ("MILP", [ ("seconds", milp_secs) ]) ]
-                      end
-                      else []
-                    in
-                    [ ("ISP", measurement_fields isp);
-                      ("SRT", measurement_fields srt);
-                      ("FOREST", forest_fields) ]
-                    @ milp_cells) } ))
-          (List.init runs (fun r -> r + 1)))
+                    [ ("ISP", isp); ("SRT", srt); ("FOREST", forest_fields) ])
+              } ))
+          (run_indices runs))
       ps
   in
-  let acc = Hashtbl.create 64 in
-  let push p tag x =
-    let key = (p, tag) in
-    let prev = Option.value ~default:[] (Hashtbl.find_opt acc key) in
-    Hashtbl.replace acc key (x :: prev)
-  in
-  List.iter2
-    (fun (p, _) cells ->
-      List.iter
-        (fun (name, fields) ->
-          let field k = List.assoc_opt k fields in
-          match name with
-          | "ISP" ->
-            let m = measurement_of_fields fields in
-            push p "isp" m.repairs_total;
-            push p "isp_t" m.seconds
-          | "SRT" ->
-            let m = measurement_of_fields fields in
-            push p "srt" m.repairs_total;
-            push p "srt_t" m.seconds
-          | "FOREST" ->
-            (match field "repairs_total" with
-            | Some x -> push p "opt" x
-            | None -> ());
-            (match field "seconds" with
-            | Some s -> push p "opt_t" s
-            | None -> ())
-          | "MILP" -> (
-            match field "seconds" with
-            | Some s -> push p "milp_t" s
-            | None -> ())
-          | _ -> ())
-        cells)
-    jobs
-    (run_jobs ?journal ?pool (List.map snd jobs));
+  let runs = sweep ?journal ?pool jobs in
   List.iter
     (fun p ->
-      let get tag = Option.value ~default:[] (Hashtbl.find_opt acc (p, tag)) in
-      let mean = function [] -> nan | xs -> Netrec_util.Stats.mean xs in
+      let mean alg key = mean (runs p alg) key in
+      (* The MILP column is a fixed note: with the earlier dense simplex
+         the root LP alone took over 10 minutes at this size, and it has
+         not been re-measured since (the paper's Gurobi runs reached ~27
+         hours at p=0.9). *)
       Table.add_row time_t
         [ Printf.sprintf "%.1f" p;
-          Printf.sprintf "%.3f" (mean (get "isp_t"));
-          Printf.sprintf "%.3f" (mean (get "srt_t"));
-          Printf.sprintf "%.3f" (mean (get "opt_t"));
-          (if get "milp_t" = [] then "n/a (>600s here; paper ~1e5 s)"
-           else Printf.sprintf "%.1f" (mean (get "milp_t"))) ];
+          Printf.sprintf "%.3f" (mean "ISP" "seconds");
+          Printf.sprintf "%.3f" (mean "SRT" "seconds");
+          Printf.sprintf "%.3f" (mean "FOREST" "seconds");
+          "n/a (>600s here; paper ~1e5 s)" ];
       Table.add_float_row ~decimals:1 rep_t
-        [ p; mean (get "isp"); mean (get "opt"); mean (get "srt") ])
+        [ p; mean "ISP" "repairs_total"; mean "FOREST" "repairs_total";
+          mean "SRT" "repairs_total" ])
     ps;
   [ time_t; rep_t ]

@@ -9,22 +9,13 @@
     OPT here is the {e exact} optimum computed by the Dreyfus–Wagner
     Steiner-forest dynamic program ({!Netrec_heuristics.Exact_forest}) —
     the paper solved the same instances with a Gurobi MILP that took up
-    to ~27 hours; the MILP column of table (a) reports our
-    branch-and-bound root relaxation when the model fits its size budget
-    and is marked absent beyond, reproducing the "OPT does not scale"
-    observation (see EXPERIMENTS.md). *)
+    to ~27 hours; the MILP column of table (a) is a fixed note, not a
+    measurement (see EXPERIMENTS.md). *)
 
 val run :
   ?journal:Journal.t ->
   ?pool:Netrec_parallel.Pool.t ->
   ?runs:int ->
-  ?seed:int ->
-  ?milp_p_max:float ->
-  ?milp_nodes:int ->
   unit ->
   Netrec_util.Table.t list
-(** Produce both tables (one row per p in 0.1..1.0).  [milp_p_max]
-    (default 0: disabled — even the root LP exceeds 10 minutes at this
-    size, which the table notes) bounds the densities on which the MILP
-    timing column is attempted (once per density); [milp_nodes]
-    (default 1: root only) bounds its search. *)
+(** Produce both tables (one row per p in 0.1..1.0). *)

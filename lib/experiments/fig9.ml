@@ -19,9 +19,9 @@ let opt_proxy inst candidates =
   | best :: _ -> Some best
   | [] -> None
 
-let run ?journal ?pool ?(runs = 3) ?(seed = 9) ?(max_pairs = 7) () =
+let run ?journal ?pool ?(runs = 3) () =
   let g = Netrec_topo.Caida.graph () in
-  let master = Rng.create seed in
+  let master = Rng.create 9 in
   let rep_t =
     Table.create ~title:"Fig 9(a): CAIDA-like topology, total repairs vs number of demand pairs (22 units/pair)"
       ~columns:[ "pairs"; "ISP"; "OPT(proxy)"; "SRT" ]
@@ -30,6 +30,7 @@ let run ?journal ?pool ?(runs = 3) ?(seed = 9) ?(max_pairs = 7) () =
     Table.create ~title:"Fig 9(b): CAIDA-like topology, % satisfied demand vs number of demand pairs"
       ~columns:[ "pairs"; "ISP"; "SRT" ]
   in
+  let pair_counts = List.init 7 (fun p -> p + 1) in
   (* Rng-consuming generation happens while the jobs are built, in the
      (pairs, run) sweep order; the job closures are rng-free. *)
   let jobs =
@@ -66,50 +67,20 @@ let run ?journal ?pool ?(runs = 3) ?(seed = 9) ?(max_pairs = 7) () =
                             ] ) ]
                       | None -> []
                     in
-                    [ ("ISP", measurement_fields isp);
-                      ("SRT", measurement_fields srt) ]
-                    @ opt_cells) } ))
-          (List.init runs (fun r -> r + 1)))
-      (List.init max_pairs (fun p -> p + 1))
+                    [ ("ISP", isp); ("SRT", srt) ] @ opt_cells) } ))
+          (run_indices runs))
+      pair_counts
   in
-  let acc = Hashtbl.create 64 in
-  let push pairs tag x =
-    let key = (pairs, tag) in
-    let prev = Option.value ~default:[] (Hashtbl.find_opt acc key) in
-    Hashtbl.replace acc key (x :: prev)
-  in
-  List.iter2
-    (fun (pairs, _) cells ->
-      List.iter
-        (fun (name, fields) ->
-          match name with
-          | "ISP" ->
-            let m = measurement_of_fields fields in
-            push pairs "isp" m.repairs_total;
-            push pairs "isp_sat" m.satisfied
-          | "SRT" ->
-            let m = measurement_of_fields fields in
-            push pairs "srt" m.repairs_total;
-            push pairs "srt_sat" m.satisfied
-          | "OPT" -> (
-            match List.assoc_opt "repairs_total" fields with
-            | Some x -> push pairs "opt" x
-            | None -> ())
-          | _ -> ())
-        cells)
-    jobs
-    (run_jobs ?journal ?pool (List.map snd jobs));
-  for pairs = 1 to max_pairs do
-    let get tag =
-      Option.value ~default:[] (Hashtbl.find_opt acc (pairs, tag))
-    in
-    let mean = function [] -> nan | xs -> Netrec_util.Stats.mean xs in
-    Table.add_float_row ~decimals:1 rep_t
-      [ float_of_int pairs; mean (get "isp"); mean (get "opt");
-        mean (get "srt") ];
-    Table.add_float_row ~decimals:1 sat_t
-      [ float_of_int pairs;
-        percent (mean (get "isp_sat"));
-        percent (mean (get "srt_sat")) ]
-  done;
+  let runs = sweep ?journal ?pool jobs in
+  List.iter
+    (fun pairs ->
+      let mean alg key = mean (runs pairs alg) key in
+      Table.add_float_row ~decimals:1 rep_t
+        [ float_of_int pairs; mean "ISP" "repairs_total";
+          mean "OPT" "repairs_total"; mean "SRT" "repairs_total" ];
+      Table.add_float_row ~decimals:1 sat_t
+        [ float_of_int pairs;
+          percent (mean "ISP" "satisfied");
+          percent (mean "SRT" "satisfied") ])
+    pair_counts;
   [ rep_t; sat_t ]

@@ -13,9 +13,6 @@ val run :
   ?journal:Journal.t ->
   ?pool:Netrec_parallel.Pool.t ->
   ?runs:int ->
-  ?seed:int ->
-  ?max_pairs:int ->
   unit ->
   Netrec_util.Table.t list
-(** Produce both tables (one row per pair count, 1..[max_pairs],
-    default 7). *)
+(** Produce both tables (one row per pair count, 1..7). *)

@@ -72,8 +72,8 @@ let smoke_scenario () =
 
 let default_sizes = [ 20_000; 50_000; 100_000 ]
 
-let run ?journal ?pool ?(runs = 2) ?(seed = 11) ?(sizes = default_sizes) () =
-  let master = Rng.create seed in
+let run ?journal ?pool ?(runs = 2) ?(sizes = default_sizes) () =
+  let master = Rng.create 11 in
   let t =
     Table.create
       ~title:
@@ -108,9 +108,8 @@ let run ?journal ?pool ?(runs = 2) ?(seed = 11) ?(sizes = default_sizes) () =
                       Netrec_obs.Obs.timed "fig9_xl.shard" (fun () ->
                           Shard.solve inst)
                     in
-                    let m = measure_precomputed inst sol ~seconds in
                     [ ( "XL",
-                        measurement_fields m
+                        measure_precomputed inst sol ~seconds
                         @ [ ("region", float_of_int st.Shard.region_vertices);
                             ("shards", float_of_int st.Shard.shards);
                             ("cut", float_of_int st.Shard.cut_demands);
@@ -120,35 +119,16 @@ let run ?journal ?pool ?(runs = 2) ?(seed = 11) ?(sizes = default_sizes) () =
                                 (List.length
                                    st.Shard.certificate.Check.violations) )
                           ] ) ]) } ))
-          (List.init runs (fun r -> r + 1)))
+          (run_indices runs))
       sizes
   in
-  let acc = Hashtbl.create 16 in
-  let push n fields =
-    let prev = Option.value ~default:[] (Hashtbl.find_opt acc n) in
-    Hashtbl.replace acc n (fields :: prev)
-  in
-  List.iter2
-    (fun (n, _) cells ->
-      List.iter (fun (name, fields) -> if name = "XL" then push n fields) cells)
-    jobs
-    (run_jobs ?journal ?pool (List.map snd jobs));
+  let runs = sweep ?journal ?pool jobs in
   List.iter
     (fun n ->
-      let runs_fields = Option.value ~default:[] (Hashtbl.find_opt acc n) in
-      let mean key =
-        match
-          List.filter_map (fun fs -> List.assoc_opt key fs) runs_fields
-        with
-        | [] -> nan
-        | xs -> Netrec_util.Stats.mean xs
-      in
-      let m =
-        average (List.map measurement_of_fields runs_fields)
-      in
+      let mean key = mean (runs n "XL") key in
       Table.add_float_row ~decimals:2 t
         [ float_of_int n; mean "region"; mean "shards"; mean "cut";
-          mean "fixup"; m.repairs_total; percent m.satisfied;
-          (if mean "violations" = 0.0 then 1.0 else 0.0); m.seconds ])
+          mean "fixup"; mean "repairs_total"; percent (mean "satisfied");
+          (if mean "violations" = 0.0 then 1.0 else 0.0); mean "seconds" ])
     sizes;
   [ t ]

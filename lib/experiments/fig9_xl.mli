@@ -33,7 +33,6 @@ val run :
   ?journal:Journal.t ->
   ?pool:Netrec_parallel.Pool.t ->
   ?runs:int ->
-  ?seed:int ->
   ?sizes:int list ->
   unit ->
   Netrec_util.Table.t list

@@ -18,11 +18,9 @@ let instance ~rng ~variance g =
   let failure = Models.gaussian ~rng ~variance g in
   Instance.make ~graph:g ~demands ~failure ()
 
-let field fields k = Option.value ~default:0.0 (List.assoc_opt k fields)
-
-let run ?journal ?pool ?(runs = 3) ?(opt_nodes = 600) ?(seed = 5) () =
+let run ?journal ?pool ?(runs = 3) ?(opt_nodes = 600) () =
   let g = Netrec_topo.Bell_canada.graph () in
-  let master = Rng.create seed in
+  let master = Rng.create 5 in
   let rate_t =
     Table.create
       ~title:
@@ -42,11 +40,6 @@ let run ?journal ?pool ?(runs = 3) ?(opt_nodes = 600) ?(seed = 5) () =
          bound (cost units / seconds, averaged over runs)"
       ~columns:
         [ "variance"; "base gap"; "full gap"; "base s"; "full s" ]
-  in
-  let acc = Hashtbl.create 16 in
-  let push variance fields =
-    let prev = Option.value ~default:[] (Hashtbl.find_opt acc variance) in
-    Hashtbl.replace acc variance (fields :: prev)
   in
   (* All randomness is consumed while the jobs are BUILT (sequentially,
      in sweep order); the closures are rng-free so journal resume and
@@ -87,27 +80,18 @@ let run ?journal ?pool ?(runs = 3) ?(opt_nodes = 600) ?(seed = 5) () =
                     in
                     [ ("base", fields base); ("full", fields full) ]) } ))
           variances)
-      (List.init runs (fun r -> r + 1))
+      (run_indices runs)
   in
-  List.iter2
-    (fun (variance, _) cells ->
-      let get name = Option.value ~default:[] (List.assoc_opt name cells) in
-      push variance (get "base", get "full"))
-    jobs
-    (run_jobs ?journal ?pool (List.map snd jobs));
+  let runs = sweep ?journal ?pool jobs in
   List.iter
     (fun variance ->
-      let rows = Hashtbl.find acc variance in
-      let n = float_of_int (List.length rows) in
-      let mean f = List.fold_left (fun s r -> s +. f r) 0.0 rows /. n in
-      let base k = mean (fun (b, _) -> field b k) in
-      let full k = mean (fun (_, f) -> field f k) in
+      let base k = mean (runs variance "base") k in
+      let full k = mean (runs variance "full") k in
+      let proved fields = List.assoc "proved" fields > 0.5 in
       let flips =
-        List.fold_left
-          (fun s (b, f) ->
-            if field b "proved" < 0.5 && field f "proved" > 0.5 then s + 1
-            else s)
-          0 rows
+        List.fold_left2
+          (fun s b f -> if (not (proved b)) && proved f then s + 1 else s)
+          0 (runs variance "base") (runs variance "full")
       in
       Table.add_float_row ~decimals:1 rate_t
         [ variance; percent (base "proved"); percent (full "proved");

@@ -71,13 +71,14 @@ let broken_elements inst =
   List.map (fun v -> `Vertex v) sol.Instance.repaired_vertices
   @ List.map (fun e -> `Edge e) sol.Instance.repaired_edges
 
-let default_sizes = [ 5; 6; 7 ]
+let sizes = [ 5; 6; 7 ]
+let crews = 2
 
 (* The four schedulers of the regret table on one instance: the repair
    set's own order, the greedy scheduler, greedy refined by local
    search, and the MILP oracle.  Returns journal fields only (floats),
    so cells replay from a journal byte-identically. *)
-let cell_fields ~crews inst =
+let cell_fields inst =
   let els = broken_elements inst in
   let cap = Sched.capacity ~crews () in
   let (fields : (string * float) list), seconds =
@@ -157,9 +158,8 @@ let curve_table () =
     rows;
   t
 
-let run ?journal ?pool ?(runs = 3) ?(seed = 17) ?(crews = 2)
-    ?(sizes = default_sizes) () =
-  let master = Rng.create seed in
+let run ?journal ?pool ?(runs = 3) () =
+  let master = Rng.create 17 in
   let t =
     Table.create
       ~title:
@@ -183,33 +183,14 @@ let run ?journal ?pool ?(runs = 3) ?(seed = 17) ?(crews = 2)
             ( n,
               { point = Printf.sprintf "fig-sched:n=%d" n;
                 run = r;
-                cells = (fun () -> [ ("SCHED", cell_fields ~crews inst) ]) } ))
-          (List.init runs (fun r -> r + 1)))
+                cells = (fun () -> [ ("SCHED", cell_fields inst) ]) } ))
+          (run_indices runs))
       sizes
   in
-  let acc = Hashtbl.create 16 in
-  let push n fields =
-    let prev = Option.value ~default:[] (Hashtbl.find_opt acc n) in
-    Hashtbl.replace acc n (fields :: prev)
-  in
-  List.iter2
-    (fun (n, _) cells ->
-      List.iter
-        (fun (name, fields) -> if name = "SCHED" then push n fields)
-        cells)
-    jobs
-    (run_jobs ?journal ?pool (List.map snd jobs));
+  let runs = sweep ?journal ?pool jobs in
   List.iter
     (fun n ->
-      let runs_fields = Option.value ~default:[] (Hashtbl.find_opt acc n) in
-      let mean key =
-        match
-          List.filter_map (fun fs -> List.assoc_opt key fs) runs_fields
-          |> List.filter (fun x -> not (Float.is_nan x))
-        with
-        | [] -> nan
-        | xs -> Netrec_util.Stats.mean xs
-      in
+      let mean key = mean (runs n "SCHED") key in
       Table.add_float_row ~decimals:3 t
         [ float_of_int n; mean "k"; mean "rounds"; mean "arb"; mean "greedy";
           mean "ls"; mean "opt"; 100.0 *. mean "regret"; mean "proved";

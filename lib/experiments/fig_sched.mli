@@ -23,9 +23,6 @@ val scenario : n:int -> seed:int -> unit -> Netrec_core.Instance.t
     chords, one end-to-end demand, the middle vertex always destroyed
     plus seeded interior damage.  @raise Invalid_argument when [n < 4]. *)
 
-val default_sizes : int list
-(** [[5; 6; 7]]. *)
-
 val curve_table : unit -> Netrec_util.Table.t
 (** Per-round satisfied-demand curves of the four schedulers on the
     pinned smoke scenario. *)
@@ -34,11 +31,8 @@ val run :
   ?journal:Journal.t ->
   ?pool:Netrec_parallel.Pool.t ->
   ?runs:int ->
-  ?seed:int ->
-  ?crews:int ->
-  ?sizes:int list ->
   unit ->
   Netrec_util.Table.t list
-(** Regenerate the fig-sched tables: the regret-vs-oracle sweep
-    ([runs] seeded scenarios per size, default 3) and the pinned
-    recovery-curve table. *)
+(** Regenerate the fig-sched tables: the regret-vs-oracle sweep (two
+    crews; [runs] seeded scenarios per size 5, 6 and 7, default 3) and
+    the pinned recovery-curve table. *)

@@ -9,25 +9,6 @@ let bc = Netrec_topo.Bell_canada.graph ()
 
 (* ---- Common ---- *)
 
-let test_average () =
-  let m x =
-    { Common.repairs_v = x;
-      repairs_e = 2.0 *. x;
-      repairs_total = 3.0 *. x;
-      satisfied = x /. 10.0;
-      seconds = x }
-  in
-  let avg = Common.average [ m 1.0; m 3.0 ] in
-  Alcotest.(check (float 1e-9)) "v" 2.0 avg.Common.repairs_v;
-  Alcotest.(check (float 1e-9)) "e" 4.0 avg.Common.repairs_e;
-  Alcotest.(check (float 1e-9)) "total" 6.0 avg.Common.repairs_total;
-  Alcotest.(check (float 1e-9)) "satisfied" 0.2 avg.Common.satisfied
-
-let test_average_empty_rejected () =
-  Alcotest.check_raises "empty"
-    (Invalid_argument "Common.average: no measurements") (fun () ->
-      ignore (Common.average []))
-
 let test_percent () =
   Alcotest.(check (float 1e-9)) "percent" 42.0 (Common.percent 0.42)
 
@@ -54,10 +35,101 @@ let test_measure_runs_algorithm () =
   let rng = Rng.create 5 in
   let inst = Common.complete_instance ~rng ~count:2 ~amount:5.0 bc in
   let m = Common.measure inst (fun () -> Netrec_heuristics.Srt.solve inst) in
-  Alcotest.(check bool) "positive repairs" true (m.Common.repairs_total > 0.0);
+  Alcotest.(check (list string)) "journal field order"
+    [ "repairs_v"; "repairs_e"; "repairs_total"; "satisfied"; "seconds" ]
+    (List.map fst m);
+  let field k = List.assoc k m in
+  Alcotest.(check bool) "positive repairs" true (field "repairs_total" > 0.0);
+  Alcotest.(check (float 0.0)) "total = vertices + edges"
+    (field "repairs_v" +. field "repairs_e")
+    (field "repairs_total");
   Alcotest.(check bool) "sane satisfaction" true
-    (m.Common.satisfied >= 0.0 && m.Common.satisfied <= 1.0);
-  Alcotest.(check bool) "timed" true (m.Common.seconds >= 0.0)
+    (field "satisfied" >= 0.0 && field "satisfied" <= 1.0);
+  Alcotest.(check bool) "timed" true (field "seconds" >= 0.0)
+
+(* ---- the sweep driver ---- *)
+
+let test_mean () =
+  let runs = [ [ ("a", 1.0); ("b", nan) ]; [ ("a", 3.0) ]; [ ("b", 4.0) ] ] in
+  Alcotest.(check (float 0.0)) "over the runs that recorded it" 2.0
+    (Common.mean runs "a");
+  Alcotest.(check (float 0.0)) "NaN skipped" 4.0 (Common.mean runs "b");
+  Alcotest.(check bool) "missing key is nan" true
+    (Float.is_nan (Common.mean runs "c"));
+  Alcotest.(check bool) "no runs is nan" true
+    (Float.is_nan (Common.mean [] "a"));
+  (* ((1 + 1e16) + -1e16) / 3 = 0 in floating point; summed right to
+     left it would be 1/3. *)
+  let order = List.map (fun x -> [ ("x", x) ]) [ 1.0; 1e16; -1e16 ] in
+  Alcotest.(check (float 0.0)) "summed left to right" 0.0
+    (Common.mean order "x")
+
+(* Timing-free synthetic jobs: point [i mod 3], two algorithms, the
+   second only at even [i]. *)
+let sweep_jobs () =
+  List.init 9 (fun i ->
+      ( i mod 3,
+        { Common.point = Printf.sprintf "t:point=%d" (i mod 3);
+          run = (i / 3) + 1;
+          cells =
+            (fun () ->
+              ("A", [ ("i", float_of_int i) ])
+              :: (if i mod 2 = 0 then [ ("B", [ ("i", float_of_int i) ]) ]
+                  else [])) } ))
+
+let sweep_lists runs =
+  List.concat_map
+    (fun x ->
+      List.map
+        (fun alg ->
+          List.map (fun fields -> List.assoc "i" fields) (runs x alg))
+        [ "A"; "B"; "C" ])
+    [ 0; 1; 2 ]
+
+let test_sweep_latest_first () =
+  let lists = sweep_lists (Common.sweep (sweep_jobs ())) in
+  Alcotest.(check (list (list (float 0.0)))) "per-point runs, latest job first"
+    [ [ 6.0; 3.0; 0.0 ]; [ 6.0; 0.0 ]; [];
+      [ 7.0; 4.0; 1.0 ]; [ 4.0 ]; [];
+      [ 8.0; 5.0; 2.0 ]; [ 8.0; 2.0 ]; [] ]
+    lists;
+  let on jobs = Common.Pool.create ~jobs in
+  Alcotest.(check (list (list (float 0.0)))) "4 domains = 1 domain"
+    (sweep_lists (Common.sweep ~pool:(on 1) (sweep_jobs ())))
+    (sweep_lists (Common.sweep ~pool:(on 4) (sweep_jobs ())))
+
+let test_sweep_journal_replay () =
+  let path = Filename.temp_file "netrec_sweep" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let sweep jobs =
+        let journal = Journal.create path in
+        Fun.protect
+          ~finally:(fun () -> Journal.close journal)
+          (fun () -> sweep_lists (Common.sweep ~journal jobs))
+      in
+      let recorded = sweep (sweep_jobs ()) in
+      let never =
+        List.map
+          (fun (x, job) ->
+            (x, { job with Common.cells = (fun () -> failwith "recomputed") }))
+          (sweep_jobs ())
+      in
+      Alcotest.(check (list (list (float 0.0)))) "replay = recorded run"
+        recorded (sweep never))
+
+let test_runs_below_one_rejected () =
+  Alcotest.check_raises "run indices"
+    (Invalid_argument "Common.run_indices: runs must be >= 1") (fun () ->
+      ignore (Common.run_indices 0));
+  Alcotest.(check (list int)) "1..runs" [ 1; 2; 3 ] (Common.run_indices 3);
+  Alcotest.check_raises "fig4 --runs 0"
+    (Invalid_argument "Common.run_indices: runs must be >= 1") (fun () ->
+      ignore (Fig4.run ~runs:0 ()));
+  Alcotest.check_raises "fig3 --runs -1"
+    (Invalid_argument "Common.run_indices: runs must be >= 1") (fun () ->
+      ignore (Fig3.run ~runs:(-1) ()))
 
 (* ---- figure integration smoke (single cheap point each) ---- *)
 
@@ -125,12 +197,15 @@ let () =
   let slow name f = Alcotest.test_case name `Slow f in
   Alcotest.run "netrec_experiments"
     [ ( "common",
-        [ tc "average" test_average;
-          tc "average empty" test_average_empty_rejected;
-          tc "percent" test_percent;
+        [ tc "percent" test_percent;
           tc "feasible demands routable" test_feasible_demands_routable;
           tc "complete instance" test_complete_instance_breaks_everything;
           tc "measure" test_measure_runs_algorithm ] );
+      ( "sweep",
+        [ tc "mean" test_mean;
+          tc "runs latest first, -j1 = -j4" test_sweep_latest_first;
+          tc "journal replay" test_sweep_journal_replay;
+          tc "runs < 1 rejected" test_runs_below_one_rejected ] );
       ("gates", [ slow "blocks: -j1 = -j4, each passes its row" test_gate_blocks ]);
       ( "figures",
         [ slow "fig4 single point" test_fig4_single_point;
