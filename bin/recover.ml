@@ -853,13 +853,13 @@ let metrics_diff_cmd =
   let man =
     [ `S Manpage.s_description;
       `P
-        "Compares benchmarks (a 25% increase above a 1 ms floor fails), \
-         the deterministic lp/xl/sched gate blocks (10% drift either way \
-         fails, hard invariants such as $(b,opt.proved) = 1, no key may \
-         vanish), and — when both records were produced by the same \
-         bench mode — histogram quantiles (a 10% p50/p90/p99 increase \
-         fails) and counters.  Exits 0 when no section regressed, 1 \
-         otherwise." ]
+        "Compares deterministic numbers only: the lp/xl/sched/work gate \
+         blocks (10% drift either way fails, hard invariants such as \
+         $(b,opt.proved) = 1, no key may vanish) and — when both records \
+         were produced by the same bench mode — work-histogram quantiles \
+         (10% p50/p90/p99 drift either way fails) and counters (notes \
+         only).  Wall-clock ($(b,_ms)) histograms are printed, never \
+         gated.  Exits 0 when no section regressed, 1 otherwise." ]
   in
   Cmd.v
     (Cmd.info "diff" ~doc ~man)

@@ -63,9 +63,8 @@ let scenario ~n ?(m = 2) ?(vmult = 1.0) ?(pairs = 40) ?(amount = 5.0)
   in
   Instance.make ~graph:g ~demands ~failure ()
 
-(* The pinned 5k smoke scenario behind the xl_gate block (Gates) and
-   the fig9-xl:shard-synth-5k micro-benchmark: small enough for CI,
-   damaged enough to split into several shards. *)
+(* The pinned 5k smoke scenario behind the xl_gate block (Gates): small
+   enough for CI, damaged enough to split into several shards. *)
 let smoke_scenario () =
   scenario ~n:5_000 ~vmult:0.3 ~pairs:24 ~topo_seed:42 ~fail_seed:7
     ~demand_seed:13 ()

@@ -5,6 +5,10 @@ module Check = Netrec_check.Check
 module Opt = Netrec_heuristics.Opt
 module Shard = Netrec_shard.Shard
 module Sched = Netrec_sched.Sched
+module Failure = Netrec_disrupt.Failure
+module Isp = Netrec_core.Isp
+module Mcf_lp = Netrec_flow.Mcf_lp
+module H = Netrec_heuristics
 
 let opt_scenario () =
   let g = Netrec_topo.Bell_canada.graph () in
@@ -92,8 +96,94 @@ let sched ?pool () =
     ("sched.certified", flag certified) ]
   @ deltas
 
+(* The work gate's pinned instances, all under complete destruction:
+   Bell-Canada with 4 pairs of 10 units (Figs. 3-5), a 100-vertex
+   Erdos-Renyi graph with 5 unit pairs (Fig. 7), CAIDA with 4 pairs of
+   22 units (Fig. 9). *)
+let bell_canada_instance () =
+  let g = Netrec_topo.Bell_canada.graph () in
+  let rng = Rng.create 1 in
+  let demands = Common.feasible_demands ~rng ~count:4 ~amount:10.0 g in
+  Instance.make ~graph:g ~demands ~failure:(Failure.complete g) ()
+
+let er_instance () =
+  let rng = Rng.create 3 in
+  let g =
+    Netrec_graph.Generate.erdos_renyi ~rng ~n:100 ~p:0.3 ~capacity:1000.0
+  in
+  let demands =
+    Common.feasible_demands ~rng ~distinct:true ~count:5 ~amount:1.0 g
+  in
+  (g, Instance.make ~graph:g ~demands ~failure:(Failure.complete g) ())
+
+let caida_instance () =
+  let g = Netrec_topo.Caida.graph () in
+  let rng = Rng.create 4 in
+  let demands =
+    Common.feasible_demands ~rng ~distinct:true ~count:4 ~amount:22.0 g
+  in
+  Instance.make ~graph:g ~demands ~failure:(Failure.complete g) ()
+
+(* [f ()] and the rise of counter [key] across it. *)
+let rise key f =
+  let r, deltas = with_deltas [ key ] f in
+  (r, List.assoc key deltas)
+
+let work () =
+  let bc = bell_canada_instance () in
+  let er_g, er = er_instance () in
+  let caida = caida_instance () in
+  let pairs =
+    List.map
+      (fun d -> (d.Netrec_flow.Commodity.src, d.Netrec_flow.Commodity.dst))
+      er.Instance.demands
+  in
+  let repairs = Instance.total_repairs in
+  let mcb, mcb_pivots =
+    rise "simplex.pivots" (fun () -> H.Mcf_heuristic.solve bc)
+  in
+  let verdict, lp_pivots =
+    rise "simplex.pivots" (fun () ->
+        Mcf_lp.feasible
+          ~cap:(Graph.capacity bc.Instance.graph)
+          bc.Instance.graph bc.Instance.demands)
+  in
+  let grd, paths = rise "path_enum.paths" (fun () -> H.Greedy.grd_com bc) in
+  let srt, srt_settled = rise "dijkstra.settled" (fun () -> H.Srt.solve bc) in
+  let (isp, _), isp_work =
+    with_deltas [ "isp.iterations"; "dijkstra.settled" ] (fun () ->
+        Isp.solve er)
+  in
+  let optimum, tree_solves =
+    rise "forest.tree_solves" (fun () ->
+        H.Exact_forest.optimal_total_repairs er_g ~pairs)
+  in
+  let (shard, st), shard_iterations =
+    rise "isp.iterations" (fun () -> Shard.solve caida)
+  in
+  [ ( "mcb.repairs_total",
+      match mcb with Some r -> repairs r.H.Mcf_heuristic.mcb | None -> 0 );
+    ("mcb.pivots", mcb_pivots);
+    ( "mcf_lp.routable",
+      flag (match verdict with Mcf_lp.Routable _ -> true | _ -> false) );
+    ("mcf_lp.pivots", lp_pivots);
+    ("grd_com.repairs_total", repairs grd);
+    ("grd_com.paths", paths);
+    ("srt.repairs_total", repairs srt);
+    ("srt.settled", srt_settled);
+    ("isp_er.repairs_total", repairs isp);
+    ("isp_er.iterations", List.assoc "isp.iterations" isp_work);
+    ("isp_er.settled", List.assoc "dijkstra.settled" isp_work);
+    ("forest.optimum", Option.value ~default:0 optimum);
+    ("forest.tree_solves", tree_solves);
+    ("shard_caida.delegated", flag st.Shard.delegated);
+    ("shard_caida.repairs_total", repairs shard);
+    ("shard_caida.iterations", shard_iterations) ]
+
 let blocks ?pool () =
   let lp_gate = lp () in
   let xl_gate = xl ?pool () in
   let sched_gate = sched ?pool () in
-  [ ("lp_gate", lp_gate); ("xl_gate", xl_gate); ("sched_gate", sched_gate) ]
+  let work_gate = work () in
+  [ ("lp_gate", lp_gate); ("xl_gate", xl_gate); ("sched_gate", sched_gate);
+    ("work_gate", work_gate) ]

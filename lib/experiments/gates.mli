@@ -31,6 +31,18 @@ val sched : ?pool:Netrec_parallel.Pool.t -> unit -> (string * int) list
     regret in microunits, round-prefix certification and the scheduler
     counters. *)
 
+val work : unit -> (string * int) list
+(** [work_gate]: one solve per figure-family case that no other gate or
+    perfbench workload covers, each on a pinned complete-destruction
+    instance — MCB (Fig. 3) and the exact routability LP, GRD-COM
+    (Fig. 4) and SRT (Fig. 5) on Bell-Canada; ISP and the Steiner-forest
+    DP (Fig. 7) on a 100-vertex Erdős–Rényi graph; the sharded solver
+    on CAIDA (Fig. 9), where it must delegate to ISP.  Each case reports
+    its repair count or verdict and the work counter that tracks its
+    cost (pivots, paths, settled vertices, iterations, Dreyfus–Wagner
+    solves). *)
+
 val blocks : ?pool:Netrec_parallel.Pool.t -> unit -> (string * (string * int) list) list
 (** [[("lp_gate", lp ()); ("xl_gate", xl ?pool ()); ("sched_gate",
-    sched ?pool ())]], built in that order. *)
+    sched ?pool ()); ("work_gate", work ())]], built in that
+    order. *)

@@ -1,12 +1,14 @@
 module Obs = Netrec_obs.Obs
+module Json = Netrec_obs.Metrics_diff.Json
 
 let format_tag = "netrec-journal/1"
 
 type cells = (string * (string * float) list) list
 
-(* ---- minimal flat-JSON codec ----
-   The container ships no JSON library; the journal only needs objects
-   whose values are strings or numbers, one per line. *)
+(* ---- line codec ----
+   One flat JSON object per line.  Numbers are written with %.17g, so
+   they read back bit for bit, non-finite ones through the parser's
+   [~non_finite] mode. *)
 
 let escape s =
   let buf = Buffer.create (String.length s + 2) in
@@ -21,111 +23,6 @@ let escape s =
     s;
   Buffer.contents buf
 
-type jvalue = S of string | F of float
-
-let to_line fields =
-  let buf = Buffer.create 128 in
-  Buffer.add_char buf '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\":" (escape k));
-      match v with
-      | S s -> Buffer.add_string buf (Printf.sprintf "\"%s\"" (escape s))
-      | F f -> Buffer.add_string buf (Printf.sprintf "%.17g" f))
-    fields;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
-
-(* [None] on any malformed (e.g. crash-truncated) line. *)
-let parse_line s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail () = raise_notrace Exit in
-  let skip_ws () =
-    while !pos < n && (s.[!pos] = ' ' || s.[!pos] = '\t') do
-      incr pos
-    done
-  in
-  let expect c =
-    skip_ws ();
-    if !pos < n && s.[!pos] = c then incr pos else fail ()
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail ()
-      else
-        match s.[!pos] with
-        | '"' ->
-          incr pos;
-          Buffer.contents buf
-        | '\\' ->
-          if !pos + 1 >= n then fail ();
-          (match s.[!pos + 1] with
-          | '"' -> Buffer.add_char buf '"'
-          | '\\' -> Buffer.add_char buf '\\'
-          | 'n' -> Buffer.add_char buf '\n'
-          | 't' -> Buffer.add_char buf '\t'
-          | _ -> fail ());
-          pos := !pos + 2;
-          go ()
-        | c ->
-          Buffer.add_char buf c;
-          incr pos;
-          go ()
-    in
-    go ()
-  in
-  let parse_number () =
-    skip_ws ();
-    let start = !pos in
-    while
-      !pos < n
-      &&
-      match s.[!pos] with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' | 'n' | 'a' | 'i' | 'f' ->
-        true (* digits plus nan/inf spellings *)
-      | _ -> false
-    do
-      incr pos
-    done;
-    if !pos = start then fail ();
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail ()
-  in
-  match
-    expect '{';
-    skip_ws ();
-    if !pos < n && s.[!pos] = '}' then []
-    else begin
-      let fields = ref [] in
-      let rec go () =
-        skip_ws ();
-        let key = parse_string () in
-        expect ':';
-        skip_ws ();
-        let v =
-          if !pos < n && s.[!pos] = '"' then S (parse_string ())
-          else F (parse_number ())
-        in
-        fields := (key, v) :: !fields;
-        skip_ws ();
-        if !pos < n && s.[!pos] = ',' then begin
-          incr pos;
-          go ()
-        end
-        else expect '}'
-      in
-      go ();
-      List.rev !fields
-    end
-  with
-  | fields -> Some fields
-  | exception Exit -> None
-
 (* ---- the journal ---- *)
 
 type t = {
@@ -135,44 +32,43 @@ type t = {
   done_set : (string * int, unit) Hashtbl.t;
 }
 
-let str fields k =
-  match List.assoc_opt k fields with Some (S s) -> Some s | _ -> None
-
-let num fields k =
-  match List.assoc_opt k fields with Some (F f) -> Some f | _ -> None
-
 let reserved = [ "type"; "point"; "run"; "alg" ]
 
+(* A malformed (e.g. crash-truncated) line loads nothing. *)
 let load_line table done_set line =
-  match parse_line line with
-  | None -> ()
-  | Some fields -> (
-    match (str fields "type", str fields "point", num fields "run") with
-    | Some "done", Some point, Some run ->
-      Hashtbl.replace done_set (point, int_of_float run) ()
-    | Some "cell", Some point, Some run -> (
-      match str fields "alg" with
-      | None -> ()
-      | Some alg ->
-        let payload =
-          List.filter_map
-            (fun (k, v) ->
-              match v with
-              | F f when not (List.mem k reserved) -> Some (k, f)
-              | _ -> None)
-            fields
-        in
-        let key = (point, int_of_float run) in
-        let cells =
-          match Hashtbl.find_opt table key with
-          | Some r -> r
-          | None ->
-            let r = ref [] in
-            Hashtbl.replace table key r;
-            r
-        in
-        cells := (alg, payload) :: !cells)
-    | _ -> ())
+  let fields =
+    match Json.parse ~non_finite:true line with
+    | Json.Obj fields -> fields
+    | _ | (exception Json.Parse_error _) -> []
+  in
+  let str k = Option.bind (List.assoc_opt k fields) Json.string_val
+  and num k = Option.bind (List.assoc_opt k fields) Json.number in
+  match (str "type", str "point", num "run") with
+  | Some "done", Some point, Some run ->
+    Hashtbl.replace done_set (point, int_of_float run) ()
+  | Some "cell", Some point, Some run -> (
+    match str "alg" with
+    | None -> ()
+    | Some alg ->
+      let payload =
+        List.filter_map
+          (fun (k, v) ->
+            match v with
+            | Json.Num f when not (List.mem k reserved) -> Some (k, f)
+            | _ -> None)
+          fields
+      in
+      let key = (point, int_of_float run) in
+      let cells =
+        match Hashtbl.find_opt table key with
+        | Some r -> r
+        | None ->
+          let r = ref [] in
+          Hashtbl.replace table key r;
+          r
+      in
+      cells := (alg, payload) :: !cells)
+  | _ -> ()
 
 let create path =
   let table = Hashtbl.create 64 in
@@ -249,19 +145,20 @@ let completed j ~point ~run =
       Some (List.rev deduped)
 
 let record j ~point ~run cells =
+  let head kind =
+    Printf.sprintf "{\"type\":\"%s\",\"point\":\"%s\",\"run\":%d" kind
+      (escape point) run
+  in
   List.iter
     (fun (alg, payload) ->
-      let fields =
-        [ ("type", S "cell"); ("point", S point);
-          ("run", F (float_of_int run)); ("alg", S alg) ]
-        @ List.map (fun (k, v) -> (k, F v)) payload
-      in
-      output_string j.oc (to_line fields ^ "\n"))
+      output_string j.oc (head "cell");
+      Printf.fprintf j.oc ",\"alg\":\"%s\"" (escape alg);
+      List.iter
+        (fun (k, v) -> Printf.fprintf j.oc ",\"%s\":%.17g" (escape k) v)
+        payload;
+      output_string j.oc "}\n")
     cells;
-  output_string j.oc
-    (to_line
-       [ ("type", S "done"); ("point", S point); ("run", F (float_of_int run)) ]
-    ^ "\n");
+  output_string j.oc (head "done" ^ "}\n");
   flush j.oc;
   Hashtbl.replace j.done_set (point, run) ();
   Hashtbl.replace j.table (point, run)

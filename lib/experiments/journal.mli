@@ -11,7 +11,9 @@
 
     File format ([netrec-journal/1]): the first line is the literal
     format tag; every other line is a flat JSON object whose values are
-    strings or numbers —
+    strings or numbers (printed with [%.17g], so [nan], [-nan], [inf] and
+    [-inf] can appear; they are read through
+    [Netrec_obs.Metrics_diff.Json.parse ~non_finite:true]) —
 
     {v
     netrec-journal/1

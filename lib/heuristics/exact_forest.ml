@@ -1,3 +1,5 @@
+module Obs = Netrec_obs.Obs
+
 (* Dreyfus-Wagner over hop distances.  S.(mask).(v) = minimum edge count
    of a tree spanning terminal set [mask] plus vertex [v]. *)
 
@@ -136,12 +138,14 @@ let optimal_total_repairs g ~pairs =
         b
       |> List.sort_uniq compare
     in
-    (* Cache Steiner-tree costs per terminal set. *)
+    (* Cache Steiner-tree costs per terminal set; each miss is one
+       Dreyfus-Wagner solve. *)
     let cache = Hashtbl.create 64 in
     let tree_cost terms =
       match Hashtbl.find_opt cache terms with
       | Some c -> c
       | None ->
+        Obs.count "forest.tree_solves";
         let c = steiner_tree_hops g ~terminals:terms in
         Hashtbl.replace cache terms c;
         c

@@ -31,4 +31,5 @@ val optimal_total_repairs :
 (** Exact MinR repair count for a connectivity-only complete-destruction
     unit-cost instance with the given demand pairs.  [None] when some
     pair is disconnected or there are more than ~8 pairs (the partition
-    enumeration would explode). *)
+    enumeration would explode).  Counts one [forest.tree_solves] per
+    distinct terminal set it solves. *)

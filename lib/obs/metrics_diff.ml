@@ -1,14 +1,14 @@
 (* Regression comparison and validation of BENCH_metrics.json documents.
    The engine behind `recover metrics diff`, `recover metrics validate`
-   and check_perf.sh: wall-clock benchmarks gate on a loose relative
-   tolerance plus an absolute floor (CI timing noise), the deterministic
-   gate blocks on a tight one, and histogram quantiles (p50/p90/p99) on
-   the quantile tolerance (all four thresholds are constants below).
-   Wall-clock sections compare across any two documents;
-   workload-shaped sections (histograms, counters) only compare when
-   both documents were produced by the same bench mode, since a quick
-   run and a full run observe different work distributions.  Every gate requirement lives in one table below
-   ([gates], [run_wide], [serve_rules]); the diff and the validator are
+   and check_perf.sh.  It reads deterministic numbers only: the gate
+   blocks and the work histograms (p50/p90/p99) fail on drift beyond
+   [gate_tolerance] in either direction, counters only print notes, and
+   wall-clock (`_ms`) histograms are printed but never gated — timings
+   are judged by perfbench's noise-bounded medians alone.  Workload-shaped
+   sections (histograms, counters) only compare when both documents were
+   produced by the same bench mode, since a quick run and a full run
+   observe different work distributions.  Every gate requirement lives in
+   one table below ([gates], [run_wide]); the diff and the validator are
    its only readers. *)
 
 module Json = struct
@@ -25,7 +25,7 @@ module Json = struct
   (* Minimal recursive-descent parser: the full JSON grammar minus any
      streaming concerns — documents here are single-digit megabytes at
      most.  No external dependency so the obs layer stays leaf-level. *)
-  let parse (s : string) : t =
+  let parse ?(non_finite = false) (s : string) : t =
     let n = String.length s in
     let pos = ref 0 in
     let fail msg = raise (Parse_error (Printf.sprintf "%s at byte %d" msg !pos)) in
@@ -120,63 +120,79 @@ module Json = struct
       | Some f -> Num f
       | None -> fail "malformed number"
     in
+    (* The spellings %.17g prints for non-finite floats ("-nan" is a NaN
+       with its sign bit set); numbers only in [non_finite] mode. *)
+    let non_finite_word () =
+      if not non_finite then None
+      else
+        List.find_opt
+          (fun w ->
+            let l = String.length w in
+            !pos + l <= n && String.sub s !pos l = w)
+          [ "nan"; "-nan"; "inf"; "-inf" ]
+    in
     let rec parse_value () =
       skip_ws ();
-      match peek () with
-      | None -> fail "unexpected end of input"
-      | Some '"' -> Str (parse_string ())
-      | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
+      match non_finite_word () with
+      | Some w ->
+        pos := !pos + String.length w;
+        Num (float_of_string w)
+      | None -> (
+        match peek () with
+        | None -> fail "unexpected end of input"
+        | Some '"' -> Str (parse_string ())
+        | Some '{' ->
           advance ();
-          Obj []
-        end
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-              advance ();
-              members ((k, v) :: acc)
-            | Some '}' ->
-              advance ();
-              List.rev ((k, v) :: acc)
-            | _ -> fail "expected ',' or '}'"
-          in
-          Obj (members [])
-        end
-      | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
+          skip_ws ();
+          if peek () = Some '}' then begin
+            advance ();
+            Obj []
+          end
+          else begin
+            let rec members acc =
+              skip_ws ();
+              let k = parse_string () in
+              skip_ws ();
+              expect ':';
+              let v = parse_value () in
+              skip_ws ();
+              match peek () with
+              | Some ',' ->
+                advance ();
+                members ((k, v) :: acc)
+              | Some '}' ->
+                advance ();
+                List.rev ((k, v) :: acc)
+              | _ -> fail "expected ',' or '}'"
+            in
+            Obj (members [])
+          end
+        | Some '[' ->
           advance ();
-          Arr []
-        end
-        else begin
-          let rec elems acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-              advance ();
-              elems (v :: acc)
-            | Some ']' ->
-              advance ();
-              List.rev (v :: acc)
-            | _ -> fail "expected ',' or ']'"
-          in
-          Arr (elems [])
-        end
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some 'n' -> literal "null" Null
-      | Some _ -> parse_number ()
+          skip_ws ();
+          if peek () = Some ']' then begin
+            advance ();
+            Arr []
+          end
+          else begin
+            let rec elems acc =
+              let v = parse_value () in
+              skip_ws ();
+              match peek () with
+              | Some ',' ->
+                advance ();
+                elems (v :: acc)
+              | Some ']' ->
+                advance ();
+                List.rev (v :: acc)
+              | _ -> fail "expected ',' or ']'"
+            in
+            Arr (elems [])
+          end
+        | Some 't' -> literal "true" (Bool true)
+        | Some 'f' -> literal "false" (Bool false)
+        | Some 'n' -> literal "null" Null
+        | Some _ -> parse_number ())
     in
     let v = parse_value () in
     skip_ws ();
@@ -191,10 +207,8 @@ module Json = struct
 end
 
 (* Thresholds, as fractions. *)
-let tolerance = 0.25  (* wall-clock benchmarks; counters' drift notes *)
-let quantile_tolerance = 0.10  (* histogram p50/p90/p99 *)
-let gate_tolerance = 0.10  (* gate-block drift keys, either direction *)
-let abs_floor_ms = 1.0  (* wall-clock increases below this never fail *)
+let gate_tolerance = 0.10  (* gate-block drift keys and work quantiles *)
+let note_tolerance = 0.25  (* counters: drift beyond this is only noted *)
 
 type report = { lines : string list; regressions : string list }
 
@@ -216,40 +230,9 @@ let regress ctx fmt =
       ctx.out <- ("  FAIL " ^ s) :: ctx.out)
     fmt
 
-let section_benchmarks ctx ~base ~current =
-  let b = Json.member "benchmarks" base
-  and c = Json.member "benchmarks" current in
-  match (b, c) with
-  | None, _ | _, None -> line ctx "benchmarks: section missing, skipped"
-  | Some b, Some c ->
-    line ctx "benchmarks (tolerance %.0f%%, floor %.1f ms):" (pct tolerance)
-      abs_floor_ms;
-    List.iter
-      (fun (name, bv) ->
-        match Json.number bv with
-        | None -> ()
-        | Some bv -> (
-          match Option.bind (Json.member name c) Json.number with
-          | None -> regress ctx "benchmark %s: missing from current run" name
-          | Some cv ->
-            let d = cv -. bv in
-            let rel = if bv > 0.0 then d /. bv else 0.0 in
-            if rel > tolerance && d > abs_floor_ms then
-              regress ctx "benchmark %s: %.3f -> %.3f ms (+%.1f%% > %.0f%%)"
-                name bv cv (pct rel) (pct tolerance)
-            else
-              line ctx "  ok   %-32s %10.3f -> %10.3f ms (%+.1f%%)" name bv cv
-                (pct rel)))
-      (Json.obj_members b);
-    List.iter
-      (fun (name, _) ->
-        if Json.member name b = None then
-          line ctx "  new  benchmark %s (no baseline)" name)
-      (Json.obj_members c)
-
 (* ---- the gate table ---- *)
 
-let schema = "netrec-bench-metrics/3"
+let schema = "netrec-bench-metrics/4"
 
 type bound =
   | Present
@@ -319,7 +302,25 @@ let gates =
       live =
         [ "sched.plans"; "sched.rounds"; "sched.evals"; "sched.oracle_solves";
           "sched.oracle_nodes"; "sched.plan_rounds" ];
-      present = [] } ]
+      present = [] };
+    (* One pinned solve per figure-family case nothing else covers, each
+       with its repair count and the work counter behind its cost; on
+       CAIDA's complete destruction the sharded solver must delegate to
+       ISP, and the exact routability LP must find the demands
+       routable. *)
+    (let work =
+       [ "mcb.repairs_total"; "mcb.pivots"; "mcf_lp.pivots";
+         "grd_com.repairs_total"; "grd_com.paths"; "srt.repairs_total";
+         "srt.settled"; "isp_er.repairs_total"; "isp_er.iterations";
+         "isp_er.settled"; "forest.optimum"; "forest.tree_solves";
+         "shard_caida.repairs_total"; "shard_caida.iterations" ]
+     in
+     { block = "work_gate";
+       invariants =
+         [ ("shard_caida.delegated", Eq 1.0); ("mcf_lp.routable", Eq 1.0) ];
+       drift = work;
+       live = work;
+       present = [] }) ]
 
 (* Run-wide snapshot requirements for every bench mode.  The xl and
    sched gates run in every mode, so their counters are live too;
@@ -352,19 +353,6 @@ let run_wide =
         "dijkstra.settled_per_call"; "parallel.batch_cells";
         "sched.round_satisfaction" ]
   @ [ Progress "isp.residual" ]
-
-(* The bench modes that run the daemon load generator, and what it must
-   leave behind. *)
-let serve_modes = [ "default"; "quick"; "serve" ]
-
-let serve_rules =
-  List.map
-    (fun k -> Counter (k, Positive))
-    [ "serve.requests"; "serve.queries"; "serve.ok"; "serve.cache_hits";
-      "serve.cache_misses"; "serve.connections" ]
-  @ [ Histogram "serve.client_latency_ms";
-      Gauge ("serve.latency_p50_ms", "samples");
-      Gauge ("serve.latency_p99_ms", "samples") ]
 
 let histogram_keys = [ "min"; "max"; "p50"; "p90"; "p99" ]
 
@@ -415,6 +403,13 @@ let block_failures g block =
     [] (requirements g)
   |> List.rev
 
+(* Relative drift of a deterministic number, either direction; a
+   baseline 0 that turns nonzero drifts infinitely. *)
+let drift bv cv =
+  if bv <> 0.0 then (cv -. bv) /. Float.abs bv
+  else if cv = 0.0 then 0.0
+  else infinity
+
 (* One section per gate block.  Hard invariants are checked on the
    current run whatever the baseline says; drift keys are deterministic
    integers gated on [gate_tolerance] in either direction; any baseline
@@ -437,11 +432,7 @@ let section_gate ctx ~base ~current g =
           if not (List.mem_assoc name g.invariants) then
             regress ctx "%s %s: missing from current" g.block name
         | Some bv, Some cv ->
-          let rel =
-            if bv <> 0.0 then (cv -. bv) /. Float.abs bv
-            else if cv = 0.0 then 0.0
-            else infinity
-          in
+          let rel = drift bv cv in
           if List.mem name g.drift && Float.abs rel > gate_tolerance then
             regress ctx "%s %s: %.0f -> %.0f (%+.1f%% drift > %.0f%%)" g.block
               name bv cv (pct rel) (pct gate_tolerance)
@@ -452,6 +443,8 @@ let section_gate ctx ~base ~current g =
 
 let quantile_keys = [ "p50"; "p90"; "p99" ]
 
+(* Work histograms are deterministic and gated like the drift keys;
+   wall-clock ones (names ending in _ms) are printed, never gated. *)
 let section_histograms ctx ~base ~current ~modes_match =
   let b =
     Option.bind (Json.member "metrics" base) (Json.member "histograms")
@@ -467,8 +460,8 @@ let section_histograms ctx ~base ~current ~modes_match =
     line ctx
       "histograms: bench modes differ, quantiles not comparable, skipped"
   | Some b, Some c ->
-    line ctx "histograms (quantile tolerance %.0f%%):"
-      (pct quantile_tolerance);
+    line ctx "histograms (work quantiles, tolerance %.0f%%; _ms not gated):"
+      (pct gate_tolerance);
     List.iter
       (fun (name, bh) ->
         match Json.member name c with
@@ -480,24 +473,20 @@ let section_histograms ctx ~base ~current ~modes_match =
           in
           List.iter
             (fun q ->
-              match Option.bind (Json.member q bh) Json.number with
-              | None -> ()
-              | Some bv -> (
-                match Option.bind (Json.member q ch) Json.number with
-                | None ->
-                  regress ctx "histogram %s: quantile %s missing from current"
-                    name q
-                | Some cv ->
-                  let d = cv -. bv in
-                  let rel = if bv > 0.0 then d /. bv else 0.0 in
-                  let over = rel > quantile_tolerance in
-                  let over = if is_wall then over && d > abs_floor_ms else over in
-                  if over then
-                    regress ctx "histogram %s %s: %g -> %g (+%.1f%% > %.0f%%)"
-                      name q bv cv (pct rel) (pct quantile_tolerance)
-                  else
-                    line ctx "  ok   %-38s %4s %12g -> %12g (%+.1f%%)" name q
-                      bv cv (pct rel)))
+              match (num q bh, num q ch) with
+              | None, _ -> ()
+              | Some _, None ->
+                regress ctx "histogram %s: quantile %s missing from current"
+                  name q
+              | Some bv, Some cv ->
+                let rel = drift bv cv in
+                if (not is_wall) && Float.abs rel > gate_tolerance then
+                  regress ctx "histogram %s %s: %g -> %g (%+.1f%% drift > %.0f%%)"
+                    name q bv cv (pct rel) (pct gate_tolerance)
+                else
+                  line ctx "  %s %-38s %4s %12g -> %12g (%+.1f%%)"
+                    (if is_wall then "time" else "ok  ")
+                    name q bv cv (pct rel))
             quantile_keys)
       (Json.obj_members b)
 
@@ -516,7 +505,7 @@ let section_counters ctx ~base ~current ~modes_match =
         with
         | Some bv, Some cv when bv <> 0.0 ->
           let rel = (cv -. bv) /. Float.abs bv in
-          if Float.abs rel > tolerance then begin
+          if Float.abs rel > note_tolerance then begin
             incr drifted;
             line ctx "  note counter %s: %.0f -> %.0f (%+.1f%%)" name bv cv
               (pct rel)
@@ -524,7 +513,7 @@ let section_counters ctx ~base ~current ~modes_match =
         | _ -> ())
       (Json.obj_members b);
     if !drifted = 0 then
-      line ctx "counters: no drift beyond %.0f%%" (pct tolerance)
+      line ctx "counters: no drift beyond %.0f%%" (pct note_tolerance)
   | _ -> line ctx "counters: not comparable, skipped"
 
 let mode doc =
@@ -545,7 +534,6 @@ let diff ~base ~current =
          Printf.sprintf " (modes %S vs %S: workload-shaped sections skipped)"
            (mode base) (mode current))
   | _ -> line ctx "schema: missing field in one document");
-  section_benchmarks ctx ~base ~current;
   List.iter (section_gate ctx ~base ~current) gates;
   section_histograms ctx ~base ~current ~modes_match;
   section_counters ctx ~base ~current ~modes_match;
@@ -592,12 +580,9 @@ let validate doc =
         | errs -> fail_all errs))
     gates;
   let metrics = field "metrics" doc in
-  let rules =
-    run_wide @ if List.mem (mode doc) serve_modes then serve_rules else []
-  in
-  (match List.concat_map (rule_failures metrics) rules with
+  (match List.concat_map (rule_failures metrics) run_wide with
   | [] ->
-    line ctx "metrics: %d run-wide requirement(s) hold" (List.length rules)
+    line ctx "metrics: %d run-wide requirement(s) hold" (List.length run_wide)
   | errs -> fail_all errs);
   (* Spans are exported path-sorted so two documents align positionally. *)
   let paths =

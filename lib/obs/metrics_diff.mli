@@ -2,27 +2,25 @@
     documents — the engine behind [recover metrics diff],
     [recover metrics validate] and [scripts/check_perf.sh].
 
-    Three threshold regimes, reflecting how reproducible each section
-    is (the thresholds are fixed):
-    - {b wall-clock benchmarks} gate on a 25% increase {e and} a 1 ms
-      absolute floor, so sub-millisecond wobble on fast benchmarks
-      never fails a run;
-    - {b gate blocks} ([lp_gate], [xl_gate], [sched_gate]: solver work
-      on pinned scenarios) are deterministic, so drift of a gated key
+    Only deterministic numbers are gated (the thresholds are fixed):
+    - {b gate blocks} ([lp_gate], [xl_gate], [sched_gate], [work_gate]:
+      solver verdicts and work on pinned scenarios): drift of a gated key
       beyond 10% — in either direction — is flagged, every {e hard
       invariant} ([opt.proved = 1], [xl.certified = 1], regret within
-      5%, ...) must hold in the current run whatever the baseline says,
-      and a baseline key missing from the current block is a
-      regression;
-    - {b histogram quantiles} (p50/p90/p99 per metric) gate on a 10%
-      increase; wall-clock histograms (names ending in [_ms])
-      additionally require the absolute floor.
+      5%, [shard_caida.delegated = 1], ...) must hold in the current run
+      whatever the baseline says, and a baseline key missing from the
+      current block is a regression;
+    - {b work histograms} (p50/p90/p99 of every histogram whose name does
+      not end in [_ms]) are gated by the same 10% drift either way, and a
+      quantile that leaves 0 drifts infinitely;
+    - {b counters} only print a note beyond 25% drift.
 
+    Wall-clock histograms ([_ms]) are printed but never gated: perfbench's
+    noise-bounded medians are the only timings that back a claim.
     Workload-shaped sections (histograms, counters) are only compared
     when both documents carry the same ["mode"] — a quick bench and a
-    full bench observe different work distributions, and comparing
-    their quantiles would produce meaningless failures.  Benchmarks and
-    the gate blocks are always compared.
+    full bench observe different work distributions.  The gate blocks
+    are always compared.
 
     Every gate requirement is one row of {!gates} (or of the run-wide
     rules behind {!validate}); {!diff} and {!validate} are its only
@@ -42,9 +40,11 @@ module Json : sig
 
   exception Parse_error of string
 
-  val parse : string -> t
+  val parse : ?non_finite:bool -> string -> t
   (** Full-document parse; raises {!Parse_error} with a byte offset on
-      malformed input (including trailing garbage). *)
+      malformed input (including trailing garbage).  With [~non_finite:true]
+      a number may also be exactly [nan], [-nan], [inf] or [-inf] (what
+      [%.17g] prints for non-finite floats); the default is strict JSON. *)
 
   val member : string -> t -> t option
   (** Object field lookup; [None] on non-objects. *)
@@ -64,7 +64,7 @@ type report = {
 
 val schema : string
 (** The schema tag of the documents this module reads and the bench
-    harness writes (["netrec-bench-metrics/3"]). *)
+    harness writes (["netrec-bench-metrics/4"]). *)
 
 type bound =
   | Present  (** the key exists (any number) *)
@@ -84,7 +84,8 @@ type gate = {
 }
 
 val gates : gate list
-(** One row per gate block: [lp_gate], [xl_gate], [sched_gate]. *)
+(** One row per gate block: [lp_gate], [xl_gate], [sched_gate],
+    [work_gate]. *)
 
 val block_failures : gate -> Json.t -> string list
 (** Every requirement of the row that a block (a JSON object) fails:
@@ -107,8 +108,8 @@ val validate : Json.t -> report
     row (invariants hold, live keys > 0, drift and present keys exist),
     the run-wide counters, gauges, histograms (count > 0 plus the
     min/max/p50/p90/p99 keys) and progress summary ([isp.residual]
-    events recorded), the serve block for the [default]/[quick]/[serve]
-    modes, and path-sorted spans.  Each failure names its key. *)
+    events recorded) and path-sorted spans.  Each failure names its
+    key. *)
 
 val validate_file : string -> report
 (** Read, parse and {!validate} one file; an unreadable or unparsable

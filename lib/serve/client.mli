@@ -3,7 +3,7 @@
     One {!t} is one connection; requests on a single connection are
     sequential (send a frame, read a frame).  Concurrency comes from
     opening several connections — that is what the chaos script and
-    [bench serve] do.
+    perfbench's query generator do.
 
     Every failure is an [Error _] result ([`Io] for transport problems,
     [`Protocol] for unparseable responses); nothing here raises on bad

@@ -2,7 +2,7 @@
 # Run the bench harness and validate the BENCH_metrics.json it emits
 # against the gate table (`recover metrics validate`).
 #
-#   scripts/check_metrics.sh            # full quick mode (micro + all figures)
+#   scripts/check_metrics.sh            # quick mode, all figures
 #   scripts/check_metrics.sh fig4 quick # any bench/main.exe arguments
 set -eu
 

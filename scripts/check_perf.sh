@@ -1,30 +1,24 @@
 #!/bin/sh
-# Performance regression gate: re-run the bench harness and compare the
-# resulting run record against the committed BENCH_metrics.json baseline
-# with `recover metrics diff` (wall-clock benchmarks at 25%, the
-# deterministic gate blocks at 10% drift, and — when the bench mode
-# matches the baseline's — histogram quantiles with a 10% p50/p90/p99
-# gate).
+# Regression gate: re-run the bench harness in quick mode and compare the
+# resulting run record against the committed quick-mode
+# BENCH_metrics.json baseline with `recover metrics diff` (gate blocks
+# and work-histogram quantiles at 10% drift either way; wall-clock
+# histograms are printed, never gated).
 #
-#   scripts/check_perf.sh         # bench mode
-#   scripts/check_perf.sh quick   # quick mode: figures too, so the
-#                                 # quantile gate is active against the
-#                                 # quick-mode baseline
+#   scripts/check_perf.sh
 #
-# Wall-clock sensitive by nature, so this is opt-in rather than part of
-# the default test alias:
+# Regenerates every figure, so this is opt-in rather than part of the
+# default test alias:
 #
-#   dune build @perf       # bench mode
-#   dune build @metrics    # quick mode (quantile gate active)
+#   dune build @metrics
 #
-# When invoked through an alias, $BENCH_EXE and $RECOVER_EXE point at the
+# When invoked through the alias, $BENCH_EXE and $RECOVER_EXE point at the
 # already-built executables (a dune action must not invoke dune
 # recursively).
 set -eu
 
 cd "$(dirname "$0")/.."
 
-MODE="${1:-bench}"
 BASELINE=BENCH_metrics.json
 
 if [ ! -s "$BASELINE" ]; then
@@ -53,6 +47,6 @@ esac
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT INT TERM
 BASELINE_ABS="$(pwd)/$BASELINE"
-(cd "$TMP" && "$BENCH_EXE" "$MODE")
+(cd "$TMP" && "$BENCH_EXE" quick)
 
 "$RECOVER_EXE" metrics diff "$BASELINE_ABS" "$TMP/BENCH_metrics.json"

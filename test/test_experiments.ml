@@ -172,8 +172,9 @@ module Diff = Netrec_obs.Metrics_diff
 
 (* Every gate block built live on a 1-domain and a 4-domain pool: the
    blocks are equal (counters merge over domains, so the pool size must
-   not show), and each passes its row of the gate table through the
-   same per-block check `recover metrics validate` runs. *)
+   not show), each passes its row of the gate table through the same
+   per-block check `recover metrics validate` runs, and none drifts
+   from the committed baseline's blocks beyond the diff's tolerance. *)
 let test_gate_blocks () =
   let build jobs = Gates.blocks ~pool:(Common.Pool.create ~jobs) () in
   let j1 = build 1 and j4 = build 4 in
@@ -181,16 +182,35 @@ let test_gate_blocks () =
     "one block per table row, in table order"
     (List.map (fun (g : Diff.gate) -> g.Diff.block) Diff.gates)
     (List.map fst j1);
+  let obj kvs =
+    Diff.Json.Obj (List.map (fun (k, v) -> (k, Diff.Json.Num (float_of_int v))) kvs)
+  in
   List.iter2
     (fun (block, kvs) (_, kvs4) ->
       Alcotest.(check (list (pair string int))) (block ^ ": -j1 = -j4") kvs kvs4;
       let row = List.find (fun (g : Diff.gate) -> g.Diff.block = block) Diff.gates in
-      let doc =
-        Diff.Json.Obj (List.map (fun (k, v) -> (k, Diff.Json.Num (float_of_int v))) kvs)
-      in
       Alcotest.(check (list string)) (block ^ " passes its row") []
-        (Diff.block_failures row doc))
-    j1 j4
+        (Diff.block_failures row (obj kvs)))
+    j1 j4;
+  (* Under dune the test runs in _build/default/test. *)
+  let path =
+    if Sys.file_exists "../BENCH_metrics.json" then "../BENCH_metrics.json"
+    else "BENCH_metrics.json"
+  in
+  let committed =
+    Diff.Json.parse (In_channel.with_open_bin path In_channel.input_all)
+  in
+  let blocks_of doc =
+    Diff.Json.Obj
+      (List.filter_map
+         (fun (g : Diff.gate) ->
+           Option.map (fun b -> (g.Diff.block, b)) (Diff.Json.member g.Diff.block doc))
+         Diff.gates)
+  in
+  Alcotest.(check (list string)) "no drift from the committed baseline" []
+    (Diff.diff ~base:(blocks_of committed)
+       ~current:(Diff.Json.Obj (List.map (fun (b, kvs) -> (b, obj kvs)) j1)))
+      .Diff.regressions
 
 let () =
   let tc name f = Alcotest.test_case name `Quick f in

@@ -277,10 +277,9 @@ let test_gc_snapshot_and_span_attribution =
 
 (* ---- metrics diff ---- *)
 
-let doc_with ~mode ~bench_ms ~pivots ~p99 =
+let doc_with ~mode ~pivots ~p99 =
   Printf.sprintf
-    {|{"schema":"netrec-bench-metrics/2","mode":"%s",
-      "benchmarks":{"fig4:isp":%g},
+    {|{"schema":"netrec-bench-metrics/4","mode":"%s",
       "lp_gate":{"opt.proved":1,"simplex.pivots":%d,"milp.nodes":43},
       "metrics":{"counters":{"isp.iterations":100},
                  "gauges":{},
@@ -288,56 +287,80 @@ let doc_with ~mode ~bench_ms ~pivots ~p99 =
                    {"count":10,"sum":100,"min":1,"max":40,
                     "p50":20,"p90":35,"p99":%g}},
                  "spans":[],"progress":[]}}|}
-    mode bench_ms pivots p99
+    mode pivots p99
 
 let run_diff base current =
   Diff.diff ~base:(Diff.Json.parse base) ~current:(Diff.Json.parse current)
 
 let test_diff_clean () =
-  let d = doc_with ~mode:"quick" ~bench_ms:100.0 ~pivots:6794 ~p99:40.0 in
+  let d = doc_with ~mode:"quick" ~pivots:6794 ~p99:40.0 in
   let r = run_diff d d in
   check_bool "self-diff has no regressions" true (r.Diff.regressions = [])
 
 let test_diff_flags_p99_regression () =
-  let base = doc_with ~mode:"quick" ~bench_ms:100.0 ~pivots:6794 ~p99:40.0 in
+  let base = doc_with ~mode:"quick" ~pivots:6794 ~p99:40.0 in
   (* +12.5% p99 > the 10% quantile gate *)
-  let cur = doc_with ~mode:"quick" ~bench_ms:100.0 ~pivots:6794 ~p99:45.0 in
+  let cur = doc_with ~mode:"quick" ~pivots:6794 ~p99:45.0 in
   let r = run_diff base cur in
   check_bool "p99 regression flagged" true
     (List.exists
        (fun s -> contains s "simplex.pivots_per_solve p99")
        r.Diff.regressions);
   (* The same drift across modes must NOT gate: the workloads differ. *)
-  let cur_bench =
-    doc_with ~mode:"bench" ~bench_ms:100.0 ~pivots:6794 ~p99:45.0
-  in
-  let r = run_diff base cur_bench in
+  let cur_fig4 = doc_with ~mode:"fig4" ~pivots:6794 ~p99:45.0 in
+  let r = run_diff base cur_fig4 in
   check_bool "cross-mode quantiles skipped" true (r.Diff.regressions = [])
 
+(* The single-sample wall-clock [benchmarks] block of older baselines
+   gates nothing; the lp gate's drift keys do. *)
 let test_diff_gates_benchmarks_and_lp () =
-  let base = doc_with ~mode:"quick" ~bench_ms:100.0 ~pivots:6794 ~p99:40.0 in
-  let slow = doc_with ~mode:"quick" ~bench_ms:140.0 ~pivots:6794 ~p99:40.0 in
-  let r = run_diff base slow in
-  check_bool "+40% wall clock fails at 25%" true
-    (List.exists (fun s -> contains s "fig4:isp") r.Diff.regressions);
-  let fast = doc_with ~mode:"quick" ~bench_ms:60.0 ~pivots:6794 ~p99:40.0 in
-  check_bool "improvements pass" true ((run_diff base fast).Diff.regressions = []);
+  let base = doc_with ~mode:"quick" ~pivots:6794 ~p99:40.0 in
+  let old_base bench_ms =
+    Printf.sprintf {|{"benchmarks":{"fig4:isp":%g},%s|} bench_ms
+      (String.sub base 1 (String.length base - 1))
+  in
+  check_bool "old baseline with benchmarks diffs clean" true
+    ((run_diff (old_base 100.0) base).Diff.regressions = []);
+  check_bool "benchmarks on both sides are not compared" true
+    ((run_diff (old_base 100.0) (old_base 140.0)).Diff.regressions = []);
   (* 8289 is +22% yet under the 8310 ceiling: this fails on drift alone. *)
-  let drift = doc_with ~mode:"quick" ~bench_ms:100.0 ~pivots:8289 ~p99:40.0 in
+  let drift = doc_with ~mode:"quick" ~pivots:8289 ~p99:40.0 in
   let r = run_diff base drift in
   check_bool "+22% pivot drift fails the lp gate" true
-    (List.exists (fun s -> contains s "simplex.pivots") r.Diff.regressions);
-  (* Sub-floor absolute increases never fail, whatever the percentage. *)
-  let tiny_base = doc_with ~mode:"quick" ~bench_ms:0.1 ~pivots:6794 ~p99:40.0 in
-  let tiny_cur = doc_with ~mode:"quick" ~bench_ms:0.5 ~pivots:6794 ~p99:40.0 in
-  check_bool "sub-millisecond wobble passes" true
-    ((run_diff tiny_base tiny_cur).Diff.regressions = [])
+    (List.exists (fun s -> contains s "simplex.pivots") r.Diff.regressions)
+
+(* Work histograms are deterministic: their quantiles drift-gate either
+   way like the gate blocks, and leaving 0 is infinite drift.  Wall-clock
+   (_ms) histograms are never gated. *)
+let test_diff_histogram_drift () =
+  let doc ~name ~p50 ~p99 =
+    Printf.sprintf
+      {|{"schema":"netrec-bench-metrics/4","mode":"quick",
+        "metrics":{"counters":{},"gauges":{},
+                   "histograms":{"%s":
+                     {"count":10,"sum":100,"min":0,"max":40,
+                      "p50":%g,"p90":35,"p99":%g}},
+                   "spans":[],"progress":[]}}|}
+      name p50 p99
+  in
+  let regs name (p50, p99) (p50', p99') =
+    (run_diff (doc ~name ~p50 ~p99) (doc ~name ~p50:p50' ~p99:p99'))
+      .Diff.regressions
+  in
+  let work = "simplex.pivots_per_solve" and wall = "isp.solve_ms" in
+  check_bool "work p99 40 -> 30 fails" true
+    (List.exists (fun s -> contains s (work ^ " p99")) (regs work (20.0, 40.0) (20.0, 30.0)));
+  check_bool "work p50 0 -> 0.5 fails" true
+    (List.exists (fun s -> contains s (work ^ " p50")) (regs work (0.0, 40.0) (0.5, 40.0)));
+  check_bool "work p50 0 -> 0 passes" true (regs work (0.0, 40.0) (0.0, 40.0) = []);
+  check_bool "work p99 +5% passes" true (regs work (20.0, 40.0) (20.0, 42.0) = []);
+  check_bool "_ms p99 +50% passes" true (regs wall (20.0, 40.0) (20.0, 60.0) = []);
+  check_bool "_ms p50 0 -> 5 passes" true (regs wall (0.0, 40.0) (5.0, 40.0) = [])
 
 let test_diff_missing_quantile_key () =
-  let base = doc_with ~mode:"quick" ~bench_ms:100.0 ~pivots:6794 ~p99:40.0 in
+  let base = doc_with ~mode:"quick" ~pivots:6794 ~p99:40.0 in
   let cur =
-    {|{"schema":"netrec-bench-metrics/2","mode":"quick",
-      "benchmarks":{"fig4:isp":100},
+    {|{"schema":"netrec-bench-metrics/4","mode":"quick",
       "lp_gate":{"opt.proved":1,"simplex.pivots":6794,"milp.nodes":43},
       "metrics":{"counters":{},"gauges":{},
                  "histograms":{"simplex.pivots_per_solve":
@@ -352,8 +375,7 @@ let test_diff_missing_quantile_key () =
 
 let doc_with_xl ~certified ~violations ~shards =
   Printf.sprintf
-    {|{"schema":"netrec-bench-metrics/2","mode":"quick",
-      "benchmarks":{"fig4:isp":100},
+    {|{"schema":"netrec-bench-metrics/4","mode":"quick",
       "lp_gate":{"opt.proved":1,"simplex.pivots":6794,"milp.nodes":43},
       "xl_gate":{"xl.certified":%d,"check.violations":%d,
                  "isp.shard_count":%d,"isp.shard_delegated":0,
@@ -387,7 +409,7 @@ let test_diff_xl_gate () =
        (fun s -> contains s "isp.shard_count")
        (run_diff base drifted).Diff.regressions);
   (* A missing section only regresses when the baseline had one. *)
-  let without = doc_with ~mode:"quick" ~bench_ms:100.0 ~pivots:6794 ~p99:40.0 in
+  let without = doc_with ~mode:"quick" ~pivots:6794 ~p99:40.0 in
   check_bool "section vanishing regresses" true
     (List.exists
        (fun s -> contains s "xl_gate")
@@ -400,8 +422,7 @@ let test_diff_xl_gate () =
 let test_diff_vanished_gate_keys () =
   let base = doc_with_xl ~certified:1 ~violations:0 ~shards:4 in
   let cur =
-    {|{"schema":"netrec-bench-metrics/2","mode":"quick",
-      "benchmarks":{"fig4:isp":100},
+    {|{"schema":"netrec-bench-metrics/4","mode":"quick",
       "lp_gate":{"opt.proved":1},
       "xl_gate":{"xl.certified":1,"check.violations":0,
                  "isp.shard_cut_demands":12},
@@ -463,7 +484,10 @@ let test_diff_gate_table () =
       ("xl_gate", "isp.shard_delegated"); ("xl_gate", "xl.repairs_total");
       ("xl_gate", "bidir.scanned"); ("sched_gate", "sched.oracle_proved"); ("sched_gate", "sched.certified");
       ("sched_gate", "sched.regret_microunits");
-      ("sched_gate", "sched.plan_rounds") ];
+      ("sched_gate", "sched.plan_rounds");
+      ("work_gate", "shard_caida.delegated"); ("work_gate", "mcf_lp.routable");
+      ("work_gate", "mcb.pivots"); ("work_gate", "grd_com.paths");
+      ("work_gate", "forest.tree_solves"); ("work_gate", "shard_caida.iterations") ];
   let regs base cur =
     (Diff.diff ~base ~current:cur).Diff.regressions
   in
@@ -534,15 +558,11 @@ let present_counters =
   [ "centrality.cache_misses"; "isp.shard_fixup_paths"; "isp.shard_delegated";
     "centrality.sampled_skipped"; "sched.moves_applied" ]
 
-let serve_counters =
-  [ "serve.requests"; "serve.queries"; "serve.ok"; "serve.cache_hits";
-    "serve.cache_misses"; "serve.connections" ]
-
 let required_histograms =
   [ "isp.iteration_ms"; "isp.solve_ms"; "shard.solve_ms";
     "simplex.pivots_per_solve"; "milp.nodes_per_solve";
     "dijkstra.settled_per_call"; "parallel.batch_cells";
-    "sched.round_satisfaction"; "serve.client_latency_ms" ]
+    "sched.round_satisfaction" ]
 
 let lp_gate_live =
   [ "simplex.pivots"; "simplex.solves"; "simplex.warm_starts"; "milp.nodes";
@@ -558,7 +578,13 @@ let sched_gate_live =
   [ "sched.plans"; "sched.rounds"; "sched.evals"; "sched.oracle_solves";
     "sched.oracle_nodes"; "sched.plan_rounds" ]
 
-let minimal_valid_doc ~mode =
+let work_gate_live =
+  [ "mcb.repairs_total"; "mcb.pivots"; "mcf_lp.pivots"; "grd_com.repairs_total";
+    "grd_com.paths"; "srt.repairs_total"; "srt.settled"; "isp_er.repairs_total";
+    "isp_er.iterations"; "isp_er.settled"; "forest.optimum";
+    "forest.tree_solves"; "shard_caida.repairs_total"; "shard_caida.iterations" ]
+
+let minimal_valid_doc () =
   let open Diff.Json in
   let ones = List.map (fun k -> (k, 1.0)) and zeros = List.map (fun k -> (k, 0.0)) in
   let gauge = num_obj [ ("last", 1.0); ("min", 1.0); ("max", 1.0); ("samples", 1.0) ] in
@@ -568,8 +594,7 @@ let minimal_valid_doc ~mode =
         ("p90", 1.0); ("p99", 1.0) ]
   in
   Obj
-    [ ("schema", Str "netrec-bench-metrics/3"); ("mode", Str mode);
-      ("benchmarks", Obj []);
+    [ ("schema", Str "netrec-bench-metrics/4"); ("mode", Str "quick");
       ( "lp_gate",
         num_obj ((("opt.proved", 1.0) :: ones lp_gate_live) @ zeros lp_gate_present) );
       ( "xl_gate",
@@ -585,14 +610,15 @@ let minimal_valid_doc ~mode =
              ("sched.ls_auc_microunits", 1.0);
              ("sched.oracle_auc_microunits", 1.0) ]
           @ ones sched_gate_live) );
+      ( "work_gate",
+        num_obj
+          ([ ("shard_caida.delegated", 1.0); ("mcf_lp.routable", 1.0) ]
+          @ ones work_gate_live) );
       ( "metrics",
         Obj
           [ ( "counters",
-              num_obj (ones live_counters @ zeros present_counters @ ones serve_counters) );
-            ( "gauges",
-              Obj
-                [ ("parallel.cells_per_domain", gauge);
-                  ("serve.latency_p50_ms", gauge); ("serve.latency_p99_ms", gauge) ] );
+              num_obj (ones live_counters @ zeros present_counters) );
+            ("gauges", Obj [ ("parallel.cells_per_domain", gauge) ]);
             ("histograms", Obj (List.map (fun h -> (h, hist)) required_histograms));
             ( "spans",
               Arr [ Obj [ ("path", Str "a") ]; Obj [ ("path", Str "a/b") ] ] );
@@ -615,13 +641,13 @@ let rec edit path v doc =
 
 let test_validate_rules () =
   let open Diff.Json in
-  let valid = minimal_valid_doc ~mode:"quick" in
+  let valid = minimal_valid_doc () in
   let failures doc = (Diff.validate doc).Diff.regressions in
   check_bool "minimal document is valid" true (failures valid = []);
   let zero = Some (Num 0.0) and gone = None in
   let counter k = [ "metrics"; "counters"; k ] in
   let mutations =
-    [ ("schema", [ "schema" ], Some (Str "netrec-bench-metrics/2"));
+    [ ("schema", [ "schema" ], Some (Str "netrec-bench-metrics/3"));
       ("opt.proved", [ "lp_gate"; "opt.proved" ], zero);
       ("simplex.pivots", [ "lp_gate"; "simplex.pivots" ], Some (Num 8311.0));
       ("milp.nodes", [ "lp_gate"; "milp.nodes" ], Some (Num 71.0));
@@ -643,17 +669,18 @@ let test_validate_rules () =
       ( "parallel.cells_per_domain",
         [ "metrics"; "gauges"; "parallel.cells_per_domain"; "max" ],
         zero );
-      ("serve.latency_p50_ms", [ "metrics"; "gauges"; "serve.latency_p50_ms" ], gone);
-      ( "serve.latency_p99_ms",
-        [ "metrics"; "gauges"; "serve.latency_p99_ms"; "samples" ],
-        zero );
+      ("shard_caida.delegated", [ "work_gate"; "shard_caida.delegated" ], zero);
+      ("mcf_lp.routable", [ "work_gate"; "mcf_lp.routable" ], zero);
+      ("forest.tree_solves", [ "work_gate"; "forest.tree_solves" ], zero);
+      ("mcb.pivots", [ "work_gate"; "mcb.pivots" ], gone);
+      ("work_gate", [ "work_gate" ], gone);
       ( "isp.residual",
         [ "metrics"; "progress"; "by_name"; "isp.residual" ],
         gone );
       ( "spans",
         [ "metrics"; "spans" ],
         Some (Arr [ Obj [ ("path", Str "b") ]; Obj [ ("path", Str "a") ] ]) ) ]
-    @ List.map (fun k -> (k, counter k, zero)) (live_counters @ serve_counters)
+    @ List.map (fun k -> (k, counter k, zero)) live_counters
     @ List.map (fun k -> (k, counter k, gone)) present_counters
     @ List.map (fun k -> (k, [ "lp_gate"; k ], zero)) lp_gate_live
     @ List.map (fun k -> (k, [ "lp_gate"; k ], gone)) lp_gate_present
@@ -673,16 +700,7 @@ let test_validate_rules () =
         (Printf.sprintf "%s: mutation fails naming the key" (String.concat "/" path))
         true
         (fs <> [] && List.exists (fun s -> contains s key) fs))
-    mutations;
-  (* The serve block is only required of modes that run the daemon. *)
-  let no_serve =
-    List.fold_left
-      (fun doc k -> edit (counter k) None doc)
-      (minimal_valid_doc ~mode:"fig4") serve_counters
-  in
-  check_bool "fig4 mode needs no serve block" true (failures no_serve = []);
-  check_bool "quick mode does" true
-    (failures (edit [ "mode" ] (Some (Str "quick")) no_serve) <> [])
+    mutations
 
 let test_validate_committed_baseline () =
   (* Under dune the test runs in _build/default/test. *)
@@ -733,7 +751,27 @@ let test_json_parser () =
   in
   check_bool "trailing garbage rejected" true (bad "{} x");
   check_bool "unterminated string rejected" true (bad {|{"a|});
-  check_bool "bare word rejected" true (bad "nope")
+  check_bool "bare word rejected" true (bad "nope");
+  (* %.17g's non-finite spellings: numbers only when asked for. *)
+  List.iter
+    (fun w -> check_bool (w ^ " rejected by default") true (bad ({|{"a":|} ^ w ^ "}")))
+    [ "nan"; "-nan"; "inf"; "-inf" ];
+  (match
+     parse ~non_finite:true {|[nan,-nan,inf,-inf,null,true,false,1.5]|}
+   with
+  | Arr [ Num a; Num b; Num c; Num d; Null; Bool true; Bool false; Num 1.5 ] ->
+    check_bool "nan" true (Float.is_nan a);
+    check_bool "-nan keeps its sign" true (Float.is_nan b && Float.sign_bit b);
+    check_bool "inf" true (c = Float.infinity);
+    check_bool "-inf" true (d = Float.neg_infinity)
+  | _ -> Alcotest.fail "non-finite mode misread the array");
+  let bad_nf s =
+    match parse ~non_finite:true s with
+    | exception Parse_error _ -> true
+    | _ -> false
+  in
+  check_bool "infinity is not a token" true (bad_nf "[infinity]");
+  check_bool "nanx is not a token" true (bad_nf "[nanx]")
 
 (* ---- exporters ---- *)
 
@@ -865,6 +903,8 @@ let () =
             test_diff_flags_p99_regression;
           Alcotest.test_case "diff: benchmark and lp gates" `Quick
             test_diff_gates_benchmarks_and_lp;
+          Alcotest.test_case "diff: histogram drift either way, _ms not gated"
+            `Quick test_diff_histogram_drift;
           Alcotest.test_case "diff: missing quantile key" `Quick
             test_diff_missing_quantile_key;
           Alcotest.test_case "diff: xl gate" `Quick test_diff_xl_gate;

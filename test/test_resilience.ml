@@ -335,6 +335,33 @@ let test_journal_roundtrip () =
     (Journal.completed j2 ~point:"p" ~run:2 = None);
   Journal.close j2
 
+(* %.17g writes non-finite values as nan, -nan, inf and -inf; a fresh
+   journal must read every one back, a NaN's sign bit included (it
+   decides whether a table prints nan or -nan). *)
+let test_journal_non_finite () =
+  with_tmp @@ fun path ->
+  let payload =
+    [ ("nan", Float.nan); ("minus_nan", -.Float.nan); ("inf", Float.infinity);
+      ("minus_inf", Float.neg_infinity); ("one", 1.0) ]
+  in
+  let j = Journal.create path in
+  Journal.record j ~point:"p" ~run:1 [ ("ISP", payload) ];
+  Journal.close j;
+  let j2 = Journal.create path in
+  (match Journal.completed j2 ~point:"p" ~run:1 with
+  | Some [ ("ISP", fields) ] ->
+    Alcotest.(check (list string)) "every field reloaded" (List.map fst payload)
+      (List.map fst fields);
+    List.iter2
+      (fun (k, v) (_, v') ->
+        Alcotest.(check string) (k ^ " prints the same")
+          (Printf.sprintf "%.17g" v) (Printf.sprintf "%.17g" v');
+        Alcotest.(check bool) (k ^ " sign bit") (Float.sign_bit v)
+          (Float.sign_bit v'))
+      payload fields
+  | _ -> Alcotest.fail "non-finite cells lost across restart");
+  Journal.close j2
+
 let test_journal_with_run_skips_completed () =
   with_tmp @@ fun path ->
   let j = Journal.create path in
@@ -547,6 +574,7 @@ let () =
             test_fallback_exhausted_budget_still_answers ] );
       ( "journal",
         [ tc "roundtrip" test_journal_roundtrip;
+          tc "non-finite cells" test_journal_non_finite;
           tc "with_run skips" test_journal_with_run_skips_completed;
           tc "partial pair recomputed" test_journal_partial_pair_recomputed;
           tc "rejects foreign file" test_journal_rejects_foreign_file ] );
