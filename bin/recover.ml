@@ -8,7 +8,7 @@
      recover plan --topology caida --pairs 3 --amount 22 --algorithm srt
      recover plan --topology er --er-p 0.3 --algorithm isp \
                   --disruption gaussian --variance 50
-     recover experiment fig4 --runs 3 --opt-nodes 250
+     recover experiment fig4 --runs 3 --opt-nodes 800
      recover topology --topology bell-canada --format dot *)
 
 open Cmdliner
@@ -85,13 +85,6 @@ let deadline_arg =
      the output notes why it is degraded."
   in
   Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"SECONDS" ~doc)
-
-let fallback_arg =
-  let doc =
-    "Solve with the OPT -> MCF -> ISP -> SRT fallback chain (per-stage \
-     budget slices of --deadline) and print per-stage provenance."
-  in
-  Arg.(value & flag & info [ "fallback" ] ~doc)
 
 let certify_arg =
   let doc =
@@ -384,11 +377,10 @@ let save_solution_arg =
     value & opt (some string) None & info [ "save-solution" ] ~docv:"FILE" ~doc)
 
 let plan topology er_p seed pairs amount algorithm disruption variance fail_p
-    deadline fallback certify dot_file save_file load_file save_solution_file
+    deadline certify dot_file save_file load_file save_solution_file
     trace_file metrics_file events_file verbose =
   try
     Obs.set_enabled true;
-    let algorithm = if fallback then "fallback" else algorithm in
     let inst =
       match load_file with
       | Some path -> Netrec_core.Serialize.load path
@@ -485,29 +477,31 @@ let plan_cmd =
       const (fun () -> plan) $ tuning_term $ topology_arg $ er_p_arg
       $ seed_arg $ pairs_arg
       $ amount_arg $ algorithm_arg $ disruption_arg $ variance_arg
-      $ fail_p_arg $ deadline_arg $ fallback_arg $ certify_arg $ dot_arg
+      $ fail_p_arg $ deadline_arg $ certify_arg $ dot_arg
       $ save_arg $ load_arg $ save_solution_arg $ trace_arg $ metrics_arg
       $ events_arg $ verbose_arg)
 
 (* ---- experiment command ---- *)
 
 let runs_arg =
-  let doc = "Runs (seeds) averaged per data point (at least 1)." in
-  Arg.(value & opt int 3 & info [ "runs" ] ~doc)
+  let doc =
+    "Runs (seeds) averaged per data point (at least 1; fig9-xl runs at \
+     most 2)."
+  in
+  Arg.(value & opt int E.Figures.default.runs & info [ "runs" ] ~doc)
 
 let opt_nodes_arg =
   let doc =
-    "Branch-and-bound node budget for the OPT series (default: the \
-     figure's own budget — 250 for fig3-fig6, 600 for fig-opt)."
+    "Branch-and-bound node budget of the OPT column of fig3-fig6 (fig-opt \
+     and ablation keep their fixed 600 and 200)."
   in
-  Arg.(value & opt (some int) None & info [ "opt-nodes" ] ~doc)
+  Arg.(value & opt int E.Figures.default.opt_nodes & info [ "opt-nodes" ] ~doc)
 
 let figure_arg =
   let doc =
-    "Figure to regenerate: fig3 fig4 fig5 fig6 fig7 fig9 fig9-xl fig-opt \
-     or all \
-     (fig9-xl — the 20k-100k-vertex sharded-ISP scale sweep — runs only \
-     when asked for by name)."
+    Printf.sprintf "Figure to regenerate: %s, or all (every figure, in \
+       that order)."
+      (String.concat ", " E.Figures.names)
   in
   Arg.(value & pos 0 string "all" & info [] ~docv:"FIGURE" ~doc)
 
@@ -533,6 +527,11 @@ let experiment figure runs opt_nodes jobs certify journal_file trace_file
     metrics_file events_file verbose =
   if runs < 1 then begin
     Printf.eprintf "error: --runs must be >= 1\n";
+    2
+  end
+  else if figure <> "all" && not (List.mem figure E.Figures.names) then begin
+    Printf.eprintf "error: unknown figure %S (figures: %s, or all)\n" figure
+      (String.concat " " E.Figures.names);
     2
   end
   else begin
@@ -561,33 +560,18 @@ let experiment figure runs opt_nodes jobs certify journal_file trace_file
       E.Common.Pool.create
         ~jobs:(if jobs <= 0 then E.Common.Pool.default_jobs () else jobs)
     in
-    let print = List.iter Netrec_util.Table.print in
-    let one ?journal name =
-      let tables =
-        Obs.span ("experiment." ^ name) @@ fun () ->
-        match name with
-        | "fig3" -> E.Fig3.run ?journal ~pool ~runs ?opt_nodes ()
-        | "fig4" -> E.Fig4.run ?journal ~pool ~runs ?opt_nodes ()
-        | "fig5" -> E.Fig5.run ?journal ~pool ~runs ?opt_nodes ()
-        | "fig6" -> E.Fig6.run ?journal ~pool ~runs ?opt_nodes ()
-        | "fig7" -> E.Fig7.run ?journal ~pool ~runs ()
-        | "fig9" -> E.Fig9.run ?journal ~pool ~runs ()
-        | "fig9-xl" -> E.Fig9_xl.run ?journal ~pool ~runs ()
-        | "fig-opt" -> E.Fig_opt.run ?journal ~pool ~runs ?opt_nodes ()
-        | other -> failwith (Printf.sprintf "unknown figure %S" other)
-      in
-      print tables
-    in
+    let settings = { E.Figures.runs; opt_nodes } in
     try
       let journal = Option.map E.Journal.create journal_file in
       Fun.protect
         ~finally:(fun () -> Option.iter E.Journal.close journal)
         (fun () ->
-          match figure with
-          | "all" ->
-            List.iter (one ?journal)
-              [ "fig3"; "fig4"; "fig5"; "fig6"; "fig7"; "fig9" ]
-          | f -> one ?journal f);
+          List.iter
+            (fun name ->
+              Obs.span ("experiment." ^ name) (fun () ->
+                  E.Figures.run ?journal ~pool settings name)
+              |> List.iter Netrec_util.Table.print)
+            (if figure = "all" then E.Figures.names else [ figure ]));
       print_work_footer ();
       export_observability ~verbose ~trace_file ~metrics_file ~events_file;
       if certify then begin
@@ -881,9 +865,8 @@ let metrics_validate_cmd =
     [ `S Manpage.s_description;
       `P
         "Checks the schema tag, every gate block's hard invariants and \
-         required keys, the run-wide counters, gauges, histograms and \
-         progress summary, the serve block (default/quick/serve modes) \
-         and span order.  Each failure names its key.  Exits 0 when the \
+         required keys, and the run-wide counters, gauges, histograms and \
+         progress summary.  Each failure names its key.  Exits 0 when the \
          record is valid, 1 otherwise (including an unreadable or \
          malformed file)." ]
   in

@@ -1,7 +1,7 @@
 (** Ablation studies for the design choices DESIGN.md calls out — beyond
     the paper's own figures.
 
-    Three tables:
+    Four tables:
 
     + {b Length metric} — ISP with the paper's dynamic repair-aware
       metric (§IV-D) versus plain hop lengths, and with a single split
@@ -16,7 +16,17 @@
     + {b SRT vs SRT-R} — how much of SRT's demand loss disappears when
       the heuristic merely tracks residual capacities
       ({!Netrec_heuristics.Srt.solve_residual}), and what it pays in
-      extra repairs. *)
+      extra repairs.
+    + {b Uniform failures} — ISP against OPT (a fixed 200-node
+      branch-and-bound budget) when failures are scattered rather than
+      geographically correlated. *)
 
-val run : ?runs:int -> ?seed:int -> unit -> Netrec_util.Table.t list
-(** Produce the ablation tables. *)
+val run :
+  ?journal:Journal.t ->
+  ?pool:Netrec_parallel.Pool.t ->
+  runs:int ->
+  ?seed:int ->
+  unit ->
+  Netrec_util.Table.t list
+(** Produce the ablation tables over {!Common.sweep}: journal points
+    [ablation:pairs=N] (tables 1-3) and [ablation:fail_p=P] (table 4). *)

@@ -6,7 +6,7 @@ module H = Netrec_heuristics
 
 let amounts = [ 2.0; 4.0; 6.0; 8.0; 10.0; 12.0; 14.0; 16.0; 18.0 ]
 
-let run ?journal ?pool ?(runs = 3) ?(opt_nodes = 250) () =
+let run ?journal ?pool ~runs ~opt_nodes () =
   let g = Netrec_topo.Bell_canada.graph () in
   let master = Rng.create 3 in
   let table =

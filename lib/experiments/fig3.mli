@@ -8,8 +8,8 @@
 val run :
   ?journal:Journal.t ->
   ?pool:Netrec_parallel.Pool.t ->
-  ?runs:int ->
-  ?opt_nodes:int ->
+  runs:int ->
+  opt_nodes:int ->
   unit ->
   Netrec_util.Table.t list
 (** Produce the table (one row per demand intensity). *)

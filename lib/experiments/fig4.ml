@@ -1,8 +1,7 @@
 module Rng = Netrec_util.Rng
 open Common
 
-let run ?journal ?pool ?(runs = 3) ?(opt_nodes = 250) ?(seed = 4) ?(max_pairs = 7)
-    () =
+let run ?journal ?pool ~runs ~opt_nodes ?(seed = 4) ?(max_pairs = 7) () =
   let g = Netrec_topo.Bell_canada.graph () in
   let master = Rng.create seed in
   let all_v, all_e =

@@ -9,8 +9,8 @@
 val run :
   ?journal:Journal.t ->
   ?pool:Netrec_parallel.Pool.t ->
-  ?runs:int ->
-  ?opt_nodes:int ->
+  runs:int ->
+  opt_nodes:int ->
   ?seed:int ->
   ?max_pairs:int ->
   unit ->

@@ -5,7 +5,7 @@ open Common
 
 let amounts = [ 2.0; 4.0; 6.0; 8.0; 10.0; 12.0; 14.0; 16.0; 18.0 ]
 
-let run ?journal ?pool ?(runs = 3) ?(opt_nodes = 250) () =
+let run ?journal ?pool ~runs ~opt_nodes () =
   let g = Netrec_topo.Bell_canada.graph () in
   let master = Rng.create 5 in
   let all_v, all_e = Failure.counts (Failure.complete g) in

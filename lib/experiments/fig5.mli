@@ -7,8 +7,8 @@
 val run :
   ?journal:Journal.t ->
   ?pool:Netrec_parallel.Pool.t ->
-  ?runs:int ->
-  ?opt_nodes:int ->
+  runs:int ->
+  opt_nodes:int ->
   unit ->
   Netrec_util.Table.t list
 (** Produce both tables (one row per demand intensity 2..18). *)

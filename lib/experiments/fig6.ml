@@ -6,7 +6,7 @@ open Common
 
 let variances = [ 10.0; 30.0; 50.0; 70.0; 90.0; 110.0; 130.0; 150.0 ]
 
-let run ?journal ?pool ?(runs = 3) ?(opt_nodes = 250) () =
+let run ?journal ?pool ~runs ~opt_nodes () =
   let g = Netrec_topo.Bell_canada.graph () in
   let master = Rng.create 6 in
   (* Destroyed elements per (variance, run), for the ALL column. *)

@@ -21,7 +21,7 @@ let connected_er ~rng ~p =
 
 let ps = [ 0.1; 0.2; 0.3; 0.4; 0.5; 0.6; 0.7; 0.8; 0.9; 1.0 ]
 
-let run ?journal ?pool ?(runs = 3) () =
+let run ?journal ?pool ~runs () =
   let master = Rng.create 7 in
   let time_t =
     Table.create ~title:"Fig 7(a): Erdos-Renyi n=100, execution time (seconds) vs edge probability"

@@ -15,7 +15,7 @@
 val run :
   ?journal:Journal.t ->
   ?pool:Netrec_parallel.Pool.t ->
-  ?runs:int ->
+  runs:int ->
   unit ->
   Netrec_util.Table.t list
 (** Produce both tables (one row per p in 0.1..1.0). *)

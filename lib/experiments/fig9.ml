@@ -19,7 +19,7 @@ let opt_proxy inst candidates =
   | best :: _ -> Some best
   | [] -> None
 
-let run ?journal ?pool ?(runs = 3) () =
+let run ?journal ?pool ~runs () =
   let g = Netrec_topo.Caida.graph () in
   let master = Rng.create 9 in
   let rep_t =

@@ -12,7 +12,7 @@
 val run :
   ?journal:Journal.t ->
   ?pool:Netrec_parallel.Pool.t ->
-  ?runs:int ->
+  runs:int ->
   unit ->
   Netrec_util.Table.t list
 (** Produce both tables (one row per pair count, 1..7). *)

@@ -26,15 +26,12 @@ val smoke_scenario : unit -> Netrec_core.Instance.t
 (** The pinned 5000-vertex smoke scenario behind the [xl_gate] block
     ({!Gates.xl}): several shards, cut demands, subsecond. *)
 
-val default_sizes : int list
-(** [[20_000; 50_000; 100_000]]. *)
-
 val run :
   ?journal:Journal.t ->
   ?pool:Netrec_parallel.Pool.t ->
-  ?runs:int ->
-  ?sizes:int list ->
+  runs:int ->
   unit ->
   Netrec_util.Table.t list
-(** Regenerate the fig9-xl table ([runs] seeded scenarios per size,
-    default 2). *)
+(** Regenerate the fig9-xl table: [min 2 runs] seeded scenarios per
+    size, at 20k, 50k and 100k vertices; a 1-run sweep skips the 50k
+    size. *)

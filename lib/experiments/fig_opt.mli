@@ -12,9 +12,8 @@
 val run :
   ?journal:Journal.t ->
   ?pool:Netrec_parallel.Pool.t ->
-  ?runs:int ->
-  ?opt_nodes:int ->
+  runs:int ->
   unit ->
   Netrec_util.Table.t list
-(** Produce both tables (one row per variance; [opt_nodes] defaults to
-    600 — the budget both pipelines share). *)
+(** Produce both tables (one row per variance; both pipelines share a
+    fixed 600-node budget). *)

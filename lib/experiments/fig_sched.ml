@@ -158,7 +158,7 @@ let curve_table () =
     rows;
   t
 
-let run ?journal ?pool ?(runs = 3) () =
+let run ?journal ?pool ~runs () =
   let master = Rng.create 17 in
   let t =
     Table.create

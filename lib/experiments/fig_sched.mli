@@ -30,9 +30,9 @@ val curve_table : unit -> Netrec_util.Table.t
 val run :
   ?journal:Journal.t ->
   ?pool:Netrec_parallel.Pool.t ->
-  ?runs:int ->
+  runs:int ->
   unit ->
   Netrec_util.Table.t list
 (** Regenerate the fig-sched tables: the regret-vs-oracle sweep (two
-    crews; [runs] seeded scenarios per size 5, 6 and 7, default 3) and
+    crews; [runs] seeded scenarios per size 5, 6 and 7) and
     the pinned recovery-curve table. *)

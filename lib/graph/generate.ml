@@ -114,20 +114,6 @@ let scale_free ~rng ?(jitter = 0.03) ~n ~m ~capacity () =
   done;
   Graph.of_edge_array ~coords ~n edges
 
-let geometric ~rng ~n ~radius ~capacity =
-  let coords = unit_square_coords ~rng n in
-  let edges = ref [] in
-  let r2 = radius *. radius in
-  for u = 0 to n - 1 do
-    for v = u + 1 to n - 1 do
-      let xu, yu = coords.(u) and xv, yv = coords.(v) in
-      let dx = xu -. xv and dy = yu -. yv in
-      if (dx *. dx) +. (dy *. dy) <= r2 then
-        edges := (u, v, capacity) :: !edges
-    done
-  done;
-  Graph.make ~coords ~n ~edges:(List.rev !edges) ()
-
 let grid ~width ~height ~capacity =
   if width < 1 || height < 1 then invalid_arg "Generate.grid: empty";
   let n = width * height in

@@ -41,11 +41,6 @@ val scale_free :
     topologically local region.  @raise Invalid_argument when [n < 2] or
     [m < 1]. *)
 
-val geometric :
-  rng:Netrec_util.Rng.t -> n:int -> radius:float -> capacity:float -> Graph.t
-(** Random geometric graph: vertices uniform in the unit square, edges
-    between pairs closer than [radius]. *)
-
 val grid : width:int -> height:int -> capacity:float -> Graph.t
 (** [width x height] mesh with unit-spaced coordinates. *)
 

@@ -1,6 +1,3 @@
-let all_pairs_hops g =
-  Array.init (Graph.nv g) (fun v -> Traverse.bfs_dist g v)
-
 let hop_distance g u v = (Traverse.bfs_dist g u).(v)
 
 let hop_diameter g =

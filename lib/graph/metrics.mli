@@ -17,10 +17,6 @@ val pseudo_diameter : Graph.t -> int
 val hop_distance : Graph.t -> Graph.vertex -> Graph.vertex -> int
 (** Hop distance ([max_int] when disconnected). *)
 
-val all_pairs_hops : Graph.t -> int array array
-(** [all_pairs_hops g].(u).(v) is the hop distance ([max_int] when
-    disconnected).  O(nv * (nv + ne)). *)
-
 val average_degree : Graph.t -> float
 (** [2 ne / nv] (0 for the empty graph). *)
 

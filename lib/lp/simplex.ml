@@ -973,5 +973,3 @@ let resolve ?(budget = Budget.unlimited) ?(max_pivots = default_max_pivots)
     let pivots = max_pivots - !pivots_left in
     Obs.observe "simplex.pivots_per_solve" (float_of_int pivots);
     outcome_of t ~status ~pivots ~budget ~max_pivots
-
-let solve_std ?budget ~max_pivots std = solve ?budget ~max_pivots (create std)

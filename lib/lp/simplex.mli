@@ -100,8 +100,3 @@ val resolve :
     feasibility, skipping phase 1 entirely (["simplex.warm_starts"],
     ["simplex.phase1_skipped"]).  Otherwise this falls back to a cold
     solve under the new bounds. *)
-
-val solve_std :
-  ?budget:Netrec_resilience.Budget.t -> max_pivots:int -> std -> outcome
-(** [create] + cold [solve] in one call (compatibility shim; counted as a
-    normal solve). *)

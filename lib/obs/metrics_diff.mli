@@ -64,7 +64,7 @@ type report = {
 
 val schema : string
 (** The schema tag of the documents this module reads and the bench
-    harness writes (["netrec-bench-metrics/4"]). *)
+    harness writes (["netrec-bench-metrics/5"]). *)
 
 type bound =
   | Present  (** the key exists (any number) *)
@@ -108,8 +108,7 @@ val validate : Json.t -> report
     row (invariants hold, live keys > 0, drift and present keys exist),
     the run-wide counters, gauges, histograms (count > 0 plus the
     min/max/p50/p90/p99 keys) and progress summary ([isp.residual]
-    events recorded) and path-sorted spans.  Each failure names its
-    key. *)
+    events recorded).  Each failure names its key. *)
 
 val validate_file : string -> report
 (** Read, parse and {!validate} one file; an unreadable or unparsable

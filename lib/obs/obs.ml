@@ -806,19 +806,6 @@ let metrics_json () =
       Buffer.add_string buf
         (Printf.sprintf "\"%s\":%s" (json_escape name) (hist_json h)))
     (histograms ());
-  Buffer.add_string buf "},\"spans\":[";
-  List.iteri
-    (fun i (s : span_stat) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"path\":\"%s\",\"calls\":%d,\"total_s\":%s,\"self_s\":%s,\"minor_words\":%s,\"major_words\":%s,\"compactions\":%d}"
-           (json_escape s.path) s.calls (json_float s.total_s)
-           (json_float s.self_s)
-           (json_float s.minor_words)
-           (json_float s.major_words)
-           s.compactions))
-    (span_stats ());
   (* Progress is summarised, not dumped: the raw stream goes to
      [write_events] (results/progress.jsonl in the bench). *)
   let evs = events () in
@@ -829,7 +816,7 @@ let metrics_json () =
         (1 + Option.value ~default:0 (Hashtbl.find_opt counts e.name)))
     evs;
   Buffer.add_string buf
-    (Printf.sprintf "],\"progress\":{\"events\":%d,\"dropped\":%d,\"by_name\":{"
+    (Printf.sprintf "},\"progress\":{\"events\":%d,\"dropped\":%d,\"by_name\":{"
        (List.length evs) (progress_dropped ()));
   List.iteri
     (fun i (name, n) ->

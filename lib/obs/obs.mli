@@ -262,8 +262,11 @@ val events_jsonl : unit -> string
 
 val metrics_json : unit -> string
 (** A single JSON object
-    [{"counters":{..},"gauges":{..},"histograms":{..},"spans":[..],"progress":{..}}]
+    [{"counters":{..},"gauges":{..},"histograms":{..},"progress":{..}}]
     — the payload embedded in the benchmark's [BENCH_metrics.json].
+    Spans (wall clock and allocation per call path) are left out: they
+    change on every run, and {!jsonl}, {!chrome_trace} and
+    {!summary_tables} export them.
     [progress] is a summary, not the raw stream ({!events_jsonl} has
     that): [{"events":N,"dropped":D,"by_name":{"isp.residual":n,..}}]
     counts the retained events, the overwritten ones, and the retained

@@ -1,16 +1,3 @@
 type reason = Budget.reason
 
 type 'a t = Complete of 'a | Partial of 'a * reason
-
-let value = function Complete v | Partial (v, _) -> v
-let is_complete = function Complete _ -> true | Partial _ -> false
-let reason = function Complete _ -> None | Partial (_, r) -> Some r
-
-let map f = function
-  | Complete v -> Complete (f v)
-  | Partial (v, r) -> Partial (f v, r)
-
-let of_budget budget v =
-  match Budget.tripped budget with
-  | None -> Complete v
-  | Some r -> Partial (v, r)

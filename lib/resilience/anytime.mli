@@ -13,15 +13,3 @@ type 'a t =
   | Complete of 'a  (** the solver finished on its own terms *)
   | Partial of 'a * reason
       (** best answer so far; computation cut short for [reason] *)
-
-val value : 'a t -> 'a
-val is_complete : 'a t -> bool
-
-val reason : 'a t -> reason option
-(** [None] for [Complete]. *)
-
-val map : ('a -> 'b) -> 'a t -> 'b t
-
-val of_budget : Budget.t -> 'a -> 'a t
-(** [Complete v] unless the budget has tripped, in which case
-    [Partial (v, reason)]. *)

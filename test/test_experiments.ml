@@ -126,10 +126,15 @@ let test_runs_below_one_rejected () =
   Alcotest.(check (list int)) "1..runs" [ 1; 2; 3 ] (Common.run_indices 3);
   Alcotest.check_raises "fig4 --runs 0"
     (Invalid_argument "Common.run_indices: runs must be >= 1") (fun () ->
-      ignore (Fig4.run ~runs:0 ()));
+      ignore (Fig4.run ~runs:0 ~opt_nodes:60 ()));
   Alcotest.check_raises "fig3 --runs -1"
     (Invalid_argument "Common.run_indices: runs must be >= 1") (fun () ->
-      ignore (Fig3.run ~runs:(-1) ()))
+      ignore (Fig3.run ~runs:(-1) ~opt_nodes:60 ()))
+
+let test_unknown_figure_rejected () =
+  Alcotest.check_raises "fig10"
+    (Invalid_argument "Figures.run: unknown figure fig10") (fun () ->
+      ignore (Figures.run Figures.quick "fig10"))
 
 (* ---- figure integration smoke (single cheap point each) ---- *)
 
@@ -157,14 +162,37 @@ let test_fig4_single_point () =
     | _ -> Alcotest.fail "unexpected table shape")
   | _ -> Alcotest.fail "fig4 must emit four tables"
 
+(* Ablation runs on the sweep driver: on a 2-domain pool with a
+   journal, and a rerun from that journal replays every cell (no ISP
+   iteration) into the same tables. *)
 let test_ablation_single_run () =
-  match Ablation.run ~runs:1 ~seed:2 () with
-  | metric_t :: sched_t :: srt_t :: _ ->
-    let rows t = List.length (String.split_on_char '\n' (Table.to_csv t)) - 1 in
-    Alcotest.(check int) "metric rows" 3 (rows metric_t);
-    Alcotest.(check int) "sched rows" 3 (rows sched_t);
-    Alcotest.(check int) "srt rows" 3 (rows srt_t)
-  | _ -> Alcotest.fail "ablation must emit its tables"
+  let module Obs = Netrec_obs.Obs in
+  let path = Filename.temp_file "netrec_ablation" ".jsonl" in
+  let was = Obs.enabled () in
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled was;
+      try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Obs.set_enabled true;
+      let pool = Common.Pool.create ~jobs:2 in
+      let csvs () =
+        let journal = Journal.create path in
+        Fun.protect
+          ~finally:(fun () -> Journal.close journal)
+          (fun () ->
+            List.map Table.to_csv (Ablation.run ~journal ~pool ~runs:1 ~seed:2 ()))
+      in
+      let iterations () = Obs.counter_value "isp.iterations" in
+      let before = iterations () in
+      let computed = csvs () in
+      let solved = iterations () in
+      Alcotest.(check bool) "first run solves" true (solved > before);
+      Alcotest.(check (list string)) "replay = computed run" computed (csvs ());
+      Alcotest.(check int) "replay solves nothing" solved (iterations ());
+      let rows csv = List.length (String.split_on_char '\n' csv) - 1 in
+      Alcotest.(check (list int)) "rows per table" [ 3; 3; 3; 4 ]
+        (List.map rows computed))
 
 (* ---- Gates ---- *)
 
@@ -228,5 +256,6 @@ let () =
           tc "runs < 1 rejected" test_runs_below_one_rejected ] );
       ("gates", [ slow "blocks: -j1 = -j4, each passes its row" test_gate_blocks ]);
       ( "figures",
-        [ slow "fig4 single point" test_fig4_single_point;
+        [ tc "unknown figure rejected" test_unknown_figure_rejected;
+          slow "fig4 single point" test_fig4_single_point;
           slow "ablation single run" test_ablation_single_run ] ) ]

@@ -279,14 +279,14 @@ let test_gc_snapshot_and_span_attribution =
 
 let doc_with ~mode ~pivots ~p99 =
   Printf.sprintf
-    {|{"schema":"netrec-bench-metrics/4","mode":"%s",
+    {|{"schema":"netrec-bench-metrics/5","mode":"%s",
       "lp_gate":{"opt.proved":1,"simplex.pivots":%d,"milp.nodes":43},
       "metrics":{"counters":{"isp.iterations":100},
                  "gauges":{},
                  "histograms":{"simplex.pivots_per_solve":
                    {"count":10,"sum":100,"min":1,"max":40,
                     "p50":20,"p90":35,"p99":%g}},
-                 "spans":[],"progress":[]}}|}
+                 "progress":[]}}|}
     mode pivots p99
 
 let run_diff base current =
@@ -335,12 +335,12 @@ let test_diff_gates_benchmarks_and_lp () =
 let test_diff_histogram_drift () =
   let doc ~name ~p50 ~p99 =
     Printf.sprintf
-      {|{"schema":"netrec-bench-metrics/4","mode":"quick",
+      {|{"schema":"netrec-bench-metrics/5","mode":"quick",
         "metrics":{"counters":{},"gauges":{},
                    "histograms":{"%s":
                      {"count":10,"sum":100,"min":0,"max":40,
                       "p50":%g,"p90":35,"p99":%g}},
-                   "spans":[],"progress":[]}}|}
+                   "progress":[]}}|}
       name p50 p99
   in
   let regs name (p50, p99) (p50', p99') =
@@ -360,12 +360,12 @@ let test_diff_histogram_drift () =
 let test_diff_missing_quantile_key () =
   let base = doc_with ~mode:"quick" ~pivots:6794 ~p99:40.0 in
   let cur =
-    {|{"schema":"netrec-bench-metrics/4","mode":"quick",
+    {|{"schema":"netrec-bench-metrics/5","mode":"quick",
       "lp_gate":{"opt.proved":1,"simplex.pivots":6794,"milp.nodes":43},
       "metrics":{"counters":{},"gauges":{},
                  "histograms":{"simplex.pivots_per_solve":
                    {"count":10,"sum":100,"min":1,"max":40,"p50":20,"p90":35}},
-                 "spans":[],"progress":[]}}|}
+                 "progress":[]}}|}
   in
   let r = run_diff base cur in
   check_bool "missing p99 key is a regression" true
@@ -375,14 +375,14 @@ let test_diff_missing_quantile_key () =
 
 let doc_with_xl ~certified ~violations ~shards =
   Printf.sprintf
-    {|{"schema":"netrec-bench-metrics/4","mode":"quick",
+    {|{"schema":"netrec-bench-metrics/5","mode":"quick",
       "lp_gate":{"opt.proved":1,"simplex.pivots":6794,"milp.nodes":43},
       "xl_gate":{"xl.certified":%d,"check.violations":%d,
                  "isp.shard_count":%d,"isp.shard_delegated":0,
                  "xl.repairs_total":50,"isp.shard_cut_demands":12,
                  "bidir.scanned":31012},
       "metrics":{"counters":{},"gauges":{},"histograms":{},
-                 "spans":[],"progress":[]}}|}
+                 "progress":[]}}|}
     certified violations shards
 
 let test_diff_xl_gate () =
@@ -422,12 +422,12 @@ let test_diff_xl_gate () =
 let test_diff_vanished_gate_keys () =
   let base = doc_with_xl ~certified:1 ~violations:0 ~shards:4 in
   let cur =
-    {|{"schema":"netrec-bench-metrics/4","mode":"quick",
+    {|{"schema":"netrec-bench-metrics/5","mode":"quick",
       "lp_gate":{"opt.proved":1},
       "xl_gate":{"xl.certified":1,"check.violations":0,
                  "isp.shard_cut_demands":12},
       "metrics":{"counters":{},"gauges":{},"histograms":{},
-                 "spans":[],"progress":[]}}|}
+                 "progress":[]}}|}
   in
   let regs = (run_diff base cur).Diff.regressions in
   List.iter
@@ -594,7 +594,7 @@ let minimal_valid_doc () =
         ("p90", 1.0); ("p99", 1.0) ]
   in
   Obj
-    [ ("schema", Str "netrec-bench-metrics/4"); ("mode", Str "quick");
+    [ ("schema", Str "netrec-bench-metrics/5"); ("mode", Str "quick");
       ( "lp_gate",
         num_obj ((("opt.proved", 1.0) :: ones lp_gate_live) @ zeros lp_gate_present) );
       ( "xl_gate",
@@ -620,8 +620,6 @@ let minimal_valid_doc () =
               num_obj (ones live_counters @ zeros present_counters) );
             ("gauges", Obj [ ("parallel.cells_per_domain", gauge) ]);
             ("histograms", Obj (List.map (fun h -> (h, hist)) required_histograms));
-            ( "spans",
-              Arr [ Obj [ ("path", Str "a") ]; Obj [ ("path", Str "a/b") ] ] );
             ( "progress",
               Obj
                 [ ("events", Num 1.0); ("dropped", Num 0.0);
@@ -676,10 +674,7 @@ let test_validate_rules () =
       ("work_gate", [ "work_gate" ], gone);
       ( "isp.residual",
         [ "metrics"; "progress"; "by_name"; "isp.residual" ],
-        gone );
-      ( "spans",
-        [ "metrics"; "spans" ],
-        Some (Arr [ Obj [ ("path", Str "b") ]; Obj [ ("path", Str "a") ] ]) ) ]
+        gone ) ]
     @ List.map (fun k -> (k, counter k, zero)) live_counters
     @ List.map (fun k -> (k, counter k, gone)) present_counters
     @ List.map (fun k -> (k, [ "lp_gate"; k ], zero)) lp_gate_live
@@ -816,27 +811,16 @@ let test_metrics_json_shape =
   check_bool "object" true (doc.[0] = '{' && doc.[String.length doc - 1] = '}');
   List.iter
     (fun n -> check_bool n true (contains doc n))
-    [ "\"counters\""; "\"gauges\""; "\"histograms\""; "\"spans\"";
-      "\"progress\""; "\"isp.iterations\":3"; "\"p50\""; "\"p90\"";
-      "\"p99\"" ];
-  (* The whole document round-trips through the vendored parser, and the
-     spans block is path-sorted so two exports align positionally. *)
+    [ "\"counters\""; "\"gauges\""; "\"histograms\""; "\"progress\"";
+      "\"isp.iterations\":3"; "\"p50\""; "\"p90\""; "\"p99\"" ];
+  (* Spans are per-run wall clock: the trace and JSONL exports carry
+     them, the run record does not. *)
+  check_bool "no spans" false (contains doc "\"spans\"");
+  (* The whole document round-trips through the vendored parser. *)
   match Diff.Json.parse doc with
   | exception Diff.Json.Parse_error msg ->
     Alcotest.failf "metrics_json does not parse: %s" msg
-  | parsed ->
-    let spans =
-      Diff.Json.arr_items
-        (Option.value ~default:Diff.Json.Null
-           (Diff.Json.member "spans" parsed))
-    in
-    let paths =
-      List.filter_map
-        (fun s -> Option.bind (Diff.Json.member "path" s) Diff.Json.string_val)
-        spans
-    in
-    check_bool "spans sorted by path" true
-      (paths = List.sort compare paths && paths <> [])
+  | _ -> ()
 
 let test_chrome_trace_well_formed =
   with_collector @@ fun () ->
