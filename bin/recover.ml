@@ -185,7 +185,8 @@ let work_counters =
     "simplex.solves"; "simplex.warm_starts"; "milp.nodes";
     "milp.nodes_pruned"; "presolve.runs"; "presolve.vars_fixed";
     "cuts.separated"; "cuts.added"; "dijkstra.calls"; "bidir.calls";
-    "bidir.scanned"; "maxflow.calls"; "maxflow.augmentations" ]
+    "bidir.scanned"; "maxflow.calls"; "maxflow.augmentations";
+    "bubble.finds"; "bubble.labels" ]
 
 let print_work_footer () =
   let parts =
@@ -562,7 +563,7 @@ let experiment figure runs opt_nodes jobs certify journal_file trace_file
     in
     let settings = { E.Figures.runs; opt_nodes } in
     try
-      let journal = Option.map E.Journal.create journal_file in
+      let journal = Option.map (E.Journal.create ~opt_nodes) journal_file in
       Fun.protect
         ~finally:(fun () -> Option.iter E.Journal.close journal)
         (fun () ->

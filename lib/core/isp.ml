@@ -52,6 +52,7 @@ type state = {
   mutable demands : Commodity.t list;  (* H^(n) *)
   mutable routing : Routing.t;  (* committed by prunes *)
   cent_cache : Centrality.Cache.cache option;
+  bubbles : Bubble.Cache.t;  (* G - {s, t} labels per demand pair *)
   mutable splits : int;
   mutable prunes : int;
   mutable direct_edge_repairs : int;
@@ -76,7 +77,7 @@ let working_vertex st v = not st.broken_v.(v)
 let working_edge st e =
   (not st.broken_e.(e))
   &&
-  let u, v = Graph.endpoints st.inst.Instance.graph e in
+  let { Graph.u; v; _ } = Graph.edge st.inst.Instance.graph e in
   working_vertex st u && working_vertex st v
 
 (* The §IV-D dynamic metric on the full graph: repair costs of elements
@@ -168,13 +169,16 @@ let commit_prune st h (pr : Bubble.prune) =
 
 let prune_pass st =
   Obs.span "isp.prune_pass" @@ fun () ->
+  (* Every pair this pass asks about is live now: prunes only shrink
+     amounts. *)
+  Bubble.Cache.retain st.bubbles st.demands;
   let rec fixpoint () =
     let progress = ref false in
     List.iter
       (fun h ->
         if h.Commodity.amount > eps then begin
           match
-            Bubble.prune
+            Bubble.prune ~cache:st.bubbles
               ~working_vertex:(working_vertex st)
               ~working_edge:(fun e -> working_edge st e)
               ~cap:(fun e -> st.resid.(e))
@@ -463,6 +467,7 @@ let solve_body ~config ~budget inst =
       cent_cache =
         (if config.incremental_centrality then Some (Centrality.Cache.create ())
          else None);
+      bubbles = Bubble.Cache.create ();
       splits = 0;
       prunes = 0;
       direct_edge_repairs = 0;

@@ -116,7 +116,7 @@ let er_instance () =
   in
   (g, Instance.make ~graph:g ~demands ~failure:(Failure.complete g) ())
 
-let caida_instance () =
+let caida_scenario () =
   let g = Netrec_topo.Caida.graph () in
   let rng = Rng.create 4 in
   let demands =
@@ -132,7 +132,7 @@ let rise key f =
 let work () =
   let bc = bell_canada_instance () in
   let er_g, er = er_instance () in
-  let caida = caida_instance () in
+  let caida = caida_scenario () in
   let pairs =
     List.map
       (fun d -> (d.Netrec_flow.Commodity.src, d.Netrec_flow.Commodity.dst))

@@ -31,6 +31,11 @@ val sched : ?pool:Netrec_parallel.Pool.t -> unit -> (string * int) list
     regret in microunits, round-prefix certification and the scheduler
     counters. *)
 
+val caida_scenario : unit -> Netrec_core.Instance.t
+(** The pinned CAIDA instance of [work_gate]'s sharded case: four
+    distinct feasible pairs of 22 units (seed 4), complete destruction.
+    The sharded solver delegates it to ISP. *)
+
 val work : unit -> (string * int) list
 (** [work_gate]: one solve per figure-family case that no other gate or
     perfbench workload covers, each on a pinned complete-destruction

@@ -70,7 +70,20 @@ let load_line table done_set line =
       cells := (alg, payload) :: !cells)
   | _ -> ()
 
-let create path =
+(* The OPT budgets of a journal's settings lines, in file order. *)
+let budgets lines =
+  List.filter_map
+    (fun line ->
+      match Json.parse ~non_finite:true line with
+      | Json.Obj fields
+        when Option.bind (List.assoc_opt "type" fields) Json.string_val
+             = Some "settings" ->
+        Option.map int_of_float
+          (Option.bind (List.assoc_opt "opt_nodes" fields) Json.number)
+      | _ | (exception Json.Parse_error _) -> None)
+    lines
+
+let create ~opt_nodes path =
   let table = Hashtbl.create 64 in
   let done_set = Hashtbl.create 64 in
   let existing =
@@ -94,6 +107,22 @@ let create path =
       failwith
         (Printf.sprintf "Journal.create: %s is not a %s file (header %S)" path
            format_tag tag);
+    (* A cell's OPT column depends on the budget it was solved under, so
+       a resume must run under the budget the journal was started with. *)
+    (match budgets rest with
+    | b :: _ when b = opt_nodes -> ()
+    | [] ->
+      failwith
+        (Printf.sprintf
+           "journal %s records no OPT budget, this run's is %d nodes: \
+            start a new journal"
+           path opt_nodes)
+    | b :: _ ->
+      failwith
+        (Printf.sprintf
+           "journal %s was written with an OPT budget of %d nodes, this \
+            run's is %d: rerun with --opt-nodes %d or start a new journal"
+           path b opt_nodes b));
     List.iter (load_line table done_set) rest);
   (* A crash can truncate the final line mid-write, leaving no trailing
      newline; appending straight after it would corrupt the next record
@@ -115,6 +144,7 @@ let create path =
   if needs_newline then output_string oc "\n";
   if existing = [] then begin
     output_string oc (format_tag ^ "\n");
+    Printf.fprintf oc "{\"type\":\"settings\",\"opt_nodes\":%d}\n" opt_nodes;
     flush oc
   end;
   let resumed = Hashtbl.length done_set in

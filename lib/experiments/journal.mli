@@ -10,13 +10,15 @@
     marker was not is recomputed — partial pairs are never trusted).
 
     File format ([netrec-journal/1]): the first line is the literal
-    format tag; every other line is a flat JSON object whose values are
-    strings or numbers (printed with [%.17g], so [nan], [-nan], [inf] and
-    [-inf] can appear; they are read through
+    format tag, the second the sweep's settings; every other line is a
+    flat JSON object whose values are strings or numbers (printed with
+    [%.17g], so [nan], [-nan], [inf] and [-inf] can appear; they are
+    read through
     [Netrec_obs.Metrics_diff.Json.parse ~non_finite:true]) —
 
     {v
     netrec-journal/1
+    {"type":"settings","opt_nodes":800}
     {"type":"cell","point":"fig4:pairs=3","run":1,"alg":"ISP","repairs_total":23,...}
     {"type":"done","point":"fig4:pairs=3","run":1}
     v}
@@ -30,12 +32,15 @@ type t
 type cells = (string * (string * float) list) list
 (** Per-(point, run) payload: [(algorithm, fields)] in execution order. *)
 
-val create : string -> t
+val create : opt_nodes:int -> string -> t
 (** Open (or create) a journal at the given path, loading any completed
-    cells it already holds.  Increments the [journal.runs_resumed]
-    counter by the number of completed pairs found.
-    @raise Failure when the file exists but carries a different format
-    tag. *)
+    cells it already holds.  A new journal records [opt_nodes], the
+    Figs. 3–6 OPT budget, in its settings line.  Increments the
+    [journal.runs_resumed] counter by the number of completed pairs
+    found.
+    @raise Failure, before anything is appended, when the file exists
+    but carries a different format tag, or records no OPT budget or a
+    different one: its cells' OPT column would not be this run's. *)
 
 val close : t -> unit
 

@@ -109,6 +109,8 @@ let fold_incident g v f init =
   done;
   !acc
 
+let csr g = (g.adj_off, g.adj_v, g.adj_e)
+
 let incident g v =
   check_incident g v "incident";
   let rec build k acc =

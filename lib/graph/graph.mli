@@ -88,6 +88,14 @@ val fold_incident : t -> vertex -> ('a -> vertex -> edge_id -> 'a) -> 'a -> 'a
 (** Allocation-free fold over the incidences of a vertex, in edge-id
     order. *)
 
+val csr : t -> int array * int array * int array
+(** [csr g] is [(off, nbr, eid)], the packed adjacency {!iter_incident}
+    walks: the incidences of [v] are slots [off.(v) .. off.(v+1) - 1],
+    slot [k] reaching [nbr.(k)] over edge [eid.(k)], each row in edge-id
+    order.  The arrays are the graph's own storage, not copies — for
+    kernels that keep per-slot cursors (Dinic); read them, never write
+    them. *)
+
 val neighbors : t -> vertex -> vertex list
 (** Adjacent vertices (with multiplicity for parallel edges). *)
 

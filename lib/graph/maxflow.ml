@@ -10,70 +10,90 @@ let all _ = true
 
 let flow_eps = Netrec_util.Num.flow_eps
 
-let max_flow ?(vertex_ok = all) ?(edge_ok = all) ?cap g ~source ~sink =
+(* ---- pooled scratch ----
+
+   ISP issues a few hundred max-flows per plan, most of them on a small
+   admissible subgraph of a large graph, so a call must not pay O(n+m)
+   of allocation before its first augmenting path.  The arcs leaving a
+   vertex are read straight off the graph's CSR row ([Graph.csr]), in
+   edge-id order, which fixes the order of phases and augmentations.
+   Residuals, levels, current-arc cursors and the BFS queue live in a
+   per-domain scratch record that is grown once and reused, like
+   Dijkstra's: concurrent calls on different domains never share it, and
+   the callbacks ([vertex_ok], [edge_ok], [cap]) must never call back
+   into this module. *)
+
+type scratch = {
+  mutable resid : float array;  (* per arc, at least 2 ne *)
+  mutable level : int array;  (* per vertex, at least nv *)
+  mutable cursor : int array;  (* current-arc slot per vertex *)
+  mutable queue : int array;
+}
+
+let scratch_key =
+  Domain.DLS.new_key (fun () ->
+      { resid = [||]; level = [||]; cursor = [||]; queue = [||] })
+
+let scratch ~n ~m =
+  let s = Domain.DLS.get scratch_key in
+  if Array.length s.level < n then begin
+    let len = max n (2 * Array.length s.level) in
+    s.level <- Array.make len (-1);
+    s.cursor <- Array.make len 0;
+    s.queue <- Array.make len 0
+  end;
+  if Array.length s.resid < 2 * m then
+    s.resid <- Array.make (max (2 * m) (2 * Array.length s.resid)) 0.0;
+  s
+
+(* Dinic on the scratch: returns the flow value and leaves the final
+   residuals in [s.resid], valid until the next call on this domain. *)
+let dinic ~vertex_ok ~edge_ok ~cap g ~source ~sink =
   Obs.count "maxflow.calls";
   let n = Graph.nv g and m = Graph.ne g in
   if source < 0 || source >= n || sink < 0 || sink >= n then
     invalid_arg "Maxflow: vertex out of range";
-  let cap_of e = match cap with Some f -> f e | None -> Graph.capacity g e in
-  let resid = Array.make (2 * m) 0.0 in
+  let s = scratch ~n ~m in
+  let resid = s.resid and level = s.level and cursor = s.cursor in
+  let queue = s.queue in
   for e = 0 to m - 1 do
-    let c = cap_of e in
+    let c = match cap with Some f -> f e | None -> Graph.capacity g e in
     if c < 0.0 then invalid_arg "Maxflow: negative capacity";
     resid.(2 * e) <- c;
     resid.((2 * e) + 1) <- c
   done;
-  let arc_ok a =
-    let e = a / 2 in
-    edge_ok e
-    &&
-    let u, v = Graph.endpoints g e in
-    vertex_ok u && vertex_ok v
+  let off, nbr, eid = Graph.csr g in
+  (* The arc of slot [k] in the row of [tail]. *)
+  let arc tail k =
+    let e = eid.(k) in
+    if (Graph.edge g e).Graph.u = tail then 2 * e else (2 * e) + 1
   in
-  (* Packed outgoing-arc table (CSR layout): the arcs leaving vertex [v]
-     are slots [arc_off.(v) .. arc_off.(v+1) - 1] of [arcs]/[heads], in
-     edge-id order — the same order the per-vertex arc lists used to
-     have, so phase and augmentation order are unchanged. *)
-  let arc_off = Array.make (n + 1) 0 in
-  Graph.fold_edges
-    (fun { Graph.u; v; _ } () ->
-      arc_off.(u + 1) <- arc_off.(u + 1) + 1;
-      arc_off.(v + 1) <- arc_off.(v + 1) + 1)
-    g ();
-  for v = 0 to n - 1 do
-    arc_off.(v + 1) <- arc_off.(v + 1) + arc_off.(v)
-  done;
-  let arcs = Array.make (2 * m) 0 in
-  let heads = Array.make (2 * m) 0 in
-  let cursor = Array.copy arc_off in
-  Graph.fold_edges
-    (fun { Graph.id = e; u; v; _ } () ->
-      let ku = cursor.(u) in
-      arcs.(ku) <- 2 * e;
-      heads.(ku) <- v;
-      cursor.(u) <- ku + 1;
-      let kv = cursor.(v) in
-      arcs.(kv) <- (2 * e) + 1;
-      heads.(kv) <- u;
-      cursor.(v) <- kv + 1)
-    g ();
-  let level = Array.make n (-1) in
+  (* An arc is admissible when its edge and its head are: its tail
+     always is, since the source is checked and every other tail was
+     reached over an admissible arc.  The search stops once the sink
+     has its level: a vertex at or beyond the sink's level, other than
+     the sink, cannot lie on a shortest augmenting path, so leaving it
+     unlevelled only skips a blocking-flow dead end. *)
   let build_levels () =
     Array.fill level 0 n (-1);
-    if not (vertex_ok source) then false
-    else begin
-      let queue = Queue.create () in
+    vertex_ok source
+    && begin
       level.(source) <- 0;
-      Queue.add source queue;
-      while not (Queue.is_empty queue) do
-        let u = Queue.pop queue in
-        for k = arc_off.(u) to arc_off.(u + 1) - 1 do
-          let a = arcs.(k) in
-          if arc_ok a && resid.(a) > flow_eps then begin
-            let w = heads.(k) in
-            if level.(w) < 0 then begin
-              level.(w) <- level.(u) + 1;
-              Queue.add w queue
+      queue.(0) <- source;
+      let head = ref 0 and tail = ref 1 in
+      while !head < !tail && level.(sink) < 0 do
+        let u = queue.(!head) in
+        incr head;
+        let next = level.(u) + 1 in
+        for k = off.(u) to off.(u + 1) - 1 do
+          let w = nbr.(k) in
+          if level.(w) < 0 then begin
+            let a = arc u k in
+            if resid.(a) > flow_eps && edge_ok (a lsr 1) && vertex_ok w
+            then begin
+              level.(w) <- next;
+              queue.(!tail) <- w;
+              incr tail
             end
           end
         done
@@ -81,22 +101,24 @@ let max_flow ?(vertex_ok = all) ?(edge_ok = all) ?cap g ~source ~sink =
       level.(sink) >= 0
     end
   in
-  (* [iter] is the current-arc optimisation: cursor into the arc slots of
-     each vertex, advanced past exhausted arcs within one blocking-flow
-     phase. *)
-  let iter = Array.make n 0 in
+  (* [cursor] is the current-arc optimisation: a slot per vertex,
+     advanced past exhausted arcs within one blocking-flow phase.  A
+     head one level up was levelled over an admissible arc, so only the
+     edge is checked here. *)
   let rec push u limit =
     if u = sink then limit
     else begin
       let got = ref 0.0 in
-      let stop = arc_off.(u + 1) in
-      while !got <= flow_eps && iter.(u) < stop do
-        let k = iter.(u) in
-        let a = arcs.(k) in
-        if not (arc_ok a) || resid.(a) <= flow_eps then iter.(u) <- k + 1
+      let stop = off.(u + 1) in
+      let next = level.(u) + 1 in
+      while !got <= flow_eps && cursor.(u) < stop do
+        let k = cursor.(u) in
+        let w = nbr.(k) in
+        if level.(w) <> next then cursor.(u) <- k + 1
         else begin
-          let w = heads.(k) in
-          if level.(w) <> level.(u) + 1 then iter.(u) <- k + 1
+          let a = arc u k in
+          if resid.(a) <= flow_eps || not (edge_ok (a lsr 1)) then
+            cursor.(u) <- k + 1
           else begin
             let pushed = push w (Float.min limit resid.(a)) in
             if pushed > flow_eps then begin
@@ -105,7 +127,7 @@ let max_flow ?(vertex_ok = all) ?(edge_ok = all) ?cap g ~source ~sink =
               got := pushed
               (* keep the cursor on this arc: it may carry more flow *)
             end
-            else iter.(u) <- k + 1
+            else cursor.(u) <- k + 1
           end
         end
       done;
@@ -116,9 +138,7 @@ let max_flow ?(vertex_ok = all) ?(edge_ok = all) ?cap g ~source ~sink =
   if source <> sink then begin
     while build_levels () do
       Obs.count "maxflow.phases";
-      for v = 0 to n - 1 do
-        iter.(v) <- arc_off.(v)
-      done;
+      Array.blit off 0 cursor 0 n;
       let rec drain () =
         let got = push source infinity in
         if got > flow_eps then begin
@@ -130,13 +150,19 @@ let max_flow ?(vertex_ok = all) ?(edge_ok = all) ?cap g ~source ~sink =
       drain ()
     done
   end;
-  let edge_flow =
-    Array.init m (fun e -> (resid.((2 * e) + 1) -. resid.(2 * e)) /. 2.0)
-  in
-  { value = !value; edge_flow }
+  !value
 
-let max_flow_value ?vertex_ok ?edge_ok ?cap g ~source ~sink =
-  (max_flow ?vertex_ok ?edge_ok ?cap g ~source ~sink).value
+let max_flow_value ?(vertex_ok = all) ?(edge_ok = all) ?cap g ~source ~sink =
+  dinic ~vertex_ok ~edge_ok ~cap g ~source ~sink
+
+let max_flow ?(vertex_ok = all) ?(edge_ok = all) ?cap g ~source ~sink =
+  let value = dinic ~vertex_ok ~edge_ok ~cap g ~source ~sink in
+  let resid = (Domain.DLS.get scratch_key).resid in
+  let edge_flow =
+    Array.init (Graph.ne g) (fun e ->
+        (resid.((2 * e) + 1) -. resid.(2 * e)) /. 2.0)
+  in
+  { value; edge_flow }
 
 let min_cut ?(vertex_ok = all) ?(edge_ok = all) ?cap g ~source ~sink =
   let { edge_flow; _ } = max_flow ~vertex_ok ~edge_ok ?cap g ~source ~sink in

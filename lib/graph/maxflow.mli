@@ -5,7 +5,14 @@
     [f*(i,j)] between demand endpoints on the full residual graph) and by
     the pruning step (Thm. 3: the amount prunable over a bubble is the
     bubble's max flow capped by the demand).  Capacities default to the
-    graph's nominal capacities; pass [cap] to use residual ones. *)
+    graph's nominal capacities; pass [cap] to use residual ones.
+
+    A call walks the graph's own adjacency ({!Graph.csr}) and keeps its
+    residuals, levels, cursors and BFS queue in per-domain scratch that
+    is grown once, so its setup is O(n + m) of array writes and no
+    allocation ({!max_flow} allocates its [edge_flow]).  Calls on
+    different domains never share state; the callbacks ([vertex_ok],
+    [edge_ok], [cap]) must be pure and must not call this module. *)
 
 type result = {
   value : float;  (** value of the maximum flow *)

@@ -513,7 +513,13 @@ let section_counters ctx ~base ~current ~modes_match =
         | _ -> ())
       (Json.obj_members b);
     if !drifted = 0 then
-      line ctx "counters: no drift beyond %.0f%%" (pct note_tolerance)
+      line ctx "counters: no drift beyond %.0f%%" (pct note_tolerance);
+    List.iter
+      (fun (name, cv) ->
+        match (Json.member name b, Json.number cv) with
+        | None, Some cv -> line ctx "  note new counter %s: %.0f" name cv
+        | _ -> ())
+      (Json.obj_members c)
   | _ -> line ctx "counters: not comparable, skipped"
 
 let mode doc =

@@ -7,7 +7,9 @@
 # Runs a sweep with --journal, SIGKILLs it mid-flight, resumes with the
 # same journal file, and verifies that the final journal matches a
 # never-interrupted reference run cell-for-cell (timing fields stripped —
-# wall seconds legitimately differ between runs).
+# wall seconds legitimately differ between runs), and that the resumed
+# run prints the reference's tables (skipped, with a note, for the
+# figures that print wall-clock columns).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -97,9 +99,23 @@ if ! diff -u "$WORK/reference.norm" "$WORK/killed.norm"; then
   exit 1
 fi
 
-# The resumed sweep must also print the same tables as the reference.
-if ! diff -u "$WORK/reference.log" "$WORK/resumed.log" >/dev/null; then
-  echo "note: table output differs (timing columns expected to); journals match"
-fi
+# The resumed sweep must also print the same tables as the reference,
+# up to the work/gc footer: its counters cover only the cells that
+# process computed.  Figures with wall-clock columns cannot match.
+case "$FIG" in
+  fig7 | fig9-xl | fig-sched | fig-opt | all)
+    echo "skip: $FIG prints wall-clock columns, tables not compared"
+    ;;
+  *)
+    tables() { awk '/^(work|gc): /{exit} {print}' "$1"; }
+    tables "$WORK/reference.log" >"$WORK/reference.tables"
+    tables "$WORK/resumed.log" >"$WORK/resumed.tables"
+    if ! diff -u "$WORK/reference.tables" "$WORK/resumed.tables"; then
+      echo "FAIL: resumed tables differ from the uninterrupted reference" >&2
+      exit 1
+    fi
+    echo "tables: $(wc -l <"$WORK/reference.tables") lines identical"
+    ;;
+esac
 
 echo "OK: $(wc -l <"$WORK/reference.norm") cells identical after kill -9 + resume"

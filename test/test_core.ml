@@ -409,6 +409,173 @@ let prune_preserves_routability_prop =
         | _ -> true (* only routable instances are in Thm 3's scope *)
       end)
 
+(* Def. 2 by erosion, the reference for the closed form: explore from s
+   avoiding other demands' endpoints, drop every interior vertex with a
+   full-graph neighbour outside the explored set, repeat until stable. *)
+let erosion_bubble g ~demands h =
+  let s = h.Commodity.src and t = h.Commodity.dst in
+  let n = Graph.nv g in
+  let allowed = Array.make n true in
+  List.iter
+    (fun d ->
+      if not (d.Commodity.src = s && d.Commodity.dst = t)
+         && not (d.Commodity.src = t && d.Commodity.dst = s)
+      then
+        List.iter
+          (fun x -> if x <> s && x <> t then allowed.(x) <- false)
+          [ d.Commodity.src; d.Commodity.dst ])
+    demands;
+  let rec stabilize () =
+    let dist = Traverse.bfs_dist ~vertex_ok:(fun v -> allowed.(v)) g s in
+    if dist.(t) = max_int then None
+    else begin
+      let in_set v = dist.(v) < max_int in
+      let offenders =
+        List.filter
+          (fun v ->
+            in_set v && v <> s && v <> t
+            && List.exists (fun (w, _) -> not (in_set w)) (Graph.incident g v))
+          (Graph.vertices g)
+      in
+      if offenders = [] then Some (List.filter in_set (Graph.vertices g))
+      else begin
+        List.iter (fun v -> allowed.(v) <- false) offenders;
+        stabilize ()
+      end
+    end
+  in
+  stabilize ()
+
+(* A random multigraph with the shapes the closed form has to get
+   right: a random core, pendant vertices hanging off it, a separate
+   small component, isolated vertices, and parallel edges. *)
+let bubble_graph st =
+  let core = 3 + Random.State.int st 10 in
+  let pendants = Random.State.int st 4 in
+  let island = Random.State.int st 4 in
+  let isolated = Random.State.int st 3 in
+  let n = core + pendants + island + isolated in
+  let edges = ref [] in
+  let add u v =
+    let c = 1.0 +. float_of_int (Random.State.int st 5) in
+    edges := (u, v, c) :: !edges
+  in
+  for _ = 1 to Random.State.int st (2 * core) do
+    let u = Random.State.int st core in
+    let v = (u + 1 + Random.State.int st (core - 1)) mod core in
+    add u v
+  done;
+  for p = core to core + pendants - 1 do
+    add p (Random.State.int st core)
+  done;
+  for i = 1 to island - 1 do
+    let base = core + pendants in
+    add (base + i) (base + Random.State.int st i)
+  done;
+  (* parallel copies *)
+  List.iter
+    (fun (u, v, _) -> if Random.State.int st 4 = 0 then add u v)
+    !edges;
+  (n, !edges)
+
+(* Demands drawn from a small endpoint pool, so endpoints are shared,
+   plus a reversed duplicate of some pair. *)
+let bubble_demands st n =
+  let pool =
+    Array.init (2 + Random.State.int st 4) (fun _ -> Random.State.int st n)
+  in
+  let pick () = pool.(Random.State.int st (Array.length pool)) in
+  let rec pair tries =
+    let s = pick () and t = pick () in
+    if s <> t then Some (s, t)
+    else if tries > 0 then pair (tries - 1)
+    else None
+  in
+  let ds =
+    List.filter_map
+      (fun _ ->
+        Option.map
+          (fun (s, t) -> Commodity.make ~src:s ~dst:t ~amount:1.0)
+          (pair 5))
+      (List.init (1 + Random.State.int st 5) Fun.id)
+  in
+  match ds with
+  | d :: _ when Random.State.bool st ->
+    Commodity.make ~src:d.Commodity.dst ~dst:d.Commodity.src ~amount:2.0 :: ds
+  | _ -> ds
+
+let bubble_instance seed =
+  let st = Random.State.make [| seed |] in
+  let n, edges = bubble_graph st in
+  let demands = bubble_demands st n in
+  (* Sometimes join a demand pair directly. *)
+  let edges =
+    match demands with
+    | d :: _ when Random.State.int st 3 = 0 ->
+      (d.Commodity.src, d.Commodity.dst, 1.0) :: edges
+    | _ -> edges
+  in
+  (st, Graph.make ~n ~edges:(List.rev edges) (), demands)
+
+let bubble_closed_form_prop =
+  QCheck.Test.make ~name:"closed-form bubble = erosion (Def. 2)" ~count:500
+    QCheck.small_int (fun seed ->
+      let _, g, demands = bubble_instance seed in
+      List.for_all
+        (fun h -> Bubble.find g ~demands h = erosion_bubble g ~demands h)
+        demands)
+
+(* One cache per run, as ISP keeps it: a random sequence of demand sets
+   on one graph, with the run's retain calls in between, answers as
+   fresh labels do, and labels a pair again only after retain dropped
+   it. *)
+let bubble_cache_prop =
+  QCheck.Test.make ~name:"per-run bubble cache = fresh labels" ~count:200
+    QCheck.small_int (fun seed ->
+      let module Obs = Netrec_obs.Obs in
+      let st, g, _ = bubble_instance seed in
+      let n = Graph.nv g in
+      let cache = Bubble.Cache.create () in
+      let was = Obs.enabled () in
+      Obs.set_enabled true;
+      Fun.protect ~finally:(fun () -> Obs.set_enabled was) @@ fun () ->
+      let key d =
+        let s = d.Commodity.src and t = d.Commodity.dst in
+        (min s t, max s t)
+      in
+      let held = Hashtbl.create 8 and expected = ref 0 in
+      let before = Obs.counter_value "bubble.labels" in
+      let fresh_labels = ref 0 in
+      let same =
+        List.for_all
+          (fun _ ->
+            let demands = bubble_demands st n in
+            if Random.State.bool st then begin
+              Bubble.Cache.retain cache demands;
+              Hashtbl.filter_map_inplace
+                (fun k () ->
+                  if List.exists (fun d -> key d = k) demands then Some ()
+                  else None)
+                held
+            end;
+            List.for_all
+              (fun h ->
+                if not (Hashtbl.mem held (key h)) then begin
+                  incr expected;
+                  Hashtbl.replace held (key h) ()
+                end;
+                let cached = Bubble.find ~cache g ~demands h in
+                let l0 = Obs.counter_value "bubble.labels" in
+                let fresh = Bubble.find g ~demands h in
+                fresh_labels :=
+                  !fresh_labels + Obs.counter_value "bubble.labels" - l0;
+                cached = fresh)
+              demands)
+          (List.init 8 Fun.id)
+      in
+      same
+      && Obs.counter_value "bubble.labels" - before - !fresh_labels = !expected)
+
 (* ---- ISP ---- *)
 
 let isp inst = Isp.solve inst
@@ -1127,7 +1294,9 @@ let () =
           tc "prune routes demand" test_bubble_prune_routes_demand;
           tc "prune capped by flow" test_bubble_prune_capped_by_flow;
           tc "prune respects broken" test_bubble_prune_respects_broken;
-          QCheck_alcotest.to_alcotest prune_preserves_routability_prop ] );
+          QCheck_alcotest.to_alcotest prune_preserves_routability_prop;
+          QCheck_alcotest.to_alcotest bubble_closed_form_prop;
+          QCheck_alcotest.to_alcotest bubble_cache_prop ] );
       ( "isp",
         [ tc "nothing broken" test_isp_nothing_broken;
           tc "no demands" test_isp_no_demands;

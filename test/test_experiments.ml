@@ -7,6 +7,11 @@ module Commodity = Netrec_flow.Commodity
 
 let bc = Netrec_topo.Bell_canada.graph ()
 
+let contains s sub =
+  let n = String.length s and k = String.length sub in
+  let rec at i = i + k <= n && (String.sub s i k = sub || at (i + 1)) in
+  at 0
+
 (* ---- Common ---- *)
 
 let test_percent () =
@@ -104,7 +109,7 @@ let test_sweep_journal_replay () =
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
       let sweep jobs =
-        let journal = Journal.create path in
+        let journal = Journal.create ~opt_nodes:60 path in
         Fun.protect
           ~finally:(fun () -> Journal.close journal)
           (fun () -> sweep_lists (Common.sweep ~journal jobs))
@@ -118,6 +123,56 @@ let test_sweep_journal_replay () =
       in
       Alcotest.(check (list (list (float 0.0)))) "replay = recorded run"
         recorded (sweep never))
+
+(* A journal resumes only under the OPT budget it was started with: its
+   cells' OPT column was solved under that budget.  A different budget,
+   or a journal that records none, fails before anything is appended. *)
+let test_journal_budget () =
+  let path = Filename.temp_file "netrec_budget" ".jsonl" in
+  Sys.remove path;
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let sweep opt_nodes =
+        let journal = Journal.create ~opt_nodes path in
+        Fun.protect
+          ~finally:(fun () -> Journal.close journal)
+          (fun () -> sweep_lists (Common.sweep ~journal (sweep_jobs ())))
+      in
+      let recorded = sweep 30 in
+      Alcotest.(check (list (list (float 0.0)))) "same budget resumes"
+        recorded (sweep 30);
+      let bytes () = In_channel.with_open_bin path In_channel.input_all in
+      let rejected opt_nodes =
+        let before = bytes () in
+        let msg =
+          match Journal.create ~opt_nodes path with
+          | j ->
+            Journal.close j;
+            Alcotest.fail "resume under another budget accepted"
+          | exception Failure msg -> msg
+        in
+        Alcotest.(check string) "nothing appended" before (bytes ());
+        msg
+      in
+      let mentions msg s =
+        Alcotest.(check bool) (Printf.sprintf "%S names %s" msg s) true
+          (contains msg s)
+      in
+      let msg = rejected 800 in
+      mentions msg "30";
+      mentions msg "800";
+      (* A journal written before budgets were journalled. *)
+      let lines = String.split_on_char '\n' (bytes ()) in
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc
+            (String.concat "\n"
+               (List.filter
+                  (fun l -> not (contains l "settings"))
+                  lines)));
+      let msg = rejected 30 in
+      mentions msg "no OPT budget";
+      mentions msg "30")
 
 let test_runs_below_one_rejected () =
   Alcotest.check_raises "run indices"
@@ -177,7 +232,7 @@ let test_ablation_single_run () =
       Obs.set_enabled true;
       let pool = Common.Pool.create ~jobs:2 in
       let csvs () =
-        let journal = Journal.create path in
+        let journal = Journal.create ~opt_nodes:60 path in
         Fun.protect
           ~finally:(fun () -> Journal.close journal)
           (fun () ->
@@ -240,6 +295,69 @@ let test_gate_blocks () =
        ~current:(Diff.Json.Obj (List.map (fun (b, kvs) -> (b, obj kvs)) j1)))
       .Diff.regressions
 
+(* Rises of [keys] across [f ()], with the collector on. *)
+let rises keys f =
+  let module Obs = Netrec_obs.Obs in
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled was) @@ fun () ->
+  let before = List.map Obs.counter_value keys in
+  let r = f () in
+  (r, List.map2 (fun k b -> (k, Obs.counter_value k - b)) keys before)
+
+(* Gates' pinned CAIDA instance through ISP.  The plan and the Dinic
+   work are pinned to the values the solver gave before bubbles had a
+   closed form and Dinic walked the graph's own adjacency: a kernel
+   change that moves one augmenting path shows here.  The digest covers
+   the serialized plan, routing included. *)
+let test_caida_isp_pinned () =
+  let sol, work =
+    rises
+      [ "maxflow.calls"; "maxflow.phases"; "maxflow.augmentations";
+        "isp.iterations" ]
+      (fun () -> fst (Netrec_core.Isp.solve (Gates.caida_scenario ())))
+  in
+  Alcotest.(check (list (pair string int)))
+    "Dinic work"
+    [ ("maxflow.calls", 234); ("maxflow.phases", 184);
+      ("maxflow.augmentations", 309); ("isp.iterations", 40) ]
+    work;
+  Alcotest.(check (list int)) "repaired vertices"
+    [ 1; 8; 12; 15; 17; 26; 53; 76; 95; 102; 117; 170; 199; 208; 238; 246;
+      319; 336; 355; 389; 440; 507; 599; 670; 713; 812 ]
+    sol.Instance.repaired_vertices;
+  Alcotest.(check (list int)) "repaired edges"
+    [ 7; 11; 75; 101; 116; 169; 198; 207; 237; 318; 335; 354; 439; 506; 598;
+      669; 712; 811; 837; 849; 898; 934; 944; 956; 993; 1003 ]
+    sol.Instance.repaired_edges;
+  Alcotest.(check string) "serialized plan"
+    "44a99b8c62f48f301aaecb399220620a"
+    (Digest.to_hex
+       (Digest.string (Netrec_core.Serialize.solution_to_string sol)))
+
+(* bubble.finds / bubble.labels count deterministic work: the same
+   rises on 1 and 4 domains, and the plans do not depend on whether the
+   collector is on. *)
+let test_bubble_counters () =
+  let instances =
+    [| Gates.caida_scenario (); Gates.opt_scenario ();
+       Common.complete_instance ~rng:(Rng.create 5) ~count:5 ~amount:10.0 bc |]
+  in
+  let solve_all jobs =
+    rises [ "bubble.finds"; "bubble.labels" ] (fun () ->
+        Common.Pool.map (Common.Pool.create ~jobs)
+          (fun _ inst -> fst (Netrec_core.Isp.solve inst))
+          instances)
+  in
+  let plans1, j1 = solve_all 1 and plans4, j4 = solve_all 4 in
+  Alcotest.(check bool) "counted" true (List.for_all (fun (_, n) -> n > 0) j1);
+  Alcotest.(check (list (pair string int))) "-j1 = -j4" j1 j4;
+  Alcotest.(check bool) "plans -j1 = -j4" true (plans1 = plans4);
+  let untraced =
+    Array.map (fun inst -> fst (Netrec_core.Isp.solve inst)) instances
+  in
+  Alcotest.(check bool) "plans traced = untraced" true (plans1 = untraced)
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   let slow name f = Alcotest.test_case name `Slow f in
@@ -253,8 +371,12 @@ let () =
         [ tc "mean" test_mean;
           tc "runs latest first, -j1 = -j4" test_sweep_latest_first;
           tc "journal replay" test_sweep_journal_replay;
-          tc "runs < 1 rejected" test_runs_below_one_rejected ] );
-      ("gates", [ slow "blocks: -j1 = -j4, each passes its row" test_gate_blocks ]);
+          tc "runs < 1 rejected" test_runs_below_one_rejected;
+          tc "journal keeps its OPT budget" test_journal_budget ] );
+      ( "gates",
+        [ slow "blocks: -j1 = -j4, each passes its row" test_gate_blocks;
+          slow "caida isp plan and Dinic work pinned" test_caida_isp_pinned;
+          slow "bubble counters: -j1 = -j4" test_bubble_counters ] );
       ( "figures",
         [ tc "unknown figure rejected" test_unknown_figure_rejected;
           slow "fig4 single point" test_fig4_single_point;

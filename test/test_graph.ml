@@ -489,6 +489,79 @@ let test_decompose_reconstructs_value () =
       Alcotest.(check int) "ends at sink" 5 (List.nth vs (List.length vs - 1)))
     paths
 
+(* Dinic keeps residuals, levels and cursors in per-domain scratch, so a
+   call must not see what an earlier call on a larger or a smaller graph
+   left there, nor what a call on another domain is doing.  Each query
+   answered in a domain of its own, on fresh scratch, is the reference:
+   the same queries interleaved large, small, large on one domain, and
+   spread over a 4-domain pool, must give the same bits. *)
+type flow_query = {
+  qg : Graph.t;
+  vmask : bool array;
+  emask : bool array;
+  caps : float array;
+  qs : Graph.vertex;
+  qt : Graph.vertex;
+}
+
+let flow_queries () =
+  let rng = Rng.create 11 in
+  let large =
+    Generate.preferential_attachment ~rng ~n:600 ~extra_edges:300
+      ~capacity:10.0
+  in
+  let small = fixture () in
+  let st = Random.State.make [| 5 |] in
+  let query g =
+    let n = Graph.nv g and m = Graph.ne g in
+    { qg = g;
+      vmask = Array.init n (fun _ -> Random.State.int st 10 > 0);
+      emask = Array.init m (fun _ -> Random.State.int st 10 > 0);
+      caps = Array.init m (fun _ -> 1.0 +. Random.State.float st 9.0);
+      qs = Random.State.int st n;
+      qt = Random.State.int st n }
+  in
+  Array.init 24 (fun i -> query (if i mod 3 = 1 then small else large))
+
+let solve_query q =
+  let vertex_ok v = q.vmask.(v) and edge_ok e = q.emask.(e) in
+  let cap e = q.caps.(e) in
+  let r =
+    Maxflow.max_flow ~vertex_ok ~edge_ok ~cap q.qg ~source:q.qs ~sink:q.qt
+  in
+  let v =
+    Maxflow.max_flow_value ~vertex_ok ~edge_ok ~cap q.qg ~source:q.qs
+      ~sink:q.qt
+  in
+  ( Int64.bits_of_float v,
+    Int64.bits_of_float r.Maxflow.value,
+    Array.map Int64.bits_of_float r.Maxflow.edge_flow )
+
+let test_maxflow_scratch_isolation () =
+  let queries = flow_queries () in
+  let fresh =
+    Array.map
+      (fun q -> Domain.join (Domain.spawn (fun () -> solve_query q)))
+      queries
+  in
+  Alcotest.(check bool) "some flows are positive" true
+    (Array.exists (fun (v, _, _) -> Int64.float_of_bits v > 1.0) fresh);
+  Array.iter
+    (fun (v, v', _) -> Alcotest.(check int64) "value = max_flow.value" v v')
+    fresh;
+  let same what got =
+    Array.iteri
+      (fun i r ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s query %d" what i)
+          true (r = fresh.(i)))
+      got
+  in
+  same "interleaved" (Array.map solve_query queries);
+  let pool = Netrec_parallel.Pool.create ~jobs:4 in
+  same "4 domains"
+    (Netrec_parallel.Pool.map pool (fun _ q -> solve_query q) queries)
+
 let maxflow_equals_mincut_prop =
   QCheck.Test.make ~name:"maxflow value = min cut capacity (strong duality)"
     ~count:30 QCheck.small_int (fun seed ->
@@ -787,6 +860,8 @@ let () =
           tc "cap function" test_maxflow_respects_cap_fn;
           tc "broken vertex" test_maxflow_respects_broken;
           tc "conservation" test_maxflow_conservation;
+          tc "scratch: interleaved and 4 domains"
+            test_maxflow_scratch_isolation;
           tc "min cut duality" test_min_cut_value_matches;
           tc "decompose" test_decompose_reconstructs_value;
           QCheck_alcotest.to_alcotest maxflow_cut_duality_prop;

@@ -277,17 +277,19 @@ let test_gc_snapshot_and_span_attribution =
 
 (* ---- metrics diff ---- *)
 
-let doc_with ~mode ~pivots ~p99 =
+let doc_counting ~counters ~mode ~pivots ~p99 =
   Printf.sprintf
     {|{"schema":"netrec-bench-metrics/5","mode":"%s",
       "lp_gate":{"opt.proved":1,"simplex.pivots":%d,"milp.nodes":43},
-      "metrics":{"counters":{"isp.iterations":100},
+      "metrics":{"counters":{%s},
                  "gauges":{},
                  "histograms":{"simplex.pivots_per_solve":
                    {"count":10,"sum":100,"min":1,"max":40,
                     "p50":20,"p90":35,"p99":%g}},
                  "progress":[]}}|}
-    mode pivots p99
+    mode pivots counters p99
+
+let doc_with = doc_counting ~counters:{|"isp.iterations":100|}
 
 let run_diff base current =
   Diff.diff ~base:(Diff.Json.parse base) ~current:(Diff.Json.parse current)
@@ -295,7 +297,18 @@ let run_diff base current =
 let test_diff_clean () =
   let d = doc_with ~mode:"quick" ~pivots:6794 ~p99:40.0 in
   let r = run_diff d d in
-  check_bool "self-diff has no regressions" true (r.Diff.regressions = [])
+  check_bool "self-diff has no regressions" true (r.Diff.regressions = []);
+  (* A counter the baseline lacks is noted, never a regression. *)
+  let extra =
+    doc_counting ~counters:{|"isp.iterations":100,"bubble.finds":422|}
+      ~mode:"quick" ~pivots:6794 ~p99:40.0
+  in
+  let r = run_diff d extra in
+  check_bool "new counter is no regression" true (r.Diff.regressions = []);
+  check_bool "new counter noted" true
+    (List.exists
+       (fun s -> contains s "note new counter bubble.finds: 422")
+       r.Diff.lines)
 
 let test_diff_flags_p99_regression () =
   let base = doc_with ~mode:"quick" ~pivots:6794 ~p99:40.0 in

@@ -111,7 +111,7 @@ let read_file path =
 
 let journal_bytes ~jobs_count ~pool_jobs =
   with_temp_journal (fun path ->
-      let j = Journal.create path in
+      let j = Journal.create ~opt_nodes:60 path in
       let jobs = List.init jobs_count mk_job in
       let pool = match pool_jobs with 1 -> None | n -> Some (pool n) in
       ignore (Common.run_jobs ~journal:j ?pool jobs);
@@ -130,12 +130,12 @@ let test_journal_resume_under_pool () =
   let clean = journal_bytes ~jobs_count:12 ~pool_jobs:1 in
   let resumed =
     with_temp_journal (fun path ->
-        let j = Journal.create path in
+        let j = Journal.create ~opt_nodes:60 path in
         let jobs = List.init 12 mk_job in
         let prefix = List.filteri (fun i _ -> i < 5) jobs in
         ignore (Common.run_jobs ~journal:j prefix);
         Journal.close j;
-        let j = Journal.create path in
+        let j = Journal.create ~opt_nodes:60 path in
         let computed = ref 0 in
         let spy =
           List.map

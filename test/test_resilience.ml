@@ -318,7 +318,7 @@ let cells_t = Alcotest.(list (pair string (list (pair string (float 1e-12)))))
 
 let test_journal_roundtrip () =
   with_tmp @@ fun path ->
-  let j = Journal.create path in
+  let j = Journal.create ~opt_nodes:60 path in
   Alcotest.(check bool) "nothing yet" true
     (Journal.completed j ~point:"p" ~run:1 = None);
   Journal.record j ~point:"p" ~run:1 sample_cells;
@@ -327,7 +327,7 @@ let test_journal_roundtrip () =
   | None -> Alcotest.fail "recorded pair not visible");
   Journal.close j;
   (* A fresh journal reloads the same cells from disk. *)
-  let j2 = Journal.create path in
+  let j2 = Journal.create ~opt_nodes:60 path in
   (match Journal.completed j2 ~point:"p" ~run:1 with
   | Some cells -> Alcotest.check cells_t "reloaded replay" sample_cells cells
   | None -> Alcotest.fail "pair lost across restart");
@@ -344,10 +344,10 @@ let test_journal_non_finite () =
     [ ("nan", Float.nan); ("minus_nan", -.Float.nan); ("inf", Float.infinity);
       ("minus_inf", Float.neg_infinity); ("one", 1.0) ]
   in
-  let j = Journal.create path in
+  let j = Journal.create ~opt_nodes:60 path in
   Journal.record j ~point:"p" ~run:1 [ ("ISP", payload) ];
   Journal.close j;
-  let j2 = Journal.create path in
+  let j2 = Journal.create ~opt_nodes:60 path in
   (match Journal.completed j2 ~point:"p" ~run:1 with
   | Some [ ("ISP", fields) ] ->
     Alcotest.(check (list string)) "every field reloaded" (List.map fst payload)
@@ -364,7 +364,7 @@ let test_journal_non_finite () =
 
 let test_journal_with_run_skips_completed () =
   with_tmp @@ fun path ->
-  let j = Journal.create path in
+  let j = Journal.create ~opt_nodes:60 path in
   let calls = ref 0 in
   let compute () =
     incr calls;
@@ -385,11 +385,12 @@ let test_journal_partial_pair_recomputed () =
      line truncated. *)
   let oc = open_out path in
   output_string oc "netrec-journal/1\n";
+  output_string oc "{\"type\":\"settings\",\"opt_nodes\":60}\n";
   output_string oc
     "{\"type\":\"cell\",\"point\":\"p\",\"run\":1,\"alg\":\"ISP\",\"repairs_total\":23}\n";
   output_string oc "{\"type\":\"cell\",\"point\":\"p\",\"run\":1,\"al";
   close_out oc;
-  let j = Journal.create path in
+  let j = Journal.create ~opt_nodes:60 path in
   Alcotest.(check bool) "partial pair not trusted" true
     (Journal.completed j ~point:"p" ~run:1 = None);
   let calls = ref 0 in
@@ -400,7 +401,7 @@ let test_journal_partial_pair_recomputed () =
   Alcotest.(check int) "recomputed" 1 !calls;
   Journal.close j;
   (* After recomputation the pair is durable and deduped last-wins. *)
-  let j2 = Journal.create path in
+  let j2 = Journal.create ~opt_nodes:60 path in
   (match Journal.completed j2 ~point:"p" ~run:1 with
   | Some cells -> Alcotest.check cells_t "last write wins" sample_cells cells
   | None -> Alcotest.fail "recomputed pair lost");
@@ -413,7 +414,7 @@ let test_journal_rejects_foreign_file () =
   close_out oc;
   Alcotest.(check bool) "create fails" true
     (try
-       ignore (Journal.create path);
+       ignore (Journal.create ~opt_nodes:60 path);
        false
      with Failure _ -> true)
 
