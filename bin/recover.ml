@@ -674,8 +674,10 @@ let schedule topology er_p seed pairs amount disruption variance fail_p
             Sched.local_search ~cap inst (Sched.order_of plan)
           in
           Printf.printf
-            "local search: %d pass(es), %d/%d improving move(s) applied\n"
-            stats.Sched.passes stats.Sched.moves_applied stats.Sched.moves_tried;
+            "local search: %d pass(es), %d/%d improving move(s) applied, \
+             %d prefix evaluation(s), %d from the memo\n"
+            stats.Sched.passes stats.Sched.moves_applied stats.Sched.moves_tried
+            stats.Sched.prefix_evals stats.Sched.memo_hits;
           refined
         end
       in

@@ -98,7 +98,12 @@ let satisfied_exact st =
   in
   Routing.satisfaction ~demands:st.inst.Instance.demands r
 
-let baseline_satisfaction inst = satisfied_exact (fresh inst)
+let satisfaction inst elements =
+  let st = fresh inst in
+  List.iter (apply st) elements;
+  satisfied_exact st
+
+let baseline_satisfaction inst = satisfaction inst []
 
 let prefix_satisfactions inst groups =
   let st = fresh inst in

@@ -40,6 +40,13 @@ val baseline_satisfaction : Instance.t -> float
     value an empty schedule's [auc] reports, and round 0 of every
     recovery curve. *)
 
+val satisfaction : Instance.t -> element list -> float
+(** [satisfaction inst elements] is the exact satisfiable fraction once
+    exactly [elements] are repaired.  It depends only on the set, not on
+    the list's order or repeats: the value {!prefix_satisfactions}
+    reports for any prefix that repairs this set.  Elements are {e not}
+    validated. *)
+
 val prefix_satisfactions : Instance.t -> element list list -> float list
 (** [prefix_satisfactions inst groups] applies each group of repairs
     cumulatively and returns the exact satisfiable fraction after each —

@@ -39,12 +39,12 @@ let cost_of inst = function
    left empty — an element more expensive than the whole budget still
    ships alone, so chunking always terminates with every element
    placed (the progress guarantee the MILP's feasibility witness
-   relies on). *)
-let chunk cap inst order =
+   relies on).  [price] is the repair cost of one item of [order]. *)
+let chunk cap price order =
   let rec go acc cur n cost = function
     | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
     | el :: rest ->
-      let c = cost_of inst el in
+      let c = price el in
       let over_crews = n >= cap.crews in
       let over_budget =
         match cap.round_budget with
@@ -61,22 +61,17 @@ let eval_groups inst groups =
   Obs.count ~n:(List.length groups) "sched.evals";
   Schedule.prefix_satisfactions inst groups
 
-(* AUC of a candidate order without materializing a plan (the local
-   search hot path; the baseline is not needed for non-empty orders). *)
-let candidate_auc cap inst order =
-  match eval_groups inst (chunk cap inst order) with
-  | [] -> nan
-  | sats -> Stats.mean sats
+(* A plan's AUC from its per-round satisfactions. *)
+let auc_of ~baseline = function [] -> baseline | sats -> Stats.mean sats
 
 let round_of inst els satisfied =
   { elements = els;
     cost = List.fold_left (fun acc el -> acc +. cost_of inst el) 0.0 els;
     satisfied }
 
-let finish_plan ~baseline inst groups =
-  let sats = eval_groups inst groups in
+let plan_of ~baseline inst groups sats =
   let rounds = List.map2 (round_of inst) groups sats in
-  let auc = match sats with [] -> baseline | _ -> Stats.mean sats in
+  let auc = auc_of ~baseline sats in
   Obs.count "sched.plans";
   Obs.count ~n:(List.length rounds) "sched.rounds";
   List.iteri
@@ -90,12 +85,15 @@ let finish_plan ~baseline inst groups =
     rounds;
   { rounds; baseline; auc }
 
+let finish_plan ~baseline inst groups =
+  plan_of ~baseline inst groups (eval_groups inst groups)
+
 let of_order ?(cap = default_cap) inst order =
   match Schedule.validate_order inst order with
   | Error e -> Error e
   | Ok () ->
     let baseline = Schedule.baseline_satisfaction inst in
-    Ok (finish_plan ~baseline inst (chunk cap inst order))
+    Ok (finish_plan ~baseline inst (chunk cap (cost_of inst) order))
 
 let validated_exn ctx inst order =
   match Schedule.validate_order inst order with
@@ -106,7 +104,7 @@ let validated_exn ctx inst order =
 let greedy ?(cap = default_cap) inst solution =
   let order = Schedule.greedy_order inst solution in
   let baseline = Schedule.baseline_satisfaction inst in
-  finish_plan ~baseline inst (chunk cap inst order)
+  finish_plan ~baseline inst (chunk cap (cost_of inst) order)
 
 (* {1 Local search} *)
 
@@ -114,6 +112,8 @@ type search_stats = {
   passes : int;
   moves_tried : int;
   moves_applied : int;
+  prefix_evals : int;
+  memo_hits : int;
   limited : Budget.reason option;
 }
 
@@ -166,24 +166,105 @@ let neighborhood k =
   done;
   !moves
 
+(* Exact prefix satisfaction memoized by repaired set, one table per
+   [local_search] call.  The search permutes the dense indices 0..k-1
+   of its input order [els], and a set is keyed by its bitset, a
+   string of ceil(k/8) bytes.  A value depends on its set alone
+   ([Schedule.satisfaction]), so a hit is the very float a fresh
+   [Schedule.prefix_satisfactions] would return. *)
+type memo = {
+  inst : Instance.t;
+  cap : capacity;
+  els : element array;
+  table : (string, float) Hashtbl.t;
+  mutable evals : int;  (* prefixes requested *)
+  mutable hits : int;  (* of those, answered from [table] *)
+}
+
+(* The rounds of an order of dense indices. *)
+let rounds m ord =
+  chunk m.cap (fun i -> cost_of m.inst m.els.(i)) (Array.to_list ord)
+
+(* The key of each cumulative round prefix of [ord]. *)
+let prefix_keys m ord =
+  let bits = Bytes.make ((Array.length m.els + 7) / 8) '\000' in
+  List.map
+    (fun group ->
+      List.iter
+        (fun i ->
+          let b = i lsr 3 in
+          Bytes.set_uint8 bits b
+            (Bytes.get_uint8 bits b lor (1 lsl (i land 7))))
+        group;
+      Bytes.to_string bits)
+    (rounds m ord)
+
+let members m key =
+  let acc = ref [] in
+  for i = Array.length m.els - 1 downto 0 do
+    if Char.code key.[i lsr 3] land (1 lsl (i land 7)) <> 0 then
+      acc := m.els.(i) :: !acc
+  done;
+  !acc
+
+(* Make the table hold the set of every round prefix of the orders
+   [order_of 0] .. [order_of (n - 1)].  The sets it lacks are listed in
+   first-seen order, evaluated (on [pool] when given) and inserted in
+   index order before any is read, so the table and the counters are
+   the same for any [-j].  Every prefix counts as an evaluation, and
+   every one not solved here as a hit.  The caller builds each order
+   again to read it ([sats]) rather than keep its keys, so a pass
+   holds O(distinct sets) keys, not O(moves x rounds). *)
+let fill ?pool m n order_of =
+  let listed = Hashtbl.create 64 and missing = ref [] and requested = ref 0 in
+  for i = 0 to n - 1 do
+    List.iter
+      (fun key ->
+        incr requested;
+        if not (Hashtbl.mem m.table key || Hashtbl.mem listed key) then begin
+          Hashtbl.add listed key ();
+          missing := key :: !missing
+        end)
+      (prefix_keys m (order_of i))
+  done;
+  let missing = Array.of_list (List.rev !missing) in
+  let eval _ key = Schedule.satisfaction m.inst (members m key) in
+  let sats =
+    match pool with
+    | Some p -> Pool.map p eval missing
+    | None -> Array.mapi eval missing
+  in
+  Array.iteri (fun i key -> Hashtbl.add m.table key sats.(i)) missing;
+  let hits = !requested - Array.length missing in
+  Obs.count ~n:!requested "sched.evals";
+  Obs.count ~n:hits "sched.eval_cache_hits";
+  m.evals <- m.evals + !requested;
+  m.hits <- m.hits + hits
+
+(* The satisfactions of a filled order's round prefixes, in round
+   order. *)
+let sats m ord = List.map (Hashtbl.find m.table) (prefix_keys m ord)
+
 let local_search ?(budget = Budget.unlimited) ?pool ?(max_passes = 32)
     ?(max_moves = 512) ~cap inst order =
+  if max_moves < 1 then invalid_arg "Sched.local_search: max_moves < 1";
+  if max_passes < 0 then invalid_arg "Sched.local_search: max_passes < 0";
   validated_exn "Sched.local_search" inst order;
   (* Materialise at 0: an already-optimal input applies no moves, and
      the metrics gate checks presence, not growth. *)
   Obs.count ~n:0 "sched.moves_applied";
   let baseline = Schedule.baseline_satisfaction inst in
-  let arr = ref (Array.of_list order) in
-  let k = Array.length !arr in
-  let cur = ref (if k = 0 then baseline else candidate_auc cap inst order) in
+  let m =
+    { inst; cap; els = Array.of_list order; table = Hashtbl.create 256;
+      evals = 0; hits = 0 }
+  in
+  let k = Array.length m.els in
+  let arr = ref (Array.init k Fun.id) in
+  fill ?pool m 1 (fun _ -> !arr);
+  let cur = ref (auc_of ~baseline (sats m !arr)) in
   let moves =
     if k < 2 then [||]
     else Array.of_list (sample_moves max_moves (neighborhood k))
-  in
-  let eval_batch =
-    match pool with
-    | Some p -> fun f -> Pool.map p f moves
-    | None -> fun f -> Array.mapi f moves
   in
   let passes = ref 0 and tried = ref 0 and applied = ref 0 in
   let improving = ref (Array.length moves > 0) in
@@ -191,11 +272,9 @@ let local_search ?(budget = Budget.unlimited) ?pool ?(max_passes = 32)
     incr passes;
     Obs.count "sched.ls_passes";
     let current = !arr in
-    let aucs =
-      eval_batch (fun _ m ->
-          candidate_auc cap inst (Array.to_list (apply_move current m)))
-    in
-    let n = Array.length aucs in
+    let candidate i = apply_move current moves.(i) in
+    let n = Array.length moves in
+    fill ?pool m n candidate;
     tried := !tried + n;
     Obs.count ~n "sched.moves_tried";
     Budget.spend ~n budget;
@@ -203,13 +282,13 @@ let local_search ?(budget = Budget.unlimited) ?pool ?(max_passes = 32)
        keeps the earliest maximum), so the chosen move — and therefore
        the whole trajectory — is identical for any [-j]. *)
     let best = ref (-1) and best_auc = ref (!cur +. 1e-9) in
-    Array.iteri
-      (fun i a ->
-        if a > !best_auc then begin
-          best := i;
-          best_auc := a
-        end)
-      aucs;
+    for i = 0 to n - 1 do
+      let a = auc_of ~baseline (sats m (candidate i)) in
+      if a > !best_auc then begin
+        best := i;
+        best_auc := a
+      end
+    done;
     if !best >= 0 then begin
       arr := apply_move current moves.(!best);
       cur := !best_auc;
@@ -218,11 +297,17 @@ let local_search ?(budget = Budget.unlimited) ?pool ?(max_passes = 32)
     end
     else improving := false
   done;
-  let plan = finish_plan ~baseline inst (chunk cap inst (Array.to_list !arr)) in
+  (* The final order was scored as a candidate, so its prefixes are all
+     hits; [fill] still counts them, as the plan requests them. *)
+  fill m 1 (fun _ -> !arr);
+  let groups = List.map (List.map (Array.get m.els)) (rounds m !arr) in
+  let plan = plan_of ~baseline inst groups (sats m !arr) in
   ( plan,
     { passes = !passes;
       moves_tried = !tried;
       moves_applied = !applied;
+      prefix_evals = m.evals;
+      memo_hits = m.hits;
       (* [check] (not [tripped]) so an overspent budget latches even
          when the loop exited for another reason first. *)
       limited = Budget.check budget } )
@@ -261,7 +346,7 @@ let oracle ?(budget = Budget.unlimited) ?(node_limit = 20_000)
     let baseline = Schedule.baseline_satisfaction inst in
     let els = Array.of_list elements in
     let k = Array.length els in
-    let groups = chunk cap inst elements in
+    let groups = chunk cap (cost_of inst) elements in
     let tr = List.length groups in
     let g = inst.Instance.graph in
     let fl = inst.Instance.failure in

@@ -17,9 +17,10 @@
     - {!greedy}: the marginal-gain order of [Schedule.greedy_order],
       chunked into capacity-respecting rounds;
     - {!local_search}: best-improvement swap/insert search over the
-      flat order, deterministically parallel (a {!Pool} evaluates the
-      move neighborhood; ties break on the lowest move index, so [-j 1]
-      and [-j N] return byte-identical plans) and budget-aware;
+      flat order, deterministically parallel (a {!Pool} solves the
+      prefix sets the move neighborhood needs; ties break on the lowest
+      move index, so [-j 1] and [-j N] return byte-identical plans) and
+      budget-aware;
     - {!oracle}: an exact time-indexed MILP on {!Netrec_lp} (binary
       [z_{e,t}] = element [e] repaired in round [t], per-round
       multicommodity-flow blocks coupled through cumulative
@@ -33,7 +34,9 @@
     a good-looking curve.
 
     Telemetry (all under [sched.*]): counters [sched.plans],
-    [sched.rounds], [sched.evals], [sched.ls_passes],
+    [sched.rounds], [sched.evals] (round prefixes scored),
+    [sched.eval_cache_hits] (of those, the ones {!local_search} answered
+    from its memo without a solve), [sched.ls_passes],
     [sched.moves_tried], [sched.moves_applied], [sched.oracle_solves],
     [sched.oracle_nodes], [sched.oracle_proved]; histogram
     [sched.round_satisfaction]; progress events [sched.round] (fields
@@ -99,6 +102,12 @@ type search_stats = {
   passes : int;  (** improvement passes executed *)
   moves_tried : int;  (** candidate orders evaluated *)
   moves_applied : int;  (** improving moves taken *)
+  prefix_evals : int;
+      (** round prefixes scored, the rise of [sched.evals]: every
+          candidate's, the input order's and the result's *)
+  memo_hits : int;
+      (** of [prefix_evals], those answered from the memo; the rest
+          were each solved once *)
   limited : Budget.reason option;
       (** [Some _] when the cooperative budget cut the search short *)
 }
@@ -121,7 +130,17 @@ val local_search :
     [budget] trips (checked between passes; one work unit is spent per
     evaluated candidate).  The returned plan is at least as good as
     [of_order ~cap inst order].
-    @raise Invalid_argument on a malformed [order] (rendered
+
+    A round prefix's satisfaction depends only on its repaired set, so
+    the search memoizes it by set in one table, created with the call
+    and dropped when it returns.  Each pass lists the sets its
+    candidates need that the table lacks, solves each once (on [pool]
+    when given, inserted in index order) and then scores every
+    candidate from the table.  Plans, AUCs and [sched.evals] are those
+    of scoring every candidate with
+    {!Netrec_core.Schedule.prefix_satisfactions}, for any pool size.
+    @raise Invalid_argument when [max_moves < 1] or [max_passes < 0]
+    (before any evaluation), or on a malformed [order] (rendered
     [order_error]). *)
 
 type oracle_result = {

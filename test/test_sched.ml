@@ -11,6 +11,8 @@ module Sched = Netrec_sched.Sched
 module Check = Netrec_check.Check
 module Budget = Netrec_resilience.Budget
 module Pool = Netrec_parallel.Pool
+module Obs = Netrec_obs.Obs
+module Stats = Netrec_util.Stats
 
 let path_graph ?(capacity = 10.0) n =
   Graph.make ~n ~edges:(List.init (n - 1) (fun i -> (i, i + 1, capacity))) ()
@@ -233,17 +235,37 @@ let test_local_search_never_degrades () =
   Alcotest.(check bool) "never degrades" true
     (plan.Sched.auc >= start.Sched.auc -. 1e-9)
 
+(* [f ()] with the collector on, and the rise of each counter in
+   [keys] across it (merged over every domain that recorded). *)
+let rises keys f =
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  let before = List.map Obs.counter_value keys in
+  let r = f () in
+  let after = List.map Obs.counter_value keys in
+  Obs.set_enabled was;
+  (r, List.map2 ( - ) after before)
+
+let memo_counters =
+  [ "sched.evals"; "sched.eval_cache_hits"; "mcf.max_total_solves" ]
+
 let test_local_search_deterministic_across_jobs () =
   let inst = gate_instance () in
   let cap = Sched.capacity ~crews:3 () in
   let run pool =
-    let plan, _ = Sched.local_search ?pool ~cap inst (worst_first_order ()) in
-    (Sched.order_of plan, plan.Sched.auc)
+    let (plan, _), counts =
+      rises memo_counters (fun () ->
+          Sched.local_search ?pool ~cap inst (worst_first_order ()))
+    in
+    (Sched.order_of plan, plan.Sched.auc, counts)
   in
-  let o1, a1 = run None in
-  let o4, a4 = run (Some (Pool.create ~jobs:4)) in
-  Alcotest.(check bool) "same order" true (o1 = o4);
-  Alcotest.(check (float 0.0)) "same auc" a1 a4
+  let o0, a0, _ = run None in
+  let o1, a1, c1 = run (Some (Pool.create ~jobs:1)) in
+  let o4, a4, c4 = run (Some (Pool.create ~jobs:4)) in
+  Alcotest.(check bool) "same order" true (o0 = o1 && o1 = o4);
+  Alcotest.(check (float 0.0)) "same auc" a0 a1;
+  Alcotest.(check (float 0.0)) "same auc on 4 domains" a1 a4;
+  Alcotest.(check (list int)) "same evals, hits and solves" c1 c4
 
 let test_local_search_budget_trips () =
   let inst = gate_instance () in
@@ -251,6 +273,49 @@ let test_local_search_budget_trips () =
   let budget = Budget.create ~work_cap:1 () in
   let _, stats = Sched.local_search ~budget ~cap inst (worst_first_order ()) in
   Alcotest.(check bool) "reports limit" true (stats.Sched.limited <> None)
+
+let test_local_search_rejects_bad_caps () =
+  let inst = gate_instance () in
+  let cap = Sched.capacity ~crews:3 () in
+  let search ?max_passes ?max_moves () =
+    Sched.local_search ?max_passes ?max_moves ~cap inst (worst_first_order ())
+  in
+  let rejects msg f =
+    let (), counts =
+      rises [ "sched.evals" ] (fun () ->
+          Alcotest.check_raises msg (Invalid_argument msg) (fun () ->
+              ignore (f ())))
+    in
+    Alcotest.(check (list int)) "nothing evaluated" [ 0 ] counts
+  in
+  List.iter
+    (fun max_moves ->
+      rejects "Sched.local_search: max_moves < 1" (search ~max_moves))
+    [ 0; -1; -5 ];
+  rejects "Sched.local_search: max_passes < 0" (search ~max_passes:(-1));
+  (* Zero passes is a valid cap: the input order comes back scored. *)
+  let plan, stats = search ~max_passes:0 () in
+  Alcotest.(check int) "no pass" 0 stats.Sched.passes;
+  Alcotest.(check bool) "input order kept" true
+    (Sched.order_of plan = worst_first_order ())
+
+let test_local_search_memo_counts () =
+  (* Every prefix the search scores is either answered from the memo or
+     solved once; the solve count also holds the search's one baseline
+     solve (the unrepaired instance). *)
+  let inst = gate_instance () in
+  let cap = Sched.capacity ~crews:3 () in
+  let (_, stats), counts =
+    rises memo_counters (fun () ->
+        Sched.local_search ~cap inst (worst_first_order ()))
+  in
+  match counts with
+  | [ evals; hits; solves ] ->
+    Alcotest.(check bool) "hits > 0" true (hits > 0);
+    Alcotest.(check int) "evals = hits + sets solved" evals (hits + solves - 1);
+    Alcotest.(check int) "stats evals" evals stats.Sched.prefix_evals;
+    Alcotest.(check int) "stats hits" hits stats.Sched.memo_hits
+  | _ -> assert false
 
 (* ---- certification ---- *)
 
@@ -378,6 +443,89 @@ let prefixes_certify_prop =
       let plan = ok_plan (Sched.of_order ~cap inst (Array.to_list els)) in
       List.for_all Check.ok (Sched.certify_rounds inst plan))
 
+(* The unmemoized reference of [Sched.local_search] under pure crews
+   capacity: the same neighborhood order, stride sample and
+   best-improvement rule, every candidate scored by a fresh
+   [Schedule.prefix_satisfactions]. *)
+let reference_search ~crews ~max_moves inst order =
+  let rec rounds = function
+    | [] -> []
+    | l ->
+      let group = List.filteri (fun i _ -> i < crews) l in
+      group :: rounds (List.filteri (fun i _ -> i >= crews) l)
+  in
+  let auc ord =
+    match Schedule.prefix_satisfactions inst (rounds ord) with
+    | [] -> Schedule.baseline_satisfaction inst
+    | sats -> Stats.mean sats
+  in
+  let k = List.length order in
+  let ids = List.init k Fun.id in
+  let pairs keep move =
+    List.concat_map
+      (fun i ->
+        List.filter_map
+          (fun j -> if keep i j then Some (move i j) else None)
+          ids)
+      ids
+  in
+  let all =
+    pairs (fun i j -> j <> i && j <> i - 1) (fun i j -> `Insert (i, j))
+    @ pairs (fun i j -> j > i) (fun i j -> `Swap (i, j))
+  in
+  let n = List.length all in
+  let moves =
+    if n <= max_moves then all
+    else
+      let stride = (n + max_moves - 1) / max_moves in
+      List.filteri (fun i _ -> i mod stride = 0) all
+  in
+  let apply ord = function
+    | `Swap (i, j) ->
+      List.mapi
+        (fun p x ->
+          if p = i then List.nth ord j else if p = j then List.nth ord i else x)
+        ord
+    | `Insert (i, j) ->
+      let el = List.nth ord i in
+      let rest = List.filteri (fun p _ -> p <> i) ord in
+      List.filteri (fun p _ -> p < j) rest
+      @ (el :: List.filteri (fun p _ -> p >= j) rest)
+  in
+  let rec search passes ord cur =
+    if passes = 32 || moves = [] then (ord, cur)
+    else
+      let best =
+        List.fold_left
+          (fun (bo, ba) mv ->
+            let o = apply ord mv in
+            let a = auc o in
+            if a > ba then (Some o, a) else (bo, ba))
+          (None, cur +. 1e-9) moves
+      in
+      match best with
+      | Some o, a -> search (passes + 1) o a
+      | None, _ -> (ord, cur)
+  in
+  let ord, _ = search 0 order (auc order) in
+  (ord, auc ord)
+
+let memo_matches_reference_prop =
+  QCheck.Test.make ~name:"memoized search = unmemoized reference" ~count:100
+    QCheck.(int_bound 999)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let inst = random_instance rng in
+      let els = Array.of_list (broken_elements inst) in
+      Rng.shuffle rng els;
+      let order = Array.to_list els in
+      let crews = 1 + Rng.int rng 3 in
+      let max_moves = 1 + Rng.int rng 40 in
+      let cap = Sched.capacity ~crews () in
+      let plan, _ = Sched.local_search ~max_moves ~cap inst order in
+      let ref_order, ref_auc = reference_search ~crews ~max_moves inst order in
+      Sched.order_of plan = ref_order && Float.equal plan.Sched.auc ref_auc)
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "netrec_sched"
@@ -399,11 +547,14 @@ let () =
           tc "never degrades" test_local_search_never_degrades;
           tc "deterministic across jobs"
             test_local_search_deterministic_across_jobs;
-          tc "budget trips" test_local_search_budget_trips ] );
+          tc "budget trips" test_local_search_budget_trips;
+          tc "rejects bad caps" test_local_search_rejects_bad_caps;
+          tc "memo counts" test_local_search_memo_counts ] );
       ( "certify",
         [ tc "rounds certify clean" test_certify_rounds_clean ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest greedy_beats_random_perms_prop;
           QCheck_alcotest.to_alcotest oracle_sandwich_prop;
           QCheck_alcotest.to_alcotest round_concat_prop;
-          QCheck_alcotest.to_alcotest prefixes_certify_prop ] ) ]
+          QCheck_alcotest.to_alcotest prefixes_certify_prop;
+          QCheck_alcotest.to_alcotest memo_matches_reference_prop ] ) ]
