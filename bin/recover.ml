@@ -399,14 +399,11 @@ let plan topology er_p seed pairs amount algorithm disruption variance fail_p
     | Some path -> Netrec_core.Serialize.save path inst
     | None -> ());
     let bv, be = Failure.counts failure in
-    Printf.printf "topology %s: %s\n" topology
+    let loaded label = if load_file <> None then "(loaded)" else label in
+    Printf.printf "topology %s: %s\n" (loaded topology)
       (Netrec_graph.Metrics.summary g);
-    let disruption_label =
-      if load_file <> None then "(loaded)" else disruption
-    in
     Printf.printf "disruption %s: %d nodes + %d edges broken\n"
-      disruption_label bv
-      be;
+      (loaded disruption) bv be;
     List.iter
       (fun d ->
         Printf.printf "demand: %s -> %s (%g units)\n"

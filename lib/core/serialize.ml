@@ -2,38 +2,72 @@ module Failure = Netrec_disrupt.Failure
 module Commodity = Netrec_flow.Commodity
 module Routing = Netrec_flow.Routing
 
+(* ---- encoder ----
+
+   Every line goes straight into one [Buffer].  Floats print as [%.12g];
+   an integral value below 1e12 in magnitude, which [%.12g] prints as
+   its plain digits, is written from the int instead (ids, unit costs
+   and integral capacities), except [-0.0], whose sign [%.12g] keeps. *)
+
+(* The runtime primitive behind [Printf]'s [%g] and [string_of_float]:
+   the same bytes, without a format interpreter per call. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+let add_int buf i =
+  (* Digits of the non-positive [n], most significant first: the
+     negative side also holds [min_int]. *)
+  let rec digits n =
+    if n <= -10 then digits (n / 10);
+    Buffer.add_char buf (Char.unsafe_chr (48 - (n mod 10)))
+  in
+  if i < 0 then Buffer.add_char buf '-';
+  digits (if i > 0 then -i else i)
+
+let add_float buf x =
+  if Float.is_integer x && Float.abs x < 1e12 && not (x = 0.0 && Float.sign_bit x)
+  then add_int buf (int_of_float x)
+  else Buffer.add_string buf (format_float "%.12g" x)
+
 let to_string inst =
   let g = inst.Instance.graph in
-  let buf = Buffer.create 4096 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
+  let nv = Graph.nv g in
+  (* About the text's length: ~24 bytes per vertex and per edge. *)
+  let buf = Buffer.create (256 + (24 * (nv + Graph.ne g))) in
+  let sep () = Buffer.add_char buf ' ' and eol () = Buffer.add_char buf '\n' in
+  let line s = Buffer.add_string buf s; eol () in
+  let ids a = Array.iteri (fun i b -> if b then (add_int buf i; eol ())) a in
+  let floats a = Array.iter (fun x -> add_float buf x; eol ()) a in
   line "[graph]";
   Graph.fold_edges
-    (fun e () -> line "%d %d %.12g" e.Graph.u e.Graph.v e.Graph.capacity)
+    (fun e () ->
+      add_int buf e.Graph.u; sep ();
+      add_int buf e.Graph.v; sep ();
+      add_float buf e.Graph.capacity; eol ())
     g ();
   if Graph.has_coords g then begin
     line "[coords]";
-    List.iter
-      (fun v ->
-        let x, y = Option.get (Graph.coord g v) in
-        line "%.12g %.12g" x y)
-      (Graph.vertices g)
+    for v = 0 to nv - 1 do
+      let x, y = Option.get (Graph.coord g v) in
+      add_float buf x; sep (); add_float buf y; eol ()
+    done
   end;
   line "[names]";
-  List.iter (fun v -> line "%s" (Graph.name g v)) (Graph.vertices g);
+  for v = 0 to nv - 1 do line (Graph.name g v) done;
   line "[demands]";
   List.iter
-    (fun d -> line "%d %d %.12g" d.Commodity.src d.Commodity.dst d.Commodity.amount)
+    (fun d ->
+      add_int buf d.Commodity.src; sep ();
+      add_int buf d.Commodity.dst; sep ();
+      add_float buf d.Commodity.amount; eol ())
     inst.Instance.demands;
   line "[broken_vertices]";
-  List.iter (fun v -> line "%d" v)
-    (Failure.broken_vertex_list inst.Instance.failure);
+  ids inst.Instance.failure.Failure.broken_vertices;
   line "[broken_edges]";
-  List.iter (fun e -> line "%d" e)
-    (Failure.broken_edge_list inst.Instance.failure);
+  ids inst.Instance.failure.Failure.broken_edges;
   line "[vertex_costs]";
-  Array.iter (fun c -> line "%.12g" c) inst.Instance.vertex_cost;
+  floats inst.Instance.vertex_cost;
   line "[edge_costs]";
-  Array.iter (fun c -> line "%.12g" c) inst.Instance.edge_cost;
+  floats inst.Instance.edge_cost;
   Buffer.contents buf
 
 type parse_error = { line : int; msg : string }
@@ -46,171 +80,347 @@ let () =
       Some (Printf.sprintf "Serialize.Parse_error (line %d: %s)" line msg)
     | _ -> None)
 
-type section = {
-  (* Every record carries the 1-based line it came from so range checks
-     performed after the whole file is read still point at the culprit. *)
-  mutable edges : (int * int * int * float) list;  (* reversed; (line,u,v,c) *)
-  mutable coords : (float * float) list;
-  mutable names : string list;
-  mutable demands : (int * int * int * float) list;  (* (line,s,t,a) *)
-  mutable broken_v : (int * int) list;  (* (line, id) *)
-  mutable broken_e : (int * int) list;
-  mutable vcosts : float list;
-  mutable ecosts : float list;
+let err line fmt =
+  Printf.ksprintf (fun msg -> raise (Parse_error { line; msg })) fmt
+
+(* ---- scanner ----
+
+   Both parsers walk the text once, by index.  A line is the piece
+   between two '\n' (numbered as [String.split_on_char '\n'] numbers
+   them, so the empty piece after a trailing newline counts), trimmed of
+   [String.trim]'s whitespace; blank lines and '#' comments are skipped.
+   Fields split on ' ' only, by position, and numbers are read in place:
+   only a token off the fast paths below is copied out. *)
+
+type scanner = {
+  text : string;
+  mutable next : int;  (* where the line after the current one starts *)
+  mutable line : int;  (* 1-based number of the current line *)
+  mutable first : int;  (* the current line, trimmed, is [first, last) *)
+  mutable last : int;
+  mutable nf : int;  (* fields of the current line, after [split] *)
+  mutable fs : int array;  (* field [i] is [fs.(i), fe.(i)) *)
+  mutable fe : int array;
 }
 
+let scanner text =
+  { text; next = 0; line = 0; first = 0; last = 0; nf = 0;
+    fs = Array.make 8 0; fe = Array.make 8 0 }
+
+let is_space = function ' ' | '\t' | '\n' | '\r' | '\012' -> true | _ -> false
+
+(* Move to the next line that is neither blank nor a comment; false at
+   the end of the text. *)
+let rec next_line sc =
+  let text = sc.text in
+  let len = String.length text in
+  if sc.next > len then false
+  else begin
+    let stop = ref sc.next in
+    while !stop < len && String.unsafe_get text !stop <> '\n' do incr stop done;
+    let first = ref sc.next and last = ref !stop in
+    sc.next <- !stop + 1;
+    sc.line <- sc.line + 1;
+    while !first < !last && is_space (String.unsafe_get text !first) do
+      incr first
+    done;
+    while !last > !first && is_space (String.unsafe_get text (!last - 1)) do
+      decr last
+    done;
+    if !first = !last || String.unsafe_get text !first = '#' then next_line sc
+    else begin
+      sc.first <- !first;
+      sc.last <- !last;
+      true
+    end
+  end
+
+let is_header sc = String.unsafe_get sc.text sc.first = '['
+let line_text sc = String.sub sc.text sc.first (sc.last - sc.first)
+
+let split sc =
+  let text = sc.text and last = sc.last in
+  let nf = ref 0 and i = ref sc.first in
+  while !i < last do
+    if String.unsafe_get text !i = ' ' then incr i
+    else begin
+      if !nf = Array.length sc.fs then begin
+        sc.fs <- Array.append sc.fs sc.fs;
+        sc.fe <- Array.append sc.fe sc.fe
+      end;
+      sc.fs.(!nf) <- !i;
+      while !i < last && String.unsafe_get text !i <> ' ' do incr i done;
+      sc.fe.(!nf) <- !i;
+      incr nf
+    end
+  done;
+  sc.nf <- !nf
+
+(* The value of [text.[s .. e-1]] when it is at most 18 decimal digits
+   (so it cannot overflow), else -1. *)
+let rec plain_int text i e acc =
+  if i = e then acc
+  else
+    match String.unsafe_get text i with
+    | '0' .. '9' as c -> plain_int text (i + 1) e ((acc * 10) + Char.code c - 48)
+    | _ -> -1
+
+(* A non-negative integer field: [int_of_string_opt]'s syntax and value
+   (hex, '_', a leading '+' ... go through it on a copy). *)
+let id_in sc what s e =
+  let v = if e - s <= 18 then plain_int sc.text s e 0 else -1 in
+  if v >= 0 then v
+  else
+    let tok = String.sub sc.text s (e - s) in
+    match int_of_string_opt tok with
+    | Some i when i >= 0 -> i
+    | Some i -> err sc.line "negative %s %d" what i
+    | None -> err sc.line "bad %s %S (expected a non-negative integer)" what tok
+
+let pow10 =
+  [| 1e0; 1e1; 1e2; 1e3; 1e4; 1e5; 1e6; 1e7; 1e8; 1e9; 1e10; 1e11; 1e12;
+     1e13; 1e14; 1e15; 1e16; 1e17; 1e18; 1e19; 1e20; 1e21; 1e22 |]
+
+(* Clinger's fast path.  A token [-]d*[.d*][(e|E)[+|-]d+] with at least
+   one mantissa digit and at most 15 significant ones is m * 10^k with
+   m < 10^15 < 2^53, so m is exact as a double; for |k| <= 22 so is
+   10^|k| (5^22 < 2^53).  One IEEE multiply or divide is correctly
+   rounded, so it yields the correctly rounded value of the decimal,
+   which is what [float_of_string] (strtod) returns; negation is exact.
+   Any other token gives NaN, and the caller falls back. *)
+let decimal text s e =
+  let neg = String.unsafe_get text s = '-' in
+  let i = ref (if neg then s + 1 else s) in
+  let m = ref 0 and digits = ref 0 and seen = ref false in
+  let k = ref 0 and point = ref false and mantissa = ref true in
+  while !mantissa && !i < e do
+    match String.unsafe_get text !i with
+    | '0' .. '9' as c ->
+      seen := true;
+      if !m > 0 || c <> '0' then begin
+        incr digits;
+        if !digits <= 15 then m := (!m * 10) + Char.code c - 48
+      end;
+      if !point then decr k;
+      incr i
+    | '.' when not !point ->
+      point := true;
+      incr i
+    | _ -> mantissa := false
+  done;
+  let exp_ok =
+    if !i < e && (String.unsafe_get text !i = 'e' || String.unsafe_get text !i = 'E')
+    then begin
+      incr i;
+      let eneg = !i < e && String.unsafe_get text !i = '-' in
+      if !i < e && (eneg || String.unsafe_get text !i = '+') then incr i;
+      let x = ref 0 and any = ref false in
+      while !i < e && String.unsafe_get text !i >= '0' && String.unsafe_get text !i <= '9' do
+        (* capped: an exponent this large falls back anyway *)
+        if !x < 1000 then x := (!x * 10) + Char.code (String.unsafe_get text !i) - 48;
+        any := true;
+        incr i
+      done;
+      k := if eneg then !k - !x else !k + !x;
+      !any
+    end
+    else true
+  in
+  if !i <> e || (not !seen) || (not exp_ok) || !digits > 15 || !k < -22 || !k > 22
+  then Float.nan
+  else
+    let x = float_of_int !m in
+    let x = if !k >= 0 then x *. pow10.(!k) else x /. pow10.(- !k) in
+    if neg then -.x else x
+
+(* A numeric field: [float_of_string_opt]'s syntax and value. *)
+let float_in sc what s e =
+  let x = decimal sc.text s e in
+  if not (Float.is_nan x) then x
+  else
+    let tok = String.sub sc.text s (e - s) in
+    match float_of_string_opt tok with
+    | Some f -> f
+    | None -> err sc.line "bad %s %S (expected a number)" what tok
+
+let id_at sc k what = id_in sc what sc.fs.(k) sc.fe.(k)
+let float_at sc k what = float_in sc what sc.fs.(k) sc.fe.(k)
+
+(* ---- instances ---- *)
+
+(* Growable columns of the records read so far, in file order. *)
+type ints = { mutable iv : int array; mutable il : int }
+type floats = { mutable fv : float array; mutable fl : int }
+
+let ints () = { iv = [||]; il = 0 }
+let floats () = { fv = [||]; fl = 0 }
+
+let push c x =
+  if c.il = Array.length c.iv then begin
+    let a = Array.make ((2 * c.il) + 64) 0 in
+    Array.blit c.iv 0 a 0 c.il;
+    c.iv <- a
+  end;
+  Array.unsafe_set c.iv c.il x;
+  c.il <- c.il + 1
+
+let pushf c x =
+  if c.fl = Array.length c.fv then begin
+    let a = Array.make ((2 * c.fl) + 64) 0.0 in
+    Array.blit c.fv 0 a 0 c.fl;
+    c.fv <- a
+  end;
+  Array.unsafe_set c.fv c.fl x;
+  c.fl <- c.fl + 1
+
+(* The instance format takes no NaN anywhere. *)
+let number sc what s e =
+  let x = float_in sc what s e in
+  if Float.is_nan x then
+    err sc.line "NaN %s %S" what (String.sub sc.text s (e - s));
+  x
+
+let number_at sc k what = number sc what sc.fs.(k) sc.fe.(k)
+
+let cost sc what =
+  let c = number sc what sc.first sc.last in
+  if c < 0.0 then err sc.line "negative %s %g" what c;
+  if c = Float.infinity then err sc.line "non-finite %s %g" what c;
+  c
+
+let fields sc want section what =
+  split sc;
+  if sc.nf <> want then
+    err sc.line "expected %s in %s, got %d field(s)" what section sc.nf
+
+(* A record whose ids are range-checked once the whole text is read. *)
+type ranged = Broken_vertex of int | Broken_edge of int | Demand of Commodity.t
+
+(* Each field is checked in field order, then the record's own checks
+   run. *)
 let parse text =
-  let acc =
-    { edges = []; coords = []; names = []; demands = []; broken_v = [];
-      broken_e = []; vcosts = []; ecosts = [] }
-  in
-  let current = ref "" in
-  (* Line of each section header, for arity errors spanning a section. *)
+  let sc = scanner text in
+  let eu = ints () and ev = ints () and cap = floats () in
+  let cx = floats () and cy = floats () in
+  let vcost = floats () and ecost = floats () in
+  let names = ref [] and n_names = ref 0 in
+  let ranged = ref [] in  (* (line, record), in reverse file order *)
+  (* First line of each section header, for errors spanning a section. *)
   let header_line = Hashtbl.create 8 in
-  let err line fmt =
-    Printf.ksprintf (fun msg -> raise (Parse_error { line; msg })) fmt
-  in
+  let current = ref "" in
+  while next_line sc do
+    let ln = sc.line in
+    if is_header sc then begin
+      current := line_text sc;
+      if not (Hashtbl.mem header_line !current) then
+        Hashtbl.replace header_line !current ln
+    end
+    else
+      match !current with
+      | "[graph]" ->
+        fields sc 3 "[graph]" "3 fields (u v capacity)";
+        let u = id_at sc 0 "vertex id" in
+        let v = id_at sc 1 "vertex id" in
+        let c = number_at sc 2 "capacity" in
+        if c < 0.0 then err ln "negative capacity %g" c;
+        if u = v then err ln "self-loop at vertex %d" u;
+        push eu u;
+        push ev v;
+        pushf cap c
+      | "[coords]" ->
+        fields sc 2 "[coords]" "2 fields (x y)";
+        let x = number_at sc 0 "coordinate" in
+        let y = number_at sc 1 "coordinate" in
+        pushf cx x;
+        pushf cy y
+      | "[names]" ->
+        names := line_text sc :: !names;
+        incr n_names
+      | "[demands]" ->
+        fields sc 3 "[demands]" "3 fields (src dst amount)";
+        let s = id_at sc 0 "vertex id" in
+        let t = id_at sc 1 "vertex id" in
+        let a = number_at sc 2 "demand amount" in
+        if a < 0.0 then err ln "negative demand amount %g" a;
+        if a = 0.0 then err ln "zero demand amount %g" a;
+        if a = Float.infinity then err ln "non-finite demand amount %g" a;
+        if s = t then err ln "demand with equal endpoints %d" s;
+        ranged := (ln, Demand { Commodity.src = s; dst = t; amount = a }) :: !ranged
+      | "[broken_vertices]" ->
+        let v = id_in sc "vertex id" sc.first sc.last in
+        ranged := (ln, Broken_vertex v) :: !ranged
+      | "[broken_edges]" ->
+        let e = id_in sc "edge id" sc.first sc.last in
+        ranged := (ln, Broken_edge e) :: !ranged
+      | "[vertex_costs]" -> pushf vcost (cost sc "vertex cost")
+      | "[edge_costs]" -> pushf ecost (cost sc "edge cost")
+      | "" -> err ln "content before any section: %S" (line_text sc)
+      | s -> err (Hashtbl.find header_line s) "unknown section %s" s
+  done;
   let section_err section fmt =
     err (Option.value ~default:0 (Hashtbl.find_opt header_line section)) fmt
   in
-  let int_field ln what s =
-    match int_of_string_opt s with
-    | Some i when i >= 0 -> i
-    | Some i -> err ln "negative %s %d" what i
-    | None -> err ln "bad %s %S (expected a non-negative integer)" what s
-  in
-  let float_field ln what s =
-    match float_of_string_opt s with
-    | Some f -> f
-    | None -> err ln "bad %s %S (expected a number)" what s
-  in
-  String.split_on_char '\n' text
-  |> List.iteri (fun i raw ->
-         let ln = i + 1 in
-         let line = String.trim raw in
-         if line = "" || line.[0] = '#' then ()
-         else if line.[0] = '[' then begin
-           current := line;
-           if not (Hashtbl.mem header_line line) then
-             Hashtbl.replace header_line line ln
-         end
-         else
-           let parts =
-             String.split_on_char ' ' line |> List.filter (fun s -> s <> "")
-           in
-           let arity section want =
-             err ln "expected %s in %s, got %d field(s)" want section
-               (List.length parts)
-           in
-           match !current with
-           | "[graph]" -> (
-             match parts with
-             | [ u; v; c ] ->
-               let u = int_field ln "vertex id" u in
-               let v = int_field ln "vertex id" v in
-               let c = float_field ln "capacity" c in
-               if c < 0.0 then err ln "negative capacity %g" c;
-               acc.edges <- (ln, u, v, c) :: acc.edges
-             | _ -> arity "[graph]" "3 fields (u v capacity)")
-           | "[coords]" -> (
-             match parts with
-             | [ x; y ] ->
-               acc.coords <-
-                 (float_field ln "coordinate" x, float_field ln "coordinate" y)
-                 :: acc.coords
-             | _ -> arity "[coords]" "2 fields (x y)")
-           | "[names]" -> acc.names <- line :: acc.names
-           | "[demands]" -> (
-             match parts with
-             | [ s; t; a ] ->
-               let s = int_field ln "vertex id" s in
-               let t = int_field ln "vertex id" t in
-               let a = float_field ln "demand amount" a in
-               if a < 0.0 then err ln "negative demand amount %g" a;
-               acc.demands <- (ln, s, t, a) :: acc.demands
-             | _ -> arity "[demands]" "3 fields (src dst amount)")
-           | "[broken_vertices]" ->
-             acc.broken_v <- (ln, int_field ln "vertex id" line) :: acc.broken_v
-           | "[broken_edges]" ->
-             acc.broken_e <- (ln, int_field ln "edge id" line) :: acc.broken_e
-           | "[vertex_costs]" ->
-             acc.vcosts <- float_field ln "vertex cost" line :: acc.vcosts
-           | "[edge_costs]" ->
-             acc.ecosts <- float_field ln "edge cost" line :: acc.ecosts
-           | "" -> err ln "content before any section: %S" line
-           | s -> err (Hashtbl.find header_line s) "unknown section %s" s);
-  let edges = List.rev acc.edges in
-  if edges = [] then err 0 "no [graph] section";
+  let ne = eu.il in
+  if ne = 0 then err 0 "no [graph] section";
   (* Vertex count: largest endpoint, or the [names]/[coords] length when
      given (covers isolated trailing vertices). *)
-  let n =
-    List.fold_left (fun m (_, u, v, _) -> max m (max u v + 1)) 0 edges
-    |> max (List.length acc.names)
-    |> max (List.length acc.coords)
-  in
+  let n = ref (max !n_names cx.fl) in
+  for i = 0 to ne - 1 do
+    n := max !n (max eu.iv.(i) ev.iv.(i) + 1)
+  done;
+  let n = !n in
   let names =
-    match List.rev acc.names with
-    | [] -> None
-    | ns when List.length ns = n -> Some (Array.of_list ns)
-    | ns ->
+    if !n_names = 0 then None
+    else if !n_names <> n then
       section_err "[names]" "[names] arity mismatch (%d names, %d vertices)"
-        (List.length ns) n
+        !n_names n
+    else Some (Array.of_list (List.rev !names))
   in
   let coords =
-    match List.rev acc.coords with
-    | [] -> None
-    | cs when List.length cs = n -> Some (Array.of_list cs)
-    | cs ->
+    if cx.fl = 0 then None
+    else if cx.fl <> n then
       section_err "[coords]" "[coords] arity mismatch (%d coords, %d vertices)"
-        (List.length cs) n
+        cx.fl n
+    else Some (Array.init n (fun i -> (cx.fv.(i), cy.fv.(i))))
   in
   let graph =
-    try Graph.make ?names ?coords ~n ~edges:(List.map (fun (_, u, v, c) -> (u, v, c)) edges) ()
+    try
+      Graph.of_columns ?names ?coords ~n ~src:(Array.sub eu.iv 0 ne)
+        ~dst:(Array.sub ev.iv 0 ne) ~capacity:(Array.sub cap.fv 0 ne) ()
     with Invalid_argument m | Failure m -> section_err "[graph]" "%s" m
   in
+  (* The first out-of-range id in file order is blamed, whatever its
+     section. *)
   List.iter
-    (fun (ln, id) ->
-      if id >= n then
-        err ln "broken vertex id %d out of range (graph has %d vertices)" id n)
-    acc.broken_v;
+    (fun (ln, r) ->
+      match r with
+      | Broken_vertex v when v >= n ->
+        err ln "broken vertex id %d out of range (graph has %d vertices)" v n
+      | Broken_edge e when e >= ne ->
+        err ln "broken edge id %d out of range (graph has %d edges)" e ne
+      | Demand d when d.Commodity.src >= n || d.Commodity.dst >= n ->
+        err ln "demand endpoint out of range (graph has %d vertices)" n
+      | _ -> ())
+    (List.rev !ranged);
+  let failure = Failure.none graph and demands = ref [] in
   List.iter
-    (fun (ln, id) ->
-      if id >= Graph.ne graph then
-        err ln "broken edge id %d out of range (graph has %d edges)" id
-          (Graph.ne graph))
-    acc.broken_e;
-  let failure =
-    Failure.of_lists graph ~vertices:(List.map snd acc.broken_v)
-      ~edges:(List.map snd acc.broken_e)
+    (fun (_, r) ->
+      match r with
+      | Broken_vertex v -> failure.Failure.broken_vertices.(v) <- true
+      | Broken_edge e -> failure.Failure.broken_edges.(e) <- true
+      | Demand d -> demands := d :: !demands)
+    !ranged;
+  let costs c want section what =
+    if c.fl = 0 then None
+    else if c.fl <> want then
+      section_err section "%s arity mismatch (%d costs, %d %s)" section c.fl
+        want what
+    else Some (Array.sub c.fv 0 want)
   in
-  let demands =
-    (* acc.demands is reversed; rev_map restores input order. *)
-    List.rev_map
-      (fun (ln, s, t, a) ->
-        if s >= n || t >= n then
-          err ln "demand endpoint out of range (graph has %d vertices)" n;
-        Commodity.make ~src:s ~dst:t ~amount:a)
-      acc.demands
-  in
-  let vertex_cost =
-    match List.rev acc.vcosts with
-    | [] -> None
-    | cs when List.length cs = n -> Some (Array.of_list cs)
-    | cs ->
-      section_err "[vertex_costs]"
-        "[vertex_costs] arity mismatch (%d costs, %d vertices)"
-        (List.length cs) n
-  in
-  let edge_cost =
-    match List.rev acc.ecosts with
-    | [] -> None
-    | cs when List.length cs = Graph.ne graph -> Some (Array.of_list cs)
-    | cs ->
-      section_err "[edge_costs]"
-        "[edge_costs] arity mismatch (%d costs, %d edges)" (List.length cs)
-        (Graph.ne graph)
-  in
-  try Instance.make ?vertex_cost ?edge_cost ~graph ~demands ~failure ()
+  let vertex_cost = costs vcost n "[vertex_costs]" "vertices" in
+  let edge_cost = costs ecost ne "[edge_costs]" "edges" in
+  try
+    Instance.make ?vertex_cost ?edge_cost ~graph ~demands:!demands ~failure ()
   with Invalid_argument m | Failure m -> err 0 "%s" m
 
 let of_string_result text =
@@ -227,109 +437,87 @@ let of_string text = parse text
    serve it as "path <flow> <edge-id>*" lines.  The optional [cost]
    section carries the producer's claimed repair cost so [recover verify]
    can cross-check it against a recomputation.  The parser is
-   deliberately lenient about semantics (negative flows, out-of-range
-   ids, overfull edges all parse): feasibility is [Netrec_check]'s job —
-   a corrupted solution must survive loading to be diagnosed. *)
+   deliberately lenient about semantics (negative or NaN flows,
+   out-of-range ids, overfull edges all parse): feasibility is
+   [Netrec_check]'s job — a corrupted solution must survive loading to
+   be diagnosed. *)
 
 let solution_to_string ?cost (sol : Instance.solution) =
   let buf = Buffer.create 1024 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
+  let sep () = Buffer.add_char buf ' ' and eol () = Buffer.add_char buf '\n' in
+  let line s = Buffer.add_string buf s; eol () in
+  let id i = add_int buf i; eol () in
   line "[repaired_vertices]";
-  List.iter (fun v -> line "%d" v) sol.Instance.repaired_vertices;
+  List.iter id sol.Instance.repaired_vertices;
   line "[repaired_edges]";
-  List.iter (fun e -> line "%d" e) sol.Instance.repaired_edges;
+  List.iter id sol.Instance.repaired_edges;
   (match cost with
   | Some c ->
     line "[cost]";
-    line "%.12g" c
+    add_float buf c;
+    eol ()
   | None -> ());
   line "[routing]";
   List.iter
     (fun a ->
       let d = a.Routing.demand in
-      line "demand %d %d %.12g" d.Commodity.src d.Commodity.dst
-        d.Commodity.amount;
+      Buffer.add_string buf "demand ";
+      add_int buf d.Commodity.src; sep ();
+      add_int buf d.Commodity.dst; sep ();
+      add_float buf d.Commodity.amount; eol ();
       List.iter
         (fun (p, x) ->
-          line "path %.12g%s" x
-            (String.concat "" (List.map (Printf.sprintf " %d") p)))
+          Buffer.add_string buf "path ";
+          add_float buf x;
+          List.iter (fun e -> sep (); add_int buf e) p;
+          eol ())
         a.Routing.paths)
     sol.Instance.routing;
   Buffer.contents buf
 
-type sol_acc = {
-  mutable rv : (int * int) list;  (* reversed; (line, id) *)
-  mutable re : (int * int) list;
-  mutable costs : float list;
-  (* reversed; each demand with its (reversed) path list *)
-  mutable assignments : (Commodity.t * (Paths.path * float) list) list;
-}
-
 let parse_solution text =
-  let acc = { rv = []; re = []; costs = []; assignments = [] } in
+  let sc = scanner text in
+  let rv = ref [] and re = ref [] and costs = ref [] in
+  (* reversed; each demand with its (reversed) path list *)
+  let assignments = ref [] in
   let current = ref "" in
-  let err line fmt =
-    Printf.ksprintf (fun msg -> raise (Parse_error { line; msg })) fmt
-  in
-  let int_field ln what s =
-    match int_of_string_opt s with
-    | Some i when i >= 0 -> i
-    | Some i -> err ln "negative %s %d" what i
-    | None -> err ln "bad %s %S (expected a non-negative integer)" what s
-  in
-  let float_field ln what s =
-    match float_of_string_opt s with
-    | Some f -> f
-    | None -> err ln "bad %s %S (expected a number)" what s
-  in
-  String.split_on_char '\n' text
-  |> List.iteri (fun i raw ->
-         let ln = i + 1 in
-         let line = String.trim raw in
-         if line = "" || line.[0] = '#' then ()
-         else if line.[0] = '[' then begin
-           match line with
-           | "[repaired_vertices]" | "[repaired_edges]" | "[cost]"
-           | "[routing]" ->
-             current := line
-           | s -> err ln "unknown section %s" s
-         end
-         else
-           let parts =
-             String.split_on_char ' ' line |> List.filter (fun s -> s <> "")
-           in
-           match !current with
-           | "[repaired_vertices]" ->
-             acc.rv <- (ln, int_field ln "vertex id" line) :: acc.rv
-           | "[repaired_edges]" ->
-             acc.re <- (ln, int_field ln "edge id" line) :: acc.re
-           | "[cost]" -> acc.costs <- float_field ln "cost" line :: acc.costs
-           | "[routing]" -> (
-             match parts with
-             | "demand" :: [ s; t; a ] ->
-               let s = int_field ln "vertex id" s in
-               let t = int_field ln "vertex id" t in
-               let a = float_field ln "demand amount" a in
-               if s = t then err ln "demand with equal endpoints %d" s;
-               acc.assignments <-
-                 ({ Commodity.src = s; dst = t; amount = a }, [])
-                 :: acc.assignments
-             | "path" :: flow :: edges -> (
-               let x = float_field ln "path flow" flow in
-               let p = List.map (int_field ln "edge id") edges in
-               match acc.assignments with
-               | [] -> err ln "path line before any demand line"
-               | (d, paths) :: rest ->
-                 acc.assignments <- (d, (p, x) :: paths) :: rest)
-             | _ ->
-               err ln
-                 "expected \"demand <src> <dst> <amount>\" or \"path <flow> \
-                  <edge-id>*\", got %S"
-                 line)
-           | "" -> err ln "content before any section: %S" line
-           | _ -> assert false);
+  while next_line sc do
+    let ln = sc.line in
+    if is_header sc then
+      match line_text sc with
+      | "[repaired_vertices]" | "[repaired_edges]" | "[cost]" | "[routing]" as s ->
+        current := s
+      | s -> err ln "unknown section %s" s
+    else
+      match !current with
+      | "[repaired_vertices]" -> rv := id_in sc "vertex id" sc.first sc.last :: !rv
+      | "[repaired_edges]" -> re := id_in sc "edge id" sc.first sc.last :: !re
+      | "[cost]" -> costs := float_in sc "cost" sc.first sc.last :: !costs
+      | "[routing]" -> (
+        split sc;
+        match String.sub text sc.fs.(0) (sc.fe.(0) - sc.fs.(0)) with
+        | "demand" when sc.nf = 4 ->
+          let s = id_at sc 1 "vertex id" in
+          let t = id_at sc 2 "vertex id" in
+          let a = float_at sc 3 "demand amount" in
+          if s = t then err ln "demand with equal endpoints %d" s;
+          assignments :=
+            ({ Commodity.src = s; dst = t; amount = a }, []) :: !assignments
+        | "path" when sc.nf >= 2 -> (
+          let x = float_at sc 1 "path flow" in
+          let p = List.init (sc.nf - 2) (fun k -> id_at sc (k + 2) "edge id") in
+          match !assignments with
+          | [] -> err ln "path line before any demand line"
+          | (d, paths) :: rest -> assignments := (d, (p, x) :: paths) :: rest)
+        | _ ->
+          err ln
+            "expected \"demand <src> <dst> <amount>\" or \"path <flow> \
+             <edge-id>*\", got %S"
+            (line_text sc))
+      | _ -> err ln "content before any section: %S" (line_text sc)
+  done;
   let cost =
-    match acc.costs with
+    match !costs with
     | [] -> None
     | [ c ] -> Some c
     | _ -> err 0 "[cost] section carries more than one value"
@@ -337,10 +525,10 @@ let parse_solution text =
   let routing =
     List.rev_map
       (fun (demand, paths) -> { Routing.demand; paths = List.rev paths })
-      acc.assignments
+      !assignments
   in
-  ( { Instance.repaired_vertices = List.rev_map snd acc.rv;
-      repaired_edges = List.rev_map snd acc.re;
+  ( { Instance.repaired_vertices = List.rev !rv;
+      repaired_edges = List.rev !re;
       routing },
     cost )
 

@@ -18,13 +18,31 @@
     [edge_costs]                optional, one float per edge
     v}
 
-    Sections may appear in any order; unknown sections are rejected. *)
+    Sections may appear in any order, and a repeated section appends to
+    the earlier one; an unknown section is rejected once content follows
+    it.  A line is trimmed of [String.trim]'s whitespace, blank lines and
+    lines starting with [#] are skipped, and fields split on spaces only
+    (a tab inside a line is part of its field).  Ids use
+    [int_of_string]'s syntax and numbers [float_of_string]'s (hex, [_],
+    a leading [+], [inf]), with the same values: plain decimals are read
+    in place, bit-identical to [float_of_string] (DESIGN §11), and every
+    other token goes through the stdlib conversion.
+
+    Beyond syntax, the parser rejects at the offending line: NaN in any
+    numeric field; a negative capacity; a negative, zero or infinite
+    demand amount; a demand whose endpoints are equal; a self-loop; a
+    negative or infinite cost.  An infinite capacity or coordinate is
+    legal.  Ids are range-checked once the whole text is read. *)
 
 type parse_error = {
   line : int;
-      (** 1-based line the error refers to.  Arity mismatches spanning a
-          whole section point at the section's header line; file-level
-          errors (e.g. a missing [graph] section) use 0. *)
+      (** 1-based line the error refers to, counting every ['\n']-separated
+          piece of the text.  A bad record is blamed at its own line, and
+          the first bad one in file order (for out-of-range ids too,
+          whatever their section), at its first bad field.  Arity
+          mismatches spanning a whole section point at the section's
+          (first) header line, an unknown section at its header line;
+          file-level errors (e.g. a missing [graph] section) use 0. *)
   msg : string;  (** human-readable description, no location prefix *)
 }
 
@@ -33,7 +51,9 @@ exception Parse_error of parse_error
     [Printexc] so uncaught copies still print the line number. *)
 
 val to_string : Instance.t -> string
-(** Serialize an instance (always writes every section). *)
+(** Serialize an instance (always writes every section but [coords],
+    which only an embedded graph has).  Numbers print as [%.12g], so
+    [to_string (of_string (to_string t)) = to_string t]. *)
 
 val of_string : string -> Instance.t
 (** Parse.  @raise Parse_error on malformed input. *)
@@ -63,10 +83,12 @@ val load : string -> Instance.t
     path <flow> <edge-id> ...   zero or more per preceding demand line
     v}
 
-    Parsing checks syntax only (non-negative ids, numeric fields); it
-    deliberately does {e not} validate feasibility — negative flows,
-    out-of-range ids or overfull edges all load fine and are diagnosed by
-    [Netrec_check.certify], so corrupted solutions can be inspected. *)
+    The same scanner reads it, with the same number syntax.  Parsing
+    checks syntax only (non-negative ids, numeric fields, distinct demand
+    endpoints); it deliberately does {e not} validate feasibility —
+    negative or NaN flows, a NaN cost, out-of-range ids or overfull edges
+    all load fine and are diagnosed by [Netrec_check.certify], so
+    corrupted solutions can be inspected. *)
 
 val solution_to_string : ?cost:float -> Instance.solution -> string
 (** Serialize a solution; [cost] adds the optional [\[cost\]] section. *)

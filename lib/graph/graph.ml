@@ -19,27 +19,23 @@ type t = {
   coords : (float * float) array option;
 }
 
-let of_edge_array ?names ?coords ~n edges =
+let checked_edge ~n id u v capacity =
+  if u < 0 || u >= n || v < 0 || v >= n then
+    invalid_arg "Graph.make: endpoint out of range";
+  if u = v then invalid_arg "Graph.make: self-loop";
+  if capacity < 0.0 then invalid_arg "Graph.make: negative capacity";
+  { id; u; v; capacity }
+
+let check_shape ?names ?coords n =
   if n < 0 then invalid_arg "Graph.make: negative vertex count";
   (match names with
   | Some a when Array.length a <> n -> invalid_arg "Graph.make: names arity"
   | _ -> ());
-  (match coords with
+  match coords with
   | Some a when Array.length a <> n -> invalid_arg "Graph.make: coords arity"
-  | _ -> ());
-  let check_vertex w =
-    if w < 0 || w >= n then invalid_arg "Graph.make: endpoint out of range"
-  in
-  let edge_arr =
-    Array.mapi
-      (fun id (u, v, capacity) ->
-        check_vertex u;
-        check_vertex v;
-        if u = v then invalid_arg "Graph.make: self-loop";
-        if capacity < 0.0 then invalid_arg "Graph.make: negative capacity";
-        { id; u; v; capacity })
-      edges
-  in
+  | _ -> ()
+
+let of_records ?names ?coords ~n edge_arr =
   let m = Array.length edge_arr in
   (* Two-pass CSR build: count degrees, prefix-sum into offsets, then fill
      slots in increasing edge id so each row is in edge-id order. *)
@@ -67,6 +63,19 @@ let of_edge_array ?names ?coords ~n edges =
       cursor.(e.v) <- kv + 1)
     edge_arr;
   { nv = n; edge_arr; adj_off; adj_v; adj_e; names; coords }
+
+let of_edge_array ?names ?coords ~n edges =
+  check_shape ?names ?coords n;
+  of_records ?names ?coords ~n
+    (Array.mapi (fun id (u, v, c) -> checked_edge ~n id u v c) edges)
+
+let of_columns ?names ?coords ~n ~src ~dst ~capacity () =
+  check_shape ?names ?coords n;
+  let m = Array.length src in
+  if Array.length dst <> m || Array.length capacity <> m then
+    invalid_arg "Graph.make: column lengths";
+  of_records ?names ?coords ~n
+    (Array.init m (fun id -> checked_edge ~n id src.(id) dst.(id) capacity.(id)))
 
 let make ?names ?coords ~n ~edges () =
   of_edge_array ?names ?coords ~n (Array.of_list edges)
@@ -181,21 +190,3 @@ let to_edge_list g =
     (fun e -> Buffer.add_string buf (Printf.sprintf "%d %d %g\n" e.u e.v e.capacity))
     g.edge_arr;
   Buffer.contents buf
-
-let of_edge_list text =
-  let lines = String.split_on_char '\n' text in
-  let parse line =
-    let line = String.trim line in
-    if line = "" || line.[0] = '#' then None
-    else
-      match String.split_on_char ' ' line |> List.filter (fun s -> s <> "") with
-      | [ u; v; c ] -> (
-        try Some (int_of_string u, int_of_string v, float_of_string c)
-        with _ -> failwith ("Graph.of_edge_list: bad line: " ^ line))
-      | _ -> failwith ("Graph.of_edge_list: bad line: " ^ line)
-  in
-  let parsed = List.filter_map parse lines in
-  let n =
-    List.fold_left (fun acc (u, v, _) -> max acc (max u v + 1)) 0 parsed
-  in
-  make ~n ~edges:parsed ()

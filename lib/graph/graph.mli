@@ -50,6 +50,21 @@ val of_edge_array :
     builds without materialising an intermediate list.  The array is not
     retained.  Same validation as {!make}. *)
 
+val of_columns :
+  ?names:string array ->
+  ?coords:(float * float) array ->
+  n:int ->
+  src:vertex array ->
+  dst:vertex array ->
+  capacity:float array ->
+  unit ->
+  t
+(** Column form of {!of_edge_array}: edge [i] is
+    [(src.(i), dst.(i), capacity.(i))].  A parser that collects its
+    records in int and float arrays builds the graph from them without
+    an intermediate tuple per edge.  The arrays are not retained.  Same
+    validation as {!make}, and the three lengths must agree. *)
+
 val nv : t -> int
 (** Number of vertices. *)
 
@@ -133,9 +148,6 @@ val to_dot : t -> string
 (** Graphviz rendering (capacities as labels, coordinates as [pos]). *)
 
 val to_edge_list : t -> string
-(** One [u v capacity] line per edge — the library's plain-text exchange
-    format, re-read by {!of_edge_list}. *)
-
-val of_edge_list : string -> t
-(** Parse the {!to_edge_list} format.  Vertex count is one more than the
-    largest mentioned endpoint.  @raise Failure on malformed input. *)
+(** One [u v capacity] line per edge (capacities as [%g]): a digest of
+    the topology's structure, and the [edges] format of
+    [recover topology]. *)

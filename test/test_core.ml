@@ -1103,14 +1103,67 @@ let malformed_cases =
       3, "arity mismatch" );
     ( "bad edge cost",
       "[graph]\n0 1 5\n[edge_costs]\ncheap\n",
-      4, "edge cost" ) ]
+      4, "edge cost" );
+    (* Records that used to fail only in construction: uncaught, at
+       line 0 or at the section header. *)
+    ( "demand with equal endpoints",
+      "[graph]\n0 1 5\n1 2 5\n[demands]\n0 0 3\n",
+      5, "demand with equal endpoints 0" );
+    ( "self-loop",
+      "[graph]\n0 1 5\n1 1 5\n",
+      3, "self-loop at vertex 1" );
+    ( "zero demand amount",
+      "[graph]\n0 1 5\n[demands]\n0 1 0\n",
+      4, "zero demand amount" );
+    (* No NaN anywhere; infinite amounts and costs, negative costs. *)
+    ( "NaN capacity",
+      "[graph]\n0 1 nan\n",
+      2, "NaN capacity \"nan\"" );
+    ( "NaN coordinate",
+      "[graph]\n0 1 5\n[coords]\n0 0\n-nan 1\n",
+      5, "NaN coordinate" );
+    ( "NaN demand amount",
+      "[graph]\n0 1 5\n[demands]\n0 1 nan\n",
+      4, "NaN demand amount" );
+    ( "infinite demand amount",
+      "[graph]\n0 1 5\n[demands]\n0 1 inf\n",
+      4, "non-finite demand amount inf" );
+    ( "NaN vertex cost",
+      "[graph]\n0 1 5\n[vertex_costs]\n1\nnan\n",
+      5, "NaN vertex cost" );
+    ( "negative vertex cost",
+      "[graph]\n0 1 5\n[vertex_costs]\n-1\n1\n",
+      4, "negative vertex cost -1" );
+    ( "negative edge cost",
+      "[graph]\n0 1 5\n[edge_costs]\n-0.5\n",
+      4, "negative edge cost -0.5" );
+    ( "infinite edge cost",
+      "[graph]\n0 1 5\n[edge_costs]\ninfinity\n",
+      4, "non-finite edge cost inf" );
+    (* The first bad record in file order, at its own line, and its
+       first bad field. *)
+    ( "first of two out-of-range broken vertices",
+      "[graph]\n0 1 5\n[broken_vertices]\n9\n8\n",
+      4, "broken vertex id 9" );
+    ( "first of two out-of-range broken edges",
+      "[graph]\n0 1 5\n[broken_edges]\n3\n4\n",
+      4, "broken edge id 3" );
+    ( "first of two out-of-range demands",
+      "[graph]\n0 1 5\n[demands]\n0 7 3\n0 8 3\n",
+      4, "demand endpoint out of range" );
+    ( "out-of-range demand before a broken vertex",
+      "[graph]\n0 1 5\n[demands]\n0 7 3\n[broken_vertices]\n9\n",
+      4, "demand endpoint out of range" );
+    ( "first bad coordinate field",
+      "[graph]\n0 1 5\n[coords]\nfoo bar\n0 0\n",
+      4, "bad coordinate \"foo\"" ) ]
+
+let contains hay needle =
+  let n = String.length needle and h = String.length hay in
+  let rec scan i = i + n <= h && (String.sub hay i n = needle || scan (i + 1)) in
+  scan 0
 
 let test_serialize_malformed_table () =
-  let contains hay needle =
-    let n = String.length needle and h = String.length hay in
-    let rec scan i = i + n <= h && (String.sub hay i n = needle || scan (i + 1)) in
-    scan 0
-  in
   List.iter
     (fun (label, text, want_line, want_msg) ->
       match Serialize.of_string_result text with
@@ -1216,6 +1269,653 @@ let test_serialize_solutions_agree () =
   let s1, _ = Isp.solve inst and s2, _ = Isp.solve inst' in
   Alcotest.(check int) "same total" (Instance.total_repairs s1)
     (Instance.total_repairs s2)
+
+(* ---- Serialize against its reference ----
+
+   The list-based parser and the Printf encoder that the in-place
+   scanner and the Buffer encoder replaced, kept as the
+   reference of the properties below. *)
+module Reference = struct
+  let err line fmt =
+    Printf.ksprintf
+      (fun msg -> raise (Serialize.Parse_error { Serialize.line; msg }))
+      fmt
+
+  let to_string inst =
+    let g = inst.Instance.graph in
+    let buf = Buffer.create 4096 in
+    let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
+    line "[graph]";
+    Graph.fold_edges
+      (fun e () -> line "%d %d %.12g" e.Graph.u e.Graph.v e.Graph.capacity)
+      g ();
+    if Graph.has_coords g then begin
+      line "[coords]";
+      List.iter
+        (fun v ->
+          let x, y = Option.get (Graph.coord g v) in
+          line "%.12g %.12g" x y)
+        (Graph.vertices g)
+    end;
+    line "[names]";
+    List.iter (fun v -> line "%s" (Graph.name g v)) (Graph.vertices g);
+    line "[demands]";
+    List.iter
+      (fun d -> line "%d %d %.12g" d.Commodity.src d.Commodity.dst d.Commodity.amount)
+      inst.Instance.demands;
+    line "[broken_vertices]";
+    List.iter (fun v -> line "%d" v)
+      (Failure.broken_vertex_list inst.Instance.failure);
+    line "[broken_edges]";
+    List.iter (fun e -> line "%d" e)
+      (Failure.broken_edge_list inst.Instance.failure);
+    line "[vertex_costs]";
+    Array.iter (fun c -> line "%.12g" c) inst.Instance.vertex_cost;
+    line "[edge_costs]";
+    Array.iter (fun c -> line "%.12g" c) inst.Instance.edge_cost;
+    Buffer.contents buf
+
+  type section = {
+    mutable edges : (int * int * int * float) list;
+    mutable coords : (float * float) list;
+    mutable names : string list;
+    mutable demands : (int * int * int * float) list;
+    mutable broken_v : (int * int) list;
+    mutable broken_e : (int * int) list;
+    mutable vcosts : float list;
+    mutable ecosts : float list;
+  }
+
+  let int_field ln what s =
+    match int_of_string_opt s with
+    | Some i when i >= 0 -> i
+    | Some i -> err ln "negative %s %d" what i
+    | None -> err ln "bad %s %S (expected a non-negative integer)" what s
+
+  let float_field ln what s =
+    match float_of_string_opt s with
+    | Some f -> f
+    | None -> err ln "bad %s %S (expected a number)" what s
+
+  let parse text =
+    let acc =
+      { edges = []; coords = []; names = []; demands = []; broken_v = [];
+        broken_e = []; vcosts = []; ecosts = [] }
+    in
+    let current = ref "" in
+    let header_line = Hashtbl.create 8 in
+    let section_err section fmt =
+      err (Option.value ~default:0 (Hashtbl.find_opt header_line section)) fmt
+    in
+    String.split_on_char '\n' text
+    |> List.iteri (fun i raw ->
+           let ln = i + 1 in
+           let line = String.trim raw in
+           if line = "" || line.[0] = '#' then ()
+           else if line.[0] = '[' then begin
+             current := line;
+             if not (Hashtbl.mem header_line line) then
+               Hashtbl.replace header_line line ln
+           end
+           else
+             let parts =
+               String.split_on_char ' ' line |> List.filter (fun s -> s <> "")
+             in
+             let arity section want =
+               err ln "expected %s in %s, got %d field(s)" want section
+                 (List.length parts)
+             in
+             match !current with
+             | "[graph]" -> (
+               match parts with
+               | [ u; v; c ] ->
+                 let u = int_field ln "vertex id" u in
+                 let v = int_field ln "vertex id" v in
+                 let c = float_field ln "capacity" c in
+                 if c < 0.0 then err ln "negative capacity %g" c;
+                 acc.edges <- (ln, u, v, c) :: acc.edges
+               | _ -> arity "[graph]" "3 fields (u v capacity)")
+             | "[coords]" -> (
+               match parts with
+               | [ x; y ] ->
+                 acc.coords <-
+                   (float_field ln "coordinate" x, float_field ln "coordinate" y)
+                   :: acc.coords
+               | _ -> arity "[coords]" "2 fields (x y)")
+             | "[names]" -> acc.names <- line :: acc.names
+             | "[demands]" -> (
+               match parts with
+               | [ s; t; a ] ->
+                 let s = int_field ln "vertex id" s in
+                 let t = int_field ln "vertex id" t in
+                 let a = float_field ln "demand amount" a in
+                 if a < 0.0 then err ln "negative demand amount %g" a;
+                 acc.demands <- (ln, s, t, a) :: acc.demands
+               | _ -> arity "[demands]" "3 fields (src dst amount)")
+             | "[broken_vertices]" ->
+               acc.broken_v <- (ln, int_field ln "vertex id" line) :: acc.broken_v
+             | "[broken_edges]" ->
+               acc.broken_e <- (ln, int_field ln "edge id" line) :: acc.broken_e
+             | "[vertex_costs]" ->
+               acc.vcosts <- float_field ln "vertex cost" line :: acc.vcosts
+             | "[edge_costs]" ->
+               acc.ecosts <- float_field ln "edge cost" line :: acc.ecosts
+             | "" -> err ln "content before any section: %S" line
+             | s -> err (Hashtbl.find header_line s) "unknown section %s" s);
+    let edges = List.rev acc.edges in
+    if edges = [] then err 0 "no [graph] section";
+    let n =
+      List.fold_left (fun m (_, u, v, _) -> max m (max u v + 1)) 0 edges
+      |> max (List.length acc.names)
+      |> max (List.length acc.coords)
+    in
+    let names =
+      match List.rev acc.names with
+      | [] -> None
+      | ns when List.length ns = n -> Some (Array.of_list ns)
+      | ns ->
+        section_err "[names]" "[names] arity mismatch (%d names, %d vertices)"
+          (List.length ns) n
+    in
+    let coords =
+      match List.rev acc.coords with
+      | [] -> None
+      | cs when List.length cs = n -> Some (Array.of_list cs)
+      | cs ->
+        section_err "[coords]" "[coords] arity mismatch (%d coords, %d vertices)"
+          (List.length cs) n
+    in
+    let graph =
+      try
+        Graph.make ?names ?coords ~n
+          ~edges:(List.map (fun (_, u, v, c) -> (u, v, c)) edges)
+          ()
+      with Invalid_argument m | Failure m -> section_err "[graph]" "%s" m
+    in
+    List.iter
+      (fun (ln, id) ->
+        if id >= n then
+          err ln "broken vertex id %d out of range (graph has %d vertices)" id n)
+      acc.broken_v;
+    List.iter
+      (fun (ln, id) ->
+        if id >= Graph.ne graph then
+          err ln "broken edge id %d out of range (graph has %d edges)" id
+            (Graph.ne graph))
+      acc.broken_e;
+    let failure =
+      Failure.of_lists graph ~vertices:(List.map snd acc.broken_v)
+        ~edges:(List.map snd acc.broken_e)
+    in
+    let demands =
+      List.rev_map
+        (fun (ln, s, t, a) ->
+          if s >= n || t >= n then
+            err ln "demand endpoint out of range (graph has %d vertices)" n;
+          Commodity.make ~src:s ~dst:t ~amount:a)
+        acc.demands
+    in
+    let vertex_cost =
+      match List.rev acc.vcosts with
+      | [] -> None
+      | cs when List.length cs = n -> Some (Array.of_list cs)
+      | cs ->
+        section_err "[vertex_costs]"
+          "[vertex_costs] arity mismatch (%d costs, %d vertices)"
+          (List.length cs) n
+    in
+    let edge_cost =
+      match List.rev acc.ecosts with
+      | [] -> None
+      | cs when List.length cs = Graph.ne graph -> Some (Array.of_list cs)
+      | cs ->
+        section_err "[edge_costs]"
+          "[edge_costs] arity mismatch (%d costs, %d edges)" (List.length cs)
+          (Graph.ne graph)
+    in
+    try Instance.make ?vertex_cost ?edge_cost ~graph ~demands ~failure ()
+    with Invalid_argument m | Failure m -> err 0 "%s" m
+
+  let solution_to_string ?cost (sol : Instance.solution) =
+    let buf = Buffer.create 1024 in
+    let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
+    line "[repaired_vertices]";
+    List.iter (fun v -> line "%d" v) sol.Instance.repaired_vertices;
+    line "[repaired_edges]";
+    List.iter (fun e -> line "%d" e) sol.Instance.repaired_edges;
+    (match cost with
+    | Some c ->
+      line "[cost]";
+      line "%.12g" c
+    | None -> ());
+    line "[routing]";
+    List.iter
+      (fun a ->
+        let d = a.Routing.demand in
+        line "demand %d %d %.12g" d.Commodity.src d.Commodity.dst
+          d.Commodity.amount;
+        List.iter
+          (fun (p, x) ->
+            line "path %.12g%s" x
+              (String.concat "" (List.map (Printf.sprintf " %d") p)))
+          a.Routing.paths)
+      sol.Instance.routing;
+    Buffer.contents buf
+
+  let parse_solution text =
+    let rv = ref [] and re = ref [] and costs = ref [] and assignments = ref [] in
+    let current = ref "" in
+    String.split_on_char '\n' text
+    |> List.iteri (fun i raw ->
+           let ln = i + 1 in
+           let line = String.trim raw in
+           if line = "" || line.[0] = '#' then ()
+           else if line.[0] = '[' then begin
+             match line with
+             | "[repaired_vertices]" | "[repaired_edges]" | "[cost]"
+             | "[routing]" ->
+               current := line
+             | s -> err ln "unknown section %s" s
+           end
+           else
+             let parts =
+               String.split_on_char ' ' line |> List.filter (fun s -> s <> "")
+             in
+             match !current with
+             | "[repaired_vertices]" -> rv := int_field ln "vertex id" line :: !rv
+             | "[repaired_edges]" -> re := int_field ln "edge id" line :: !re
+             | "[cost]" -> costs := float_field ln "cost" line :: !costs
+             | "[routing]" -> (
+               match parts with
+               | "demand" :: [ s; t; a ] ->
+                 let s = int_field ln "vertex id" s in
+                 let t = int_field ln "vertex id" t in
+                 let a = float_field ln "demand amount" a in
+                 if s = t then err ln "demand with equal endpoints %d" s;
+                 assignments :=
+                   ({ Commodity.src = s; dst = t; amount = a }, []) :: !assignments
+               | "path" :: flow :: edges -> (
+                 let x = float_field ln "path flow" flow in
+                 let p = List.map (int_field ln "edge id") edges in
+                 match !assignments with
+                 | [] -> err ln "path line before any demand line"
+                 | (d, paths) :: rest -> assignments := (d, (p, x) :: paths) :: rest)
+               | _ ->
+                 err ln
+                   "expected \"demand <src> <dst> <amount>\" or \"path <flow> \
+                    <edge-id>*\", got %S"
+                   line)
+             | "" -> err ln "content before any section: %S" line
+             | _ -> assert false);
+    let cost =
+      match !costs with
+      | [] -> None
+      | [ c ] -> Some c
+      | _ -> err 0 "[cost] section carries more than one value"
+    in
+    ( { Instance.repaired_vertices = List.rev !rv;
+        repaired_edges = List.rev !re;
+        routing =
+          List.rev_map
+            (fun (demand, paths) -> { Routing.demand; paths = List.rev paths })
+            !assignments },
+      cost )
+end
+
+(* What a parser made of a text: the parsed value printed by the
+   reference encoder, a structured error, or an escaped exception. *)
+type outcome = Parsed of string | Rejected of int * string | Raised of string
+
+let outcome parse print text =
+  match parse text with
+  | v -> Parsed (print v)
+  | exception Serialize.Parse_error { Serialize.line; msg } -> Rejected (line, msg)
+  | exception e -> Raised (Printexc.to_string e)
+
+let show = function
+  | Parsed s -> Printf.sprintf "Parsed %S" s
+  | Rejected (l, m) -> Printf.sprintf "Rejected (line %d: %s)" l m
+  | Raised e -> "Raised " ^ e
+
+let starts_with prefix s = String.starts_with ~prefix s
+
+(* The differences the rejection rules make on purpose.  NaN anywhere,
+   infinite amounts and costs, negative costs, zero amounts, equal
+   demand endpoints and self-loops are rejected at their own line, where
+   the reference accepted them, raised, or blamed line 0 or the section
+   header; such a rejection may only pre-empt a reference error that is
+   not a syntax error on an earlier line.  Out-of-range ids blame the
+   first culprit in file order, so no later line than the reference's;
+   a [coords] line blames its x before its y. *)
+let sanctioned ~reference ~fresh =
+  let new_rejection m =
+    List.exists (fun p -> starts_with p m)
+      [ "NaN "; "non-finite "; "negative vertex cost"; "negative edge cost";
+        "zero demand amount"; "demand with equal endpoints"; "self-loop at vertex" ]
+  in
+  let syntax m =
+    List.exists (fun p -> starts_with p m)
+      [ "bad "; "negative "; "expected "; "content before" ]
+  in
+  match (reference, fresh) with
+  | Rejected (l', m'), Rejected (l, m) when new_rejection m ->
+    (not (syntax m')) || l' >= l
+  | (Parsed _ | Raised _), Rejected (_, m) -> new_rejection m
+  | Rejected (l', m'), Rejected (l, m)
+    when contains m' "out of range" && contains m "out of range" ->
+    l <= l'
+  | Rejected (l', m'), Rejected (l, m)
+    when starts_with "bad coordinate" m' && starts_with "bad coordinate" m ->
+    l = l'
+  | _ -> false
+
+(* Valid instances that exercise every section: names with spaces,
+   coordinates, infinite and integral capacities, costs. *)
+let rich_instance rng =
+  let n = 2 + Rng.int rng 6 in
+  let value () =
+    match Rng.int rng 6 with
+    | 0 -> float_of_int (Rng.int rng 30)
+    | 1 -> 0.1 +. 0.2
+    | 2 -> 1e-5 *. float_of_int (1 + Rng.int rng 9)
+    | _ -> Rng.float rng 20.0
+  in
+  let edges =
+    List.init (1 + Rng.int rng (2 * n)) (fun _ ->
+        let u = Rng.int rng n in
+        let v = (u + 1 + Rng.int rng (n - 1)) mod n in
+        (u, v, if Rng.bernoulli rng 0.05 then Float.infinity else value ()))
+  in
+  let names =
+    if Rng.bool rng then None
+    else Some (Array.init n (fun i -> if Rng.bool rng then Printf.sprintf "city %d" i else Printf.sprintf "n%d" i))
+  in
+  let coords =
+    if Rng.bool rng then None
+    else Some (Array.init n (fun _ -> (Rng.float rng 2.0 -. 1.0, value ())))
+  in
+  let g = Graph.make ?names ?coords ~n ~edges () in
+  let demands =
+    List.init (Rng.int rng 4) (fun _ ->
+        let s = Rng.int rng n in
+        let t = (s + 1 + Rng.int rng (n - 1)) mod n in
+        demand ~amount:(0.5 +. value ()) s t)
+  in
+  let pick p count = List.filter (fun _ -> Rng.bernoulli rng p) (List.init count Fun.id) in
+  let failure =
+    Failure.of_lists g ~vertices:(pick 0.4 n) ~edges:(pick 0.4 (Graph.ne g))
+  in
+  let costs count = if Rng.bool rng then None else Some (Array.init count (fun _ -> value ())) in
+  make_inst ?vertex_cost:(costs n) ?edge_cost:(costs (Graph.ne g)) g demands failure
+
+(* Tokens the number syntax treats specially.  Fractional 16- and
+   17-digit mantissas take the fallback; integral ones are left out,
+   since as a vertex id they size the graph's arrays. *)
+let odd_tokens =
+  [| "-1"; "nan"; "0x1f"; "1_0"; "+3"; "1e400"; "3.141592653589793";
+     "0.30000000000000004"; "1234567890123.4567"; "-0"; "inf"; "-inf";
+     "1e22"; "1e-23"; "007" |]
+
+(* One random edit of a serialized text: a token deleted, duplicated,
+   swapped or replaced by an odd one; a tab, form feed, CR or space at a
+   line's end or for its separators, CRLF, comments, blank lines,
+   repeated or unknown sections; a line dropped. *)
+let mutate rng text =
+  let lines = Array.of_list (String.split_on_char '\n' text) in
+  let nl = Array.length lines in
+  let pick_line () = Rng.int rng nl in
+  let tokens l = Array.of_list (String.split_on_char ' ' lines.(l)) in
+  let set_tokens l a = lines.(l) <- String.concat " " (Array.to_list a) in
+  let insert_at k s =
+    Array.concat [ Array.sub lines 0 k; [| s |]; Array.sub lines k (nl - k) ]
+  in
+  let edited =
+    match Rng.int rng 12 with
+    | 0 ->
+      let l = pick_line () in
+      let a = tokens l in
+      let k = Rng.int rng (Array.length a) in
+      set_tokens l (Array.append (Array.sub a 0 k) (Array.sub a (k + 1) (Array.length a - k - 1)));
+      lines
+    | 1 ->
+      let l = pick_line () in
+      let a = tokens l in
+      let k = Rng.int rng (Array.length a) in
+      set_tokens l (Array.concat [ Array.sub a 0 (k + 1); Array.sub a k (Array.length a - k) ]);
+      lines
+    | 2 ->
+      let l = pick_line () in
+      let a = tokens l in
+      let i = Rng.int rng (Array.length a) and j = Rng.int rng (Array.length a) in
+      let t = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- t;
+      set_tokens l a;
+      lines
+    | 3 | 4 ->
+      let l = pick_line () in
+      let a = tokens l in
+      a.(Rng.int rng (Array.length a)) <- odd_tokens.(Rng.int rng (Array.length odd_tokens));
+      set_tokens l a;
+      lines
+    | 5 ->
+      let l = pick_line () in
+      let ws = [| "\t"; "\012"; "\r"; " " |].(Rng.int rng 4) in
+      lines.(l) <-
+        (match Rng.int rng 3 with
+        | 0 -> ws ^ lines.(l)
+        | 1 -> lines.(l) ^ ws
+        | _ -> String.map (fun c -> if c = ' ' then ws.[0] else c) lines.(l));
+      lines
+    | 6 -> Array.map (fun s -> s ^ "\r") lines
+    | 7 -> insert_at (Rng.int rng (nl + 1)) "# a comment"
+    | 8 -> insert_at (Rng.int rng (nl + 1)) (if Rng.bool rng then "" else " \t ")
+    | 9 ->
+      let headers = List.filter (fun s -> starts_with "[" s) (Array.to_list lines) in
+      insert_at (Rng.int rng (nl + 1)) (List.nth headers (Rng.int rng (List.length headers)))
+    | 10 -> insert_at (Rng.int rng (nl + 1)) "[extra]"
+    | _ ->
+      let l = pick_line () in
+      Array.append (Array.sub lines 0 l) (Array.sub lines (l + 1) (nl - l - 1))
+  in
+  String.concat "\n" (Array.to_list edited)
+
+let mutated rng text =
+  let rec go k t = if k = 0 then t else go (k - 1) (mutate rng t) in
+  go (1 + Rng.int rng 3) text
+
+let instance_outcomes text =
+  ( outcome Reference.parse Reference.to_string text,
+    outcome
+      (fun t ->
+        match Serialize.of_string_result t with
+        | Ok inst -> inst
+        | Error e -> raise (Serialize.Parse_error e))
+      Reference.to_string text )
+
+let print_solution (sol, cost) = Reference.solution_to_string ?cost sol
+
+let solution_outcomes text =
+  ( outcome Reference.parse_solution print_solution text,
+    outcome
+      (fun t ->
+        match Serialize.solution_of_string_result t with
+        | Ok sol -> sol
+        | Error e -> raise (Serialize.Parse_error e))
+      print_solution text )
+
+(* Differential: on random valid instances and their mutations, the
+   scanner parser agrees with the reference (same instance, or the same
+   error at the same line) except where the rejection rules differ on
+   purpose; the solution parser agrees everywhere. *)
+let serialize_differential_prop =
+  QCheck.Test.make ~name:"parsers = list-based reference" ~count:1500
+    (QCheck.int_bound 1_000_000) (fun seed ->
+      let rng = Rng.create (seed + 1) in
+      let inst = rich_instance rng in
+      let text = Serialize.to_string inst in
+      let text = if seed mod 8 = 0 then text else mutated rng text in
+      let reference, fresh = instance_outcomes text in
+      if reference <> fresh && not (sanctioned ~reference ~fresh) then
+        QCheck.Test.fail_reportf "instance %S:@ reference %s@ scanner %s" text
+          (show reference) (show fresh);
+      let sol = random_solution rng inst in
+      let cost = if Rng.bool rng then Some (Rng.float rng 9.0) else None in
+      let text = Serialize.solution_to_string ?cost sol in
+      let text = if seed mod 8 = 0 then text else mutated rng text in
+      let reference, fresh = solution_outcomes text in
+      if reference <> fresh then
+        QCheck.Test.fail_reportf "solution %S:@ reference %s@ scanner %s" text
+          (show reference) (show fresh);
+      true)
+
+(* Never raises: both non-raising entry points return on any mutation
+   of either kind of text. *)
+let serialize_never_raises_prop =
+  QCheck.Test.make ~name:"result parsers never raise" ~count:1500
+    (QCheck.int_bound 1_000_000) (fun seed ->
+      let rng = Rng.create (seed + 1) in
+      let inst = rich_instance rng in
+      let texts =
+        [ mutated rng (Serialize.to_string inst);
+          mutated rng (Serialize.solution_to_string ~cost:1.5 (random_solution rng inst)) ]
+      in
+      List.iter
+        (fun text ->
+          ignore (Serialize.of_string_result text);
+          ignore (Serialize.solution_of_string_result text))
+        texts;
+      true)
+
+(* Number tokens around the fast paths' edges: 14-17 significant
+   digits, net exponents around +-22, leading zeros, signs, points at
+   either end, and tokens only the fallback reads. *)
+let number_token rng =
+  let digits k =
+    String.init k (fun i -> if i = 0 && Rng.bernoulli rng 0.7 then Char.chr (49 + Rng.int rng 9) else Char.chr (48 + Rng.int rng 10))
+  in
+  match Rng.int rng 8 with
+  | 0 -> odd_tokens.(Rng.int rng (Array.length odd_tokens))
+  | 1 -> (List.nth [ "0"; "-0"; "-0.0"; ".5"; "5."; "-.5"; "."; "-"; "1e"; "1e+"; "e5"; "00012"; "1_000"; "0x10"; "1E5"; "1e+05"; "--1"; "5-" ] (Rng.int rng 18))
+  | 2 -> digits (1 + Rng.int rng 20)
+  | _ ->
+    let sign = if Rng.bool rng then "-" else "" in
+    let zeros = String.make (Rng.int rng 3) '0' in
+    let mant = digits (13 + Rng.int rng 5) in
+    let p = Rng.int rng (String.length mant + 1) in
+    let mant =
+      if Rng.bernoulli rng 0.7 then
+        String.sub mant 0 p ^ "." ^ String.sub mant p (String.length mant - p)
+      else mant
+    in
+    let exp =
+      if Rng.bool rng then ""
+      else
+        Printf.sprintf "%c%s%d" (if Rng.bool rng then 'e' else 'E')
+          (if Rng.bool rng then "+" else "")
+          (Rng.int rng 51 - 25)
+    in
+    sign ^ zeros ^ mant ^ exp
+
+(* Numbers: every number the scanner reads (a [cost] line, a routing
+   amount, a coordinate) is bit-equal to [float_of_string_opt]'s, every
+   id equal to [int_of_string_opt]'s, and a token either rejects is an
+   error. *)
+let serialize_numbers_prop =
+  QCheck.Test.make ~name:"scanner numbers = stdlib conversions" ~count:3000
+    (QCheck.int_bound 1_000_000) (fun seed ->
+      let rng = Rng.create (seed + 1) in
+      let tok = number_token rng in
+      let bits = Option.map Int64.bits_of_float in
+      let want = float_of_string_opt tok in
+      let cost =
+        match Serialize.solution_of_string_result ("[cost]\n" ^ tok ^ "\n") with
+        | Ok (_, c) -> c
+        | Error _ -> None
+      in
+      let amount =
+        match
+          Serialize.solution_of_string_result ("[routing]\ndemand 0 1 " ^ tok ^ "\n")
+        with
+        | Ok ({ Instance.routing = [ a ]; _ }, _) -> Some a.Routing.demand.Commodity.amount
+        | _ -> None
+      in
+      let coord =
+        match
+          Serialize.of_string_result ("[graph]\n0 1 1\n[coords]\n0 " ^ tok ^ "\n0 0\n")
+        with
+        | Ok inst -> Option.map snd (Graph.coord inst.Instance.graph 0)
+        | Error _ -> None
+      in
+      let want_coord = match want with Some f when Float.is_nan f -> None | w -> w in
+      let want_id = match int_of_string_opt tok with Some i when i >= 0 -> Some i | _ -> None in
+      let id =
+        match Serialize.solution_of_string_result ("[repaired_edges]\n" ^ tok ^ "\n") with
+        | Ok ({ Instance.repaired_edges = [ e ]; _ }, _) -> Some e
+        | _ -> None
+      in
+      if bits cost <> bits want || bits amount <> bits want
+         || bits coord <> bits want_coord || id <> want_id
+      then QCheck.Test.fail_reportf "token %S" tok;
+      true)
+
+(* Encoder: the Buffer encoder writes the reference's bytes, on values
+   where the integral shortcut and %.12g meet. *)
+let serialize_encoder_prop =
+  QCheck.Test.make ~name:"encoder = Printf reference" ~count:500
+    (QCheck.int_bound 1_000_000) (fun seed ->
+      let rng = Rng.create (seed + 1) in
+      let special () =
+        match Rng.int rng 8 with
+        | 0 -> -0.0
+        | 1 -> 1e12
+        | 2 -> 999999999999.0
+        | 3 -> 1e-5
+        | 4 -> 0.1 +. 0.2
+        | 5 -> -.float_of_int (Rng.int rng 1000)
+        | 6 -> Float.infinity
+        | _ -> Rng.float rng 1e13
+      in
+      let n = 2 + Rng.int rng 5 in
+      let edges =
+        List.init (1 + Rng.int rng 6) (fun _ ->
+            let u = Rng.int rng n in
+            (u, (u + 1 + Rng.int rng (n - 1)) mod n, Float.abs (special ())))
+      in
+      let g =
+        Graph.make ~coords:(Array.init n (fun _ -> (special (), special ()))) ~n ~edges ()
+      in
+      let inst =
+        make_inst
+          ~vertex_cost:(Array.init n (fun _ -> special ()))
+          ~edge_cost:(Array.init (Graph.ne g) (fun _ -> special ()))
+          g
+          [ demand ~amount:(1.0 +. Float.abs (special ())) 0 1 ]
+          (Failure.of_lists g ~vertices:[ n - 1 ] ~edges:[ 0 ])
+      in
+      let sol = random_solution rng inst in
+      let cost = special () in
+      Serialize.to_string inst = Reference.to_string inst
+      && Serialize.solution_to_string ~cost sol
+         = Reference.solution_to_string ~cost sol)
+
+(* The plan-xl instance shape at 5,000 vertices prints the bytes the
+   Printf encoder printed (MD5s measured with it), and parses back to
+   them. *)
+let test_serialize_xl_text_pinned () =
+  List.iter
+    (fun (label, inst, md5) ->
+      let text = Serialize.to_string inst in
+      Alcotest.(check string) (label ^ " md5") md5 (Digest.to_hex (Digest.string text));
+      Alcotest.(check bool) (label ^ " round trip") true
+        (Serialize.to_string (Serialize.of_string text) = text))
+    [ ( "scenario n=5000",
+        Netrec_experiments.Fig9_xl.scenario ~n:5000 ~vmult:0.5 ~topo_seed:42
+          ~fail_seed:7 ~demand_seed:13 (),
+        "256bae34142e2188fe1d348715e2ad0a" );
+      ( "smoke scenario",
+        Netrec_experiments.Fig9_xl.smoke_scenario (),
+        "d8f30215c773ee5a91bdf82c48aaeeb4" ) ]
 
 (* ---- Evaluate ---- *)
 
@@ -1338,7 +2038,12 @@ let () =
           tc "malformed table" test_serialize_malformed_table;
           tc "result ok" test_serialize_result_ok;
           tc "roundtrip property" test_serialize_roundtrip_property;
-          tc "solutions agree" test_serialize_solutions_agree ] );
+          tc "solutions agree" test_serialize_solutions_agree;
+          tc "xl text pinned" test_serialize_xl_text_pinned;
+          QCheck_alcotest.to_alcotest serialize_differential_prop;
+          QCheck_alcotest.to_alcotest serialize_never_raises_prop;
+          QCheck_alcotest.to_alcotest serialize_numbers_prop;
+          QCheck_alcotest.to_alcotest serialize_encoder_prop ] );
       ( "evaluate",
         [ tc "empty solution loss" test_evaluate_empty_solution_loss;
           tc "repair all restores" test_evaluate_repair_all_restores;

@@ -58,9 +58,18 @@ let test_total_capacity () =
   let g = fixture () in
   Alcotest.(check (float 1e-9)) "sum" 63.0 (Graph.total_capacity g)
 
+(* The graph's text round trip is the instance format's [graph] section;
+   the parsed edge list must print the same. *)
 let test_edge_list_roundtrip () =
   let g = fixture () in
-  let g' = Graph.of_edge_list (Graph.to_edge_list g) in
+  let module Serialize = Netrec_core.Serialize in
+  let inst =
+    Netrec_core.Instance.make ~graph:g ~demands:[]
+      ~failure:(Netrec_disrupt.Failure.none g) ()
+  in
+  let g' = (Serialize.of_string (Serialize.to_string inst)).graph in
+  Alcotest.(check string) "edge list" (Graph.to_edge_list g)
+    (Graph.to_edge_list g');
   Alcotest.(check int) "nv" (Graph.nv g) (Graph.nv g');
   Alcotest.(check int) "ne" (Graph.ne g) (Graph.ne g');
   List.iter2
