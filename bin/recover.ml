@@ -182,7 +182,8 @@ let verbose_arg =
    effort measures the paper reports next to wall time. *)
 let work_counters =
   [ "isp.iterations"; "simplex.pivots"; "simplex.dse_pivots";
-    "simplex.solves"; "simplex.warm_starts"; "milp.nodes";
+    "simplex.solves"; "simplex.warm_starts"; "simplex.cold_solves";
+    "simplex.cold_pivots"; "simplex.refactors"; "milp.nodes";
     "milp.nodes_pruned"; "presolve.runs"; "presolve.vars_fixed";
     "cuts.separated"; "cuts.added"; "dijkstra.calls"; "bidir.calls";
     "bidir.scanned"; "maxflow.calls"; "maxflow.augmentations";

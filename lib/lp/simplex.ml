@@ -82,8 +82,11 @@ type t = {
   u : float array;  (* B^-1 a_q, length m *)
   rho : float array;  (* a row of B^-1, length m *)
   work : float array;  (* length m *)
-  dense : float array;  (* m*m refactorization scratch *)
-  inv2 : float array;  (* m*m refactorization scratch *)
+  nz : int array;  (* length m; nonzero positions of a pivot row *)
+  nz2 : int array;  (* length m; the same for the rebuild's second row *)
+  mutable dense : float array;
+      (* m*m refactorization scratch, empty until the first refactor *)
+  mutable inv2 : float array;  (* likewise *)
   mutable dual_ready : bool;
       (* the current basis is dual feasible for [cost] — a warm restart
          may skip phase 1 and run the dual simplex *)
@@ -183,8 +186,10 @@ let create ?pricing std =
     u = Array.make (max 1 m) 0.0;
     rho = Array.make (max 1 m) 0.0;
     work = Array.make (max 1 m) 0.0;
-    dense = Array.make (max 1 (m * m)) 0.0;
-    inv2 = Array.make (max 1 (m * m)) 0.0;
+    nz = Array.make (max 1 m) 0;
+    nz2 = Array.make (max 1 m) 0;
+    dense = [||];
+    inv2 = [||];
     dual_ready = false;
     since_refactor = 0;
     dse = Array.make (max 1 m) 1.0;
@@ -284,11 +289,103 @@ let recompute_xb t =
     t.xb.(i) <- !s
   done
 
+(* Row kernels of the basis-inverse update and of the Gauss-Jordan
+   rebuild.  Both matrices are stored dense and row-major, but the rows
+   they combine are sparse (B^-1 of the OPT MILP is about a tenth
+   nonzero), so each kernel walks only the listed nonzero positions of
+   its source row.  That leaves every nonzero result bit-identical to a
+   loop over all m columns: a skipped term is [f *. (+-0.0)] = +-0.0 for
+   finite [f], and adding or subtracting a zero leaves a nonzero operand
+   as it was.  Only the sign of an entry that is zero either way can
+   differ, and no reader of B^-1 sees that sign (DESIGN §13). *)
+module Kernel = struct
+  (* The ascending positions [k < len] with [a.(off + k) <> 0.0] go to
+     [idx]; returns how many. *)
+  let nonzeros a ~off ~len idx =
+    let n = ref 0 in
+    for k = 0 to len - 1 do
+      if Array.unsafe_get a (off + k) <> 0.0 then begin
+        Array.unsafe_set idx !n k;
+        incr n
+      end
+    done;
+    !n
+
+  (* a[dst + k] -= f * a[src + k] over the [nnz] listed positions. *)
+  let axpy a ~dst ~f ~src idx nnz =
+    for p = 0 to nnz - 1 do
+      let k = Array.unsafe_get idx p in
+      Array.unsafe_set a (dst + k)
+        (Array.unsafe_get a (dst + k) -. (f *. Array.unsafe_get a (src + k)))
+    done
+
+  (* sum of a[off_i + k] * a[off_r + k] over the listed positions,
+     ascending from +0.0: a sum started at +0.0 is never -0.0, so the
+     skipped zero terms could not have changed it. *)
+  let tau a ~off_i ~off_r idx nnz =
+    let s = ref 0.0 in
+    for p = 0 to nnz - 1 do
+      let k = Array.unsafe_get idx p in
+      s :=
+        !s +. (Array.unsafe_get a (off_i + k) *. Array.unsafe_get a (off_r + k))
+    done;
+    !s
+
+  (* Product-form update of the m*m inverse [binv] for a pivot in row
+     [r] with [u] = B^-1 a_q, given row r's nonzeros: each other row
+     whose factor clears [drop_tol] is updated, then row r is scaled. *)
+  let eta_update binv ~m ~r ~u idx nnz =
+    let inv = 1.0 /. u.(r) in
+    let off_r = r * m in
+    for i = 0 to m - 1 do
+      if i <> r then begin
+        let f = u.(i) *. inv in
+        if abs_float f > drop_tol then
+          axpy binv ~dst:(i * m) ~f ~src:off_r idx nnz
+      end
+    done;
+    for p = 0 to nnz - 1 do
+      let k = off_r + Array.unsafe_get idx p in
+      Array.unsafe_set binv k (Array.unsafe_get binv k *. inv)
+    done
+
+  (* Scale row [off] of [a] by [s] and list its nonzeros in [idx]. *)
+  let scale_list a ~off ~len ~s idx =
+    for k = off to off + len - 1 do
+      Array.unsafe_set a k (Array.unsafe_get a k *. s)
+    done;
+    nonzeros a ~off ~len idx
+
+  (* Gauss-Jordan step on column [c] of [dense], mirrored on [inv2],
+     once the pivot sits in row [c] and [inv] = 1 / pivot: scale row c,
+     then clear column c from every other row at row c's nonzeros. *)
+  let eliminate dense inv2 ~m ~c ~inv nz nz2 =
+    let off_c = c * m in
+    let nd = scale_list dense ~off:off_c ~len:m ~s:inv nz in
+    let ni = scale_list inv2 ~off:off_c ~len:m ~s:inv nz2 in
+    for r = 0 to m - 1 do
+      if r <> c then begin
+        let f = Array.unsafe_get dense ((r * m) + c) in
+        if f <> 0.0 then begin
+          axpy dense ~dst:(r * m) ~f ~src:off_c nz nd;
+          axpy inv2 ~dst:(r * m) ~f ~src:off_c nz2 ni
+        end
+      end
+    done
+end
+
 (* Rebuild binv as the exact inverse of the current basis matrix by
    Gauss-Jordan with partial pivoting.  Returns [false] on a (numerically)
-   singular basis, leaving the old inverse in place. *)
+   singular basis, leaving the old inverse in place.  The two m*m scratch
+   matrices are made on the engine's first rebuild: an engine that only
+   solves cold seldom gets here. *)
 let refactor t =
-  let m = t.m and dense = t.dense and inv2 = t.inv2 in
+  let m = t.m in
+  if Array.length t.dense < m * m then begin
+    t.dense <- Array.make (m * m) 0.0;
+    t.inv2 <- Array.make (m * m) 0.0
+  end;
+  let dense = t.dense and inv2 = t.inv2 in
   Array.fill dense 0 (m * m) 0.0;
   Array.fill inv2 0 (m * m) 0.0;
   for k = 0 to m - 1 do
@@ -320,27 +417,11 @@ let refactor t =
          swap dense;
          swap inv2
        end;
-       let inv = 1.0 /. piv in
-       for k = 0 to m - 1 do
-         dense.((c * m) + k) <- dense.((c * m) + k) *. inv;
-         inv2.((c * m) + k) <- inv2.((c * m) + k) *. inv
-       done;
-       for r = 0 to m - 1 do
-         if r <> c then begin
-           let f = dense.((r * m) + c) in
-           if f <> 0.0 then begin
-             for k = 0 to m - 1 do
-               dense.((r * m) + k) <-
-                 dense.((r * m) + k) -. (f *. dense.((c * m) + k));
-               inv2.((r * m) + k) <-
-                 inv2.((r * m) + k) -. (f *. inv2.((c * m) + k))
-             done
-           end
-         end
-       done
+       Kernel.eliminate dense inv2 ~m ~c ~inv:(1.0 /. piv) t.nz t.nz2
      done
    with Exit -> ());
   if !ok then begin
+    Obs.count "simplex.refactors";
     Array.blit inv2 0 t.binv 0 (m * m);
     t.since_refactor <- 0;
     (* weights were tracking the drifted inverse; recompute lazily *)
@@ -383,8 +464,9 @@ let dse_reset t =
      beta_i' = beta_i - 2 kappa_i tau_i + kappa_i^2 beta_r    (i <> r)
 
    floored at [dse_floor] against drift.  Must run against the
-   *pre-pivot* inverse, i.e. before the product-form update. *)
-let dse_update t ~r =
+   *pre-pivot* inverse, i.e. before the product-form update; [t.nz]
+   lists the [nnz] nonzeros of its row r. *)
+let dse_update t ~r nnz =
   let m = t.m and u = t.u and binv = t.binv and dse = t.dse in
   let ur = u.(r) in
   let beta_r = dse.(r) in
@@ -392,17 +474,8 @@ let dse_update t ~r =
   for i = 0 to m - 1 do
     if i <> r && abs_float u.(i) > drop_tol then begin
       let kappa = u.(i) /. ur in
-      let tau = ref 0.0 in
-      let off_i = i * m in
-      for k = 0 to m - 1 do
-        tau :=
-          !tau
-          +. (Array.unsafe_get binv (off_i + k)
-             *. Array.unsafe_get binv (off_r + k))
-      done;
-      let b =
-        dse.(i) -. (2.0 *. kappa *. !tau) +. (kappa *. kappa *. beta_r)
-      in
+      let tau = Kernel.tau binv ~off_i:(i * m) ~off_r t.nz nnz in
+      let b = dse.(i) -. (2.0 *. kappa *. tau) +. (kappa *. kappa *. beta_r) in
       dse.(i) <- (if b < dse_floor then dse_floor else b)
     end
   done;
@@ -412,11 +485,13 @@ let dse_update t ~r =
 (* Apply a basis change: entering column [q] moves [tstar] along [dir]
    from its bound, row [r]'s basic variable leaves to its lower or upper
    bound, and binv gets the product-form update.  [t.u] must hold
-   B^-1 a_q. *)
+   B^-1 a_q.  Row r of the inverse is listed once, before anything
+   changes, and both the weights and the update walk that list. *)
 let basis_pivot t ~q ~dir ~tstar ~r ~to_ub =
   Obs.count "simplex.pivots";
-  if t.use_dse && t.dse_ok then dse_update t ~r;
   let m = t.m and u = t.u and binv = t.binv in
+  let nnz = Kernel.nonzeros binv ~off:(r * m) ~len:m t.nz in
+  if t.use_dse && t.dse_ok then dse_update t ~r nnz;
   let xq = nb_val t q +. (dir *. tstar) in
   for i = 0 to m - 1 do
     if i <> r then t.xb.(i) <- t.xb.(i) -. (dir *. tstar *. u.(i))
@@ -426,24 +501,7 @@ let basis_pivot t ~q ~dir ~tstar ~r ~to_ub =
   t.basis.(r) <- q;
   t.pos.(q) <- r;
   t.xb.(r) <- xq;
-  let inv = 1.0 /. u.(r) in
-  let off_r = r * m in
-  for i = 0 to m - 1 do
-    if i <> r then begin
-      let f = u.(i) *. inv in
-      if abs_float f > drop_tol then begin
-        let off_i = i * m in
-        for k = 0 to m - 1 do
-          Array.unsafe_set binv (off_i + k)
-            (Array.unsafe_get binv (off_i + k)
-            -. (f *. Array.unsafe_get binv (off_r + k)))
-        done
-      end
-    end
-  done;
-  for k = 0 to m - 1 do
-    binv.(off_r + k) <- binv.(off_r + k) *. inv
-  done;
+  Kernel.eta_update binv ~m ~r ~u t.nz nnz;
   t.since_refactor <- t.since_refactor + 1
 
 (* ---- primal simplex on the current basis ---- *)
@@ -855,7 +913,7 @@ let outcome_of t ~status ~pivots ~budget ~max_pivots =
 let default_max_pivots = 200_000
 
 (* Cold solve body: slack start, lazy phase 1, phase 2. *)
-let cold t ~pivots_left ~budget =
+let cold_body t ~pivots_left ~budget =
   t.dual_ready <- false;
   t.since_refactor <- 0;
   (* slack and artificial working bounds come back from the template;
@@ -899,6 +957,17 @@ let cold t ~pivots_left ~budget =
         t.dual_ready <- true;
         Optimal
     end
+
+(* Every solve that starts from the slack basis goes through here, so the
+   counters tell how much of the pivot work owes nothing to a warm basis. *)
+let cold t ~pivots_left ~budget =
+  Obs.count "simplex.cold_solves";
+  let before = Obs.domain_counter_value "simplex.pivots" in
+  let status = cold_body t ~pivots_left ~budget in
+  Obs.count
+    ~n:(Obs.domain_counter_value "simplex.pivots" - before)
+    "simplex.cold_pivots";
+  status
 
 let solve ?(budget = Budget.unlimited) ?(max_pivots = default_max_pivots) t =
   Obs.count "simplex.solves";

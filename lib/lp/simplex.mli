@@ -19,13 +19,24 @@
 
     Dual pricing: the leaving row is chosen by dual steepest edge by
     default — weights approximating [||row i of B^-1||^2] are kept
-    current across pivots with the Forrest–Goldfarb update (the explicit
-    dense inverse makes both the update and the exact re-initialization
-    O(m^2)) and the row maximizing [infeasibility^2 / weight] leaves
-    (["simplex.dse_pivots"], ["simplex.dse_resets"]).  After a run of
-    degenerate dual steps the selection falls back to the plain
-    most-infeasible rule, which is also what [~pricing:Dantzig]
-    selects unconditionally. *)
+    current across pivots with the Forrest–Goldfarb update and the row
+    maximizing [infeasibility^2 / weight] leaves (["simplex.dse_pivots"],
+    ["simplex.dse_resets"]).  After a run of degenerate dual steps the
+    selection falls back to the plain most-infeasible rule, which is also
+    what [~pricing:Dantzig] selects unconditionally.
+
+    Cost per pivot: the inverse is stored dense (m x m), but the
+    product-form update, the steepest-edge update and the Gauss–Jordan
+    rebuild walk only the nonzeros of the pivot row, so a pivot costs
+    O(m + k·z), for the k rows the update touches and the z nonzeros of
+    the pivot row, rather than O(k·m).  Skipping exact zeros leaves every
+    nonzero of the inverse bit-identical to the dense loops, so every
+    pivot is the one those loops would make.  An exact re-initialization
+    of the weights stays O(m^2), the rebuild's two m x m scratch matrices
+    are allocated on an engine's first rebuild, and
+    ["simplex.cold_solves"], ["simplex.cold_pivots"] and
+    ["simplex.refactors"] count the solves started from the slack basis,
+    the basis pivots made in them and the successful rebuilds. *)
 
 type relation = Le | Ge | Eq
 
@@ -100,3 +111,37 @@ val resolve :
     feasibility, skipping phase 1 entirely (["simplex.warm_starts"],
     ["simplex.phase1_skipped"]).  Otherwise this falls back to a cold
     solve under the new bounds. *)
+
+(**/**)
+
+(** Internal: the row kernels behind the basis-inverse update and the
+    Gauss–Jordan rebuild, on row-major [m*m] float arrays.  Exposed so
+    that tests can hold them to the dense loops they replace. *)
+module Kernel : sig
+  val nonzeros : float array -> off:int -> len:int -> int array -> int
+  (** [nonzeros a ~off ~len idx] writes the ascending positions [k < len]
+      with [a.(off + k) <> 0.0] to [idx] and returns their count. *)
+
+  val tau : float array -> off_i:int -> off_r:int -> int array -> int -> float
+  (** [tau a ~off_i ~off_r idx nnz]: the dot product of the rows at
+      [off_i] and [off_r] over the [nnz] positions listed in [idx]. *)
+
+  val eta_update :
+    float array -> m:int -> r:int -> u:float array -> int array -> int -> unit
+  (** [eta_update binv ~m ~r ~u idx nnz]: the product-form update of
+      [binv] for a pivot in row [r] with column [u], given row [r]'s
+      nonzeros as listed by {!nonzeros}. *)
+
+  val eliminate :
+    float array ->
+    float array ->
+    m:int ->
+    c:int ->
+    inv:float ->
+    int array ->
+    int array ->
+    unit
+  (** [eliminate dense inv2 ~m ~c ~inv nz nz2]: one Gauss–Jordan step on
+      column [c], with the pivot in row [c] and [inv] its reciprocal.
+      [nz] and [nz2] are scratch of length [m]. *)
+end

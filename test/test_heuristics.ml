@@ -307,6 +307,105 @@ let test_opt_accelerations () =
   let accelerated = Opt.solve ~node_limit:600 (midsize ()) in
   Alcotest.(check bool) "mid-size proved with them" true accelerated.Opt.proved
 
+(* Counter rises across [f ()], with the collector on. *)
+let counter_rises keys f =
+  let was = Netrec_obs.Obs.enabled () in
+  Netrec_obs.Obs.set_enabled true;
+  let before = List.map Netrec_obs.Obs.counter_value keys in
+  let r = f () in
+  let rises =
+    List.map2 (fun k b -> Netrec_obs.Obs.counter_value k - b) keys before
+  in
+  Netrec_obs.Obs.set_enabled was;
+  (r, rises)
+
+(* Disaster [j] of perfbench's opt-sched catalog: Bell-Canada, two pairs
+   of ten units, a Gaussian disaster of variance 30, all drawn from
+   seed 1000 + j. *)
+let catalog_disaster j =
+  let g = Netrec_topo.Bell_canada.graph () in
+  let rng = Rng.create (1000 + j) in
+  let demands =
+    Netrec_experiments.Common.feasible_demands ~rng ~count:2 ~amount:10.0 g
+  in
+  make_inst g demands (Netrec_disrupt.Models.gaussian ~rng ~variance:30.0 g)
+
+(* The lp_gate flags pivot drift only beyond 10%, so a solver change that
+   reorders one pivot passes it.  These OPT solves pin their work and
+   answer exactly: basis pivots, B&B nodes, the objective's bits and the
+   MD5 of the serialized solution, as the dense basis-inverse loops gave
+   them.  All but the gate scenario rebuild the inverse, and catalog
+   disaster 3 proves an objective that is not an integer. *)
+let test_opt_pinned_work () =
+  List.iter
+    (fun (name, inst, pivots, nodes, bits, md5) ->
+      let r, rises =
+        counter_rises [ "simplex.pivots"; "milp.nodes" ] (fun () ->
+            Opt.solve inst)
+      in
+      Alcotest.(check bool) (name ^ " proved") true r.Opt.proved;
+      Alcotest.(check (list int))
+        (name ^ " pivots, nodes")
+        [ pivots; nodes ] rises;
+      Alcotest.(check int64)
+        (name ^ " objective bits") bits
+        (Int64.bits_of_float r.Opt.objective);
+      Alcotest.(check string) (name ^ " solution md5") md5
+        (Digest.to_hex
+           (Digest.string (Serialize.solution_to_string r.Opt.solution))))
+    [ ( "gate scenario", Netrec_experiments.Gates.opt_scenario (), 6794, 43,
+        0x4034000000000000L, "117ce4669343cd8cbd924f82959c67d4" );
+      ( "catalog 1", catalog_disaster 1, 3980, 21, 0x4026000000000000L,
+        "07f258e29422223fa9ca3025af0320d3" );
+      ( "catalog 3", catalog_disaster 3, 2328, 12, 0x401c000000012534L,
+        "759121721cc7b0ea1e9760dcbc33ce07" );
+      ( "catalog 7", catalog_disaster 7, 3519, 31, 0x4026000000000000L,
+        "34f70d6708d31ab5feaab1b336580b93" );
+      ( "catalog 12", catalog_disaster 12, 4121, 23, 0x402e000000000000L,
+        "0ac8967fe6ed4198ec6bc0330daa8767" );
+      ( "catalog 14", catalog_disaster 14, 5762, 27, 0x4022000000000000L,
+        "f6ff38faf0447c5178a60aa139aa3b48" ) ]
+
+(* The cold-start counters: [simplex.cold_solves] counts the solves that
+   start from the slack basis, [simplex.cold_pivots] the basis pivots made
+   in them, [simplex.refactors] the successful inverse rebuilds. *)
+let test_opt_cold_counters () =
+  let keys =
+    [ "simplex.pivots"; "simplex.cold_solves"; "simplex.cold_pivots";
+      "simplex.refactors" ]
+  in
+  let solve () = Opt.solve (Netrec_experiments.Gates.opt_scenario ()) in
+  let _, first = counter_rises keys solve in
+  let _, again = counter_rises keys solve in
+  Alcotest.(check (list int)) "a repeat solve rises the same" first again;
+  (match first with
+  | [ pivots; cold_solves; cold_pivots; _ ] ->
+    Alcotest.(check bool) "cold solves counted" true (cold_solves > 0);
+    Alcotest.(check bool) "cold pivots counted" true (cold_pivots > 0);
+    Alcotest.(check bool) "cold pivots <= pivots" true (cold_pivots <= pivots)
+  | _ -> assert false);
+  (* The gate scenario never rebuilds its inverse; catalog disaster 3
+     does, on the dual simplex's no-entering-column path. *)
+  let _, rebuilds =
+    counter_rises [ "simplex.refactors" ] (fun () ->
+        Opt.solve (catalog_disaster 3))
+  in
+  Alcotest.(check bool) "rebuilds counted" true (List.hd rebuilds > 0);
+  let module Lp = Netrec_lp.Lp in
+  let p = Lp.create () in
+  let x = Lp.add_var p ~obj:1.0 () in
+  let y = Lp.add_var p ~obj:2.0 () in
+  Lp.add_constraint p [ (x, 1.0); (y, 1.0) ] Lp.Ge 3.0;
+  Lp.add_constraint p [ (x, 1.0) ] Lp.Le 2.0;
+  let sol, rises = counter_rises keys (fun () -> Lp.solve p) in
+  Alcotest.(check bool) "lp optimal" true (sol.Lp.status = Lp.Optimal);
+  match rises with
+  | [ pivots; cold_solves; cold_pivots; _ ] ->
+    Alcotest.(check int) "one cold solve" 1 cold_solves;
+    Alcotest.(check int) "its pivots are all cold" pivots cold_pivots;
+    Alcotest.(check bool) "it pivots" true (pivots > 0)
+  | _ -> assert false
+
 let opt_bounded_by_isp_prop =
   QCheck.Test.make ~name:"opt never worse than isp" ~count:8 QCheck.small_int
     (fun seed ->
@@ -575,7 +674,9 @@ let () =
           tc "nothing broken" test_opt_nothing_broken;
           Alcotest.test_case "accelerations keep the optimum" `Slow
             test_opt_accelerations;
-          QCheck_alcotest.to_alcotest opt_bounded_by_isp_prop ] );
+          QCheck_alcotest.to_alcotest opt_bounded_by_isp_prop;
+          tc "pinned work" test_opt_pinned_work;
+          tc "cold counters" test_opt_cold_counters ] );
       ( "mcf_heuristic",
         [ tc "orders" test_mcf_orders;
           tc "infeasible" test_mcf_infeasible;

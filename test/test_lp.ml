@@ -599,6 +599,155 @@ let milp_cuts_prop =
          || abs_float (w.Milp.objective -. c.Milp.objective) <= 1e-6)
       && optimum_respects_cuts)
 
+(* ---- Simplex's row kernels against the dense loops ---- *)
+
+(* The loops the row kernels replaced, as they were: they walk all m
+   columns of a row.  [drop_tol] is Simplex's product-form drop
+   tolerance. *)
+let drop_tol = 1e-13
+
+let dense_tau binv ~m ~i ~r =
+  let off_r = r * m in
+  let tau = ref 0.0 in
+  let off_i = i * m in
+  for k = 0 to m - 1 do
+    tau :=
+      !tau
+      +. (Array.unsafe_get binv (off_i + k)
+         *. Array.unsafe_get binv (off_r + k))
+  done;
+  !tau
+
+let dense_eta_update binv ~m ~r ~u =
+  let inv = 1.0 /. u.(r) in
+  let off_r = r * m in
+  for i = 0 to m - 1 do
+    if i <> r then begin
+      let f = u.(i) *. inv in
+      if abs_float f > drop_tol then begin
+        let off_i = i * m in
+        for k = 0 to m - 1 do
+          Array.unsafe_set binv (off_i + k)
+            (Array.unsafe_get binv (off_i + k)
+            -. (f *. Array.unsafe_get binv (off_r + k)))
+        done
+      end
+    end
+  done;
+  for k = 0 to m - 1 do
+    binv.(off_r + k) <- binv.(off_r + k) *. inv
+  done
+
+let dense_eliminate dense inv2 ~m ~c ~inv =
+  for k = 0 to m - 1 do
+    dense.((c * m) + k) <- dense.((c * m) + k) *. inv;
+    inv2.((c * m) + k) <- inv2.((c * m) + k) *. inv
+  done;
+  for r = 0 to m - 1 do
+    if r <> c then begin
+      let f = dense.((r * m) + c) in
+      if f <> 0.0 then begin
+        for k = 0 to m - 1 do
+          dense.((r * m) + k) <-
+            dense.((r * m) + k) -. (f *. dense.((c * m) + k));
+          inv2.((r * m) + k) <-
+            inv2.((r * m) + k) -. (f *. inv2.((c * m) + k))
+        done
+      end
+    end
+  done
+
+(* A matrix entry: about a tenth nonzero, half of those small integers
+   (so that updates cancel to exact zeros), the rest spread over a few
+   octaves; zeros come with both signs. *)
+let sparse_entry rng =
+  let module R = Netrec_util.Rng in
+  if R.bernoulli rng 0.1 then
+    let v =
+      if R.bool rng then float_of_int (1 + R.int rng 4)
+      else (0.5 +. R.float rng 1.5) *. ldexp 1.0 (R.int rng 9 - 4)
+    in
+    if R.bool rng then v else -.v
+  else if R.bool rng then 0.0
+  else -0.0
+
+(* A pivot element: a signed power of two half the time, so that factors
+   built from [drop_tol] divide back to it exactly. *)
+let pivot_entry rng =
+  let module R = Netrec_util.Rng in
+  let v =
+    if R.bool rng then ldexp 1.0 (R.int rng 5 - 2) else 0.5 +. R.float rng 1.5
+  in
+  if R.bool rng then v else -.v
+
+(* Entry i of B^-1 a_q for a pivot [ur]: signed zeros, regular values,
+   factors at and one ulp-ish step either side of [drop_tol], and drift
+   below it. *)
+let column_entry rng ~ur =
+  let module R = Netrec_util.Rng in
+  let sign v = if R.bool rng then v else -.v in
+  match R.int rng 5 with
+  | 0 -> if R.bool rng then 0.0 else -0.0
+  | 1 -> sign (0.5 +. R.float rng 1.5)
+  | 2 ->
+    let nudge = [| 1.0 -. epsilon_float; 1.0; 1.0 +. epsilon_float |] in
+    sign (drop_tol *. nudge.(R.int rng 3) *. abs_float ur)
+  | 3 -> sign (drop_tol *. (0.5 +. R.float rng 1.0) *. abs_float ur)
+  | _ -> sign (1e-15 *. R.float rng 1.0)
+
+(* Where the dense loop gives a nonzero, the kernel gives the same bits;
+   where it gives a zero, the kernel gives a zero of either sign. *)
+let same_entries expect got =
+  let ok = ref true in
+  Array.iteri
+    (fun k e ->
+      let g = got.(k) in
+      if e = 0.0 then (if g <> 0.0 then ok := false)
+      else if Int64.bits_of_float e <> Int64.bits_of_float g then ok := false)
+    expect;
+  !ok
+
+let kernels_match_dense_prop =
+  QCheck.Test.make ~name:"row kernels equal the dense loops" ~count:400
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Netrec_util.Rng.create seed in
+      let m = 1 + Netrec_util.Rng.int rng 40 in
+      let matrix () = Array.init (m * m) (fun _ -> sparse_entry rng) in
+      (* pivot in row r: tau against every row, then the update *)
+      let binv = matrix () in
+      let r = Netrec_util.Rng.int rng m in
+      let ur = pivot_entry rng in
+      let u =
+        Array.init m (fun i -> if i = r then ur else column_entry rng ~ur)
+      in
+      let nz = Array.make m 0 in
+      let nnz = Simplex.Kernel.nonzeros binv ~off:(r * m) ~len:m nz in
+      let taus_equal =
+        List.for_all
+          (fun i ->
+            Int64.bits_of_float (dense_tau binv ~m ~i ~r)
+            = Int64.bits_of_float
+                (Simplex.Kernel.tau binv ~off_i:(i * m) ~off_r:(r * m) nz nnz))
+          (List.init m Fun.id)
+      in
+      let expect = Array.copy binv in
+      dense_eta_update expect ~m ~r ~u;
+      Simplex.Kernel.eta_update binv ~m ~r ~u nz nnz;
+      (* one Gauss-Jordan step on column c *)
+      let dense = matrix () and inv2 = matrix () in
+      let c = Netrec_util.Rng.int rng m in
+      dense.((c * m) + c) <- pivot_entry rng;
+      let inv = 1.0 /. dense.((c * m) + c) in
+      let dense' = Array.copy dense and inv2' = Array.copy inv2 in
+      dense_eliminate dense' inv2' ~m ~c ~inv;
+      Simplex.Kernel.eliminate dense inv2 ~m ~c ~inv (Array.make m 0)
+        (Array.make m 0);
+      taus_equal
+      && same_entries expect binv
+      && same_entries dense' dense
+      && same_entries inv2' inv2)
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "netrec_lp"
@@ -626,7 +775,8 @@ let () =
           tc "warm session" test_lp_warm_session;
           QCheck_alcotest.to_alcotest simplex_random_feasible_prop;
           QCheck_alcotest.to_alcotest presolve_roundtrip_prop;
-          QCheck_alcotest.to_alcotest dse_dantzig_prop ] );
+          QCheck_alcotest.to_alcotest dse_dantzig_prop;
+          QCheck_alcotest.to_alcotest kernels_match_dense_prop ] );
       ( "milp",
         [ tc "knapsack" test_milp_knapsack;
           tc "forces integrality" test_milp_forces_integrality;
