@@ -3,7 +3,6 @@ module Rng = Netrec_util.Rng
 module Obs = Netrec_obs.Obs
 module Commodity = Netrec_flow.Commodity
 module Routing = Netrec_flow.Routing
-module Oracle = Netrec_flow.Oracle
 module Failure = Netrec_disrupt.Failure
 module Models = Netrec_disrupt.Models
 module Instance = Netrec_core.Instance
@@ -382,22 +381,6 @@ type row = {
    every generated instance is solvable by construction (as in the
    paper's setup).  All randomness is consumed here, before any cell
    runs — cells are pure and may execute on worker domains. *)
-let feasible_demands ~rng ~count ~amount g =
-  let routable ds =
-    List.length ds = count
-    &&
-    match Oracle.routable ~cap:(Graph.capacity g) g ds with
-    | Oracle.Routable _ -> true
-    | Oracle.Unroutable | Oracle.Unknown -> false
-  in
-  let rec attempt n =
-    if n = 0 then None
-    else
-      let ds = Netrec_topo.Demand_gen.far_pairs ~rng ~count ~amount g in
-      if routable ds then Some ds else attempt (n - 1)
-  in
-  attempt 40
-
 let gen_instance rng i =
   let g =
     match i mod 4 with
@@ -411,14 +394,15 @@ let gen_instance rng i =
   in
   let count = 1 + Rng.int rng 3 in
   let amount = 1.0 +. Rng.float rng 3.0 in
+  let feasible = Netrec_topo.Demand_gen.feasible ~rng ~tries:40 in
   let g, demands =
-    match feasible_demands ~rng ~count ~amount g with
+    match feasible ~count ~amount g with
     | Some ds -> (g, ds)
     | None ->
       (* Disconnected draw or over-tight capacities: fall back to a
          generously-provisioned grid, which always admits far pairs. *)
       let g = Netrec_graph.Generate.grid ~width:3 ~height:3 ~capacity:50.0 in
-      (g, Option.get (feasible_demands ~rng ~count:1 ~amount:1.0 g))
+      (g, Option.get (feasible ~count:1 ~amount:1.0 g))
   in
   let failure =
     match i mod 3 with

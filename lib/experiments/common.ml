@@ -21,29 +21,12 @@ let measure ?(label = "measure") inst algorithm =
   let sol, seconds = Obs.timed label algorithm in
   measure_precomputed inst sol ~seconds
 
-let feasible_demands ~rng ?(distinct = false) ?(max_tries = 60) ~count ~amount g =
-  let draw () =
-    if distinct then
-      Demand_gen.distinct_endpoint_pairs ~rng ~count ~amount g
-    else Demand_gen.far_pairs ~rng ~count ~amount g
-  in
-  let routable demands =
-    match
-      Netrec_flow.Oracle.routable ~cap:(Graph.capacity g) g demands
-    with
-    | Netrec_flow.Oracle.Routable _ -> true
-    | Netrec_flow.Oracle.Unroutable | Netrec_flow.Oracle.Unknown -> false
-  in
-  let rec attempt n =
-    if n = 0 then
-      failwith "Common.feasible_demands: no feasible demand set found"
-    else begin
-      let demands = draw () in
-      if List.length demands = count && routable demands then demands
-      else attempt (n - 1)
-    end
-  in
-  attempt max_tries
+let feasible_demands ~rng ?distinct ?(max_tries = 60) ~count ~amount g =
+  match
+    Demand_gen.feasible ~rng ?distinct ~tries:max_tries ~count ~amount g
+  with
+  | Some demands -> demands
+  | None -> failwith "Common.feasible_demands: no feasible demand set found"
 
 let complete_instance ~rng ?distinct ~count ~amount g =
   let demands = feasible_demands ~rng ?distinct ~count ~amount g in

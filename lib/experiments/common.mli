@@ -34,10 +34,10 @@ val feasible_demands :
   amount:float ->
   Graph.t ->
   Netrec_flow.Commodity.t list
-(** Draw far-apart demand pairs (§VII-A) and redraw until the demand is
-    routable on the {e intact} supply graph, so that every recovery
-    problem posed to the algorithms is solvable — as in the paper.
-    @raise Failure after [max_tries] (default 60) infeasible draws. *)
+(** {!Netrec_topo.Demand_gen.feasible} with [max_tries] (default 60)
+    tries: far-apart demand pairs (§VII-A), routable on the {e intact}
+    supply graph.
+    @raise Failure after [max_tries] infeasible draws. *)
 
 val complete_instance :
   rng:Netrec_util.Rng.t ->

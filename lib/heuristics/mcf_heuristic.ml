@@ -1,8 +1,8 @@
 module Num = Netrec_util.Num
 module Lp = Netrec_lp.Lp
 module Obs = Netrec_obs.Obs
-module Commodity = Netrec_flow.Commodity
 module Routing = Netrec_flow.Routing
+module Mcf_lp = Netrec_flow.Mcf_lp
 module Failure = Netrec_disrupt.Failure
 open Netrec_core
 
@@ -13,73 +13,49 @@ type result = {
   lp_objective : float;
 }
 
-(* Flow variables for the relaxation: per commodity and direction over
-   every edge (broken edges are usable — using them is what costs). *)
+(* System (8): the flow block covers every edge (broken edges are usable
+   — using them is what costs). *)
 let build_flow_lp inst =
   let g = inst.Instance.graph in
-  let demands = Array.of_list inst.Instance.demands in
-  let nh = Array.length demands in
+  let broken = Failure.edge_broken inst.Instance.failure in
   let lp = Lp.create () in
-  let fvar = Hashtbl.create (2 * nh * Graph.ne g) in
-  for h = 0 to nh - 1 do
-    Graph.fold_edges
-      (fun e () ->
-        let broken = Failure.edge_broken inst.Instance.failure e.Graph.id in
-        let obj =
-          if broken then inst.Instance.edge_cost.(e.Graph.id) else 0.0
-        in
-        let fwd = Lp.add_var lp ~obj () in
-        let bwd = Lp.add_var lp ~obj () in
-        Hashtbl.replace fvar (h, e.Graph.id) (fwd, bwd))
-      g ()
-  done;
+  let flows =
+    Mcf_lp.block lp g
+      ~ncommodities:(List.length inst.Instance.demands)
+      ~cost:(fun e -> if broken e then inst.Instance.edge_cost.(e) else 0.0)
+      (List.init (Graph.ne g) Fun.id)
+  in
   Graph.fold_edges
     (fun e () ->
-      let terms =
-        List.concat
-          (List.init nh (fun h ->
-               let fwd, bwd = Hashtbl.find fvar (h, e.Graph.id) in
-               [ (fwd, 1.0); (bwd, 1.0) ]))
-      in
-      Lp.add_constraint lp terms Lp.Le e.Graph.capacity)
+      Lp.add_constraint lp (Mcf_lp.load flows e.Graph.id) Lp.Le
+        e.Graph.capacity)
     g ();
-  for h = 0 to nh - 1 do
-    let d = demands.(h) in
-    List.iter
-      (fun v ->
-        let terms = ref [] in
-        List.iter
-          (fun (_, e) ->
-            let fwd, bwd = Hashtbl.find fvar (h, e) in
-            let u, _ = Graph.endpoints g e in
-            if u = v then terms := (fwd, 1.0) :: (bwd, -1.0) :: !terms
-            else terms := (fwd, -1.0) :: (bwd, 1.0) :: !terms)
-          (Graph.incident g v);
-        let b =
-          if v = d.Commodity.src then d.Commodity.amount
-          else if v = d.Commodity.dst then -.d.Commodity.amount
-          else 0.0
-        in
-        Lp.add_constraint lp !terms Lp.Eq b)
-      (Graph.vertices g)
-  done;
-  (lp, fvar, nh)
+  List.iteri
+    (fun h d ->
+      List.iter
+        (fun v ->
+          Lp.add_constraint lp (Mcf_lp.net_outflow flows h v) Lp.Eq
+            (Mcf_lp.supply d v))
+        (Graph.vertices g))
+    inst.Instance.demands;
+  (lp, flows)
 
 (* Repairs implied by a flow: every broken edge carrying flow, every
    broken vertex some loaded edge touches. *)
-let support_of_flow inst fvar nh values =
+let support_of_flow inst flows values =
   let g = inst.Instance.graph in
   let failure = inst.Instance.failure in
   let used_v = Array.make (Graph.nv g) false in
   let used_e = Array.make (Graph.ne g) false in
   Graph.fold_edges
     (fun e () ->
-      let load = ref 0.0 in
-      for h = 0 to nh - 1 do
-        let fwd, bwd = Hashtbl.find fvar (h, e.Graph.id) in
-        load := !load +. values.(fwd) +. values.(bwd)
-      done;
-      if Num.positive ~eps:Num.feas_eps !load then begin
+      let load =
+        List.fold_left
+          (fun acc (x, _) -> acc +. values.(x))
+          0.0
+          (Mcf_lp.load flows e.Graph.id)
+      in
+      if Num.positive ~eps:Num.feas_eps load then begin
         used_e.(e.Graph.id) <- true;
         used_v.(e.Graph.u) <- true;
         used_v.(e.Graph.v) <- true
@@ -97,7 +73,9 @@ let support_of_flow inst fvar nh values =
   in
   { Instance.repaired_vertices; repaired_edges; routing = Routing.empty }
 
-let solve ?budget ?(var_budget = 8000) inst =
+let var_budget = 8000
+
+let solve ?budget inst =
   let g = inst.Instance.graph in
   let nh = List.length inst.Instance.demands in
   let exhausted =
@@ -107,7 +85,7 @@ let solve ?budget ?(var_budget = 8000) inst =
   in
   if exhausted || 2 * nh * Graph.ne g > var_budget then None
   else begin
-    let lp, fvar, nh = build_flow_lp inst in
+    let lp, flows = build_flow_lp inst in
     let sol = Lp.solve ?budget lp in
     match sol.Lp.status with
     | Lp.Iteration_limit ->
@@ -116,24 +94,27 @@ let solve ?budget ?(var_budget = 8000) inst =
     | Lp.Infeasible | Lp.Unbounded -> None
     | Lp.Optimal ->
       let lp_objective = sol.Lp.objective in
-      let support = support_of_flow inst fvar nh sol.Lp.values in
+      let support = support_of_flow inst flows sol.Lp.values in
       let mcb = Postpass.prune inst support in
       (* ---- MCW proxy: same optimal cost, maximal broken-edge spread.
          u_e in [0, tau] counts (to first order) the broken edges that
          carry at least tau units, so maximizing sum u_e pushes flow onto
-         as many broken edges as the optimal cost allows. ---- *)
+         as many broken edges as the optimal cost allows.  [Lp.solve]
+         leaves its problem as it was, so the spread LP starts from a
+         copy of the solved one. ---- *)
       let tau = 1e-2 in
-      let lp2, fvar2, nh2 = build_flow_lp inst in
+      let lp2 = Lp.copy lp in
+      let broken = Failure.edge_broken inst.Instance.failure in
       (* Freeze the original objective at its optimum. *)
       let cost_terms = ref [] in
       Graph.fold_edges
         (fun e () ->
-          if Failure.edge_broken inst.Instance.failure e.Graph.id then
-            for h = 0 to nh2 - 1 do
-              let fwd, bwd = Hashtbl.find fvar2 (h, e.Graph.id) in
-              let k = inst.Instance.edge_cost.(e.Graph.id) in
-              cost_terms := (fwd, k) :: (bwd, k) :: !cost_terms
-            done)
+          if broken e.Graph.id then begin
+            let k = inst.Instance.edge_cost.(e.Graph.id) in
+            List.iter
+              (fun (x, _) -> cost_terms := (x, k) :: !cost_terms)
+              (Mcf_lp.load flows e.Graph.id)
+          end)
         g ();
       Lp.add_constraint lp2 !cost_terms Lp.Le (lp_objective +. Num.feas_eps);
       (* Zero out the old objective and install the spread objective. *)
@@ -142,21 +123,19 @@ let solve ?budget ?(var_budget = 8000) inst =
       done;
       Graph.fold_edges
         (fun e () ->
-          if Failure.edge_broken inst.Instance.failure e.Graph.id then begin
+          if broken e.Graph.id then begin
             let u = Lp.add_var lp2 ~ub:tau ~obj:(-1.0) () in
-            let terms = ref [ (u, 1.0) ] in
-            for h = 0 to nh2 - 1 do
-              let fwd, bwd = Hashtbl.find fvar2 (h, e.Graph.id) in
-              terms := (fwd, -1.0) :: (bwd, -1.0) :: !terms
-            done;
             (* u_e <= total flow on e *)
-            Lp.add_constraint lp2 !terms Lp.Le 0.0
+            let flow = Mcf_lp.load flows e.Graph.id in
+            Lp.add_constraint lp2
+              ((u, 1.0) :: List.map (fun (x, _) -> (x, -1.0)) flow)
+              Lp.Le 0.0
           end)
         g ();
       let sol2 = Lp.solve ?budget lp2 in
       let mcw =
         match sol2.Lp.status with
-        | Lp.Optimal -> support_of_flow inst fvar2 nh2 sol2.Lp.values
+        | Lp.Optimal -> support_of_flow inst flows sol2.Lp.values
         | Lp.Iteration_limit ->
           Obs.count "lp.iteration_limit_hits";
           support

@@ -24,11 +24,7 @@ type result = {
   lp_objective : float;  (** optimal value of system (8) *)
 }
 
-val solve :
-  ?budget:Netrec_resilience.Budget.t ->
-  ?var_budget:int ->
-  Instance.t ->
-  result option
+val solve : ?budget:Netrec_resilience.Budget.t -> Instance.t -> result option
 (** [None] when the LP is infeasible (demand exceeds the intact network),
-    exceeds [var_budget] (default 8000), hits the simplex limit or the
+    exceeds 8000 flow variables, hits the simplex limit or the
     cooperative [budget] (default unlimited) trips mid-solve. *)

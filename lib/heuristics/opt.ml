@@ -3,7 +3,7 @@ module Lp = Netrec_lp.Lp
 module Milp = Netrec_lp.Milp
 module Obs = Netrec_obs.Obs
 module Commodity = Netrec_flow.Commodity
-module Routing = Netrec_flow.Routing
+module Mcf_lp = Netrec_flow.Mcf_lp
 module Failure = Netrec_disrupt.Failure
 module Budget = Netrec_resilience.Budget
 open Netrec_core
@@ -19,20 +19,16 @@ type result = {
 }
 
 (* Variable layout: vertex binaries (broken vertices, ascending id), edge
-   binaries (broken edges, ascending id), then flow pairs for every edge,
-   commodity-major.  Deltas are dense int arrays with -1 for working
-   elements; flow indices are arithmetic off [fbase], so lookups never
-   touch a hashtable and the binary list is deterministic. *)
+   binaries (broken edges, ascending id), then the flow block over every
+   edge.  Deltas are dense int arrays with -1 for working elements, so
+   lookups never touch a hashtable and the binary list is
+   deterministic. *)
 type model = {
   lp : Lp.problem;
   delta_v : int array;  (* vertex -> binary var, -1 when not broken *)
   delta_e : int array;  (* edge id -> binary var, -1 when not broken *)
-  fbase : int;
-  ne : int;
+  flows : Mcf_lp.block;
 }
-
-let fwd m h e = m.fbase + (2 * ((h * m.ne) + e))
-let bwd m h e = fwd m h e + 1
 
 (* Build the MinR MILP.  Binaries exist only for broken elements; the
    capacity row of a broken edge is gated by its binary, and every edge
@@ -59,24 +55,12 @@ let build inst =
         delta_e.(e.Graph.id) <-
           Lp.add_var lp ~ub:1.0 ~obj:inst.Instance.edge_cost.(e.Graph.id) ())
     g ();
-  let fbase = Lp.nvars lp in
-  for _h = 0 to nh - 1 do
-    Graph.fold_edges
-      (fun _e () ->
-        ignore (Lp.add_var lp ());
-        ignore (Lp.add_var lp ()))
-      g ()
-  done;
-  let model = { lp; delta_v; delta_e; fbase; ne } in
-  let flow_terms e =
-    List.concat
-      (List.init nh (fun h -> [ (fwd model h e, 1.0); (bwd model h e, 1.0) ]))
-  in
+  let flows = Mcf_lp.block lp g ~ncommodities:nh (List.init ne Fun.id) in
   (* Capacity / edge gating:  sum_h (f + f') <= c_e * delta_e. *)
   Graph.fold_edges
     (fun e () ->
       let id = e.Graph.id in
-      let terms = flow_terms id in
+      let terms = Mcf_lp.load flows id in
       (if delta_e.(id) >= 0 then
          Lp.add_constraint lp
            ((delta_e.(id), -.e.Graph.capacity) :: terms)
@@ -105,28 +89,15 @@ let build inst =
           [ e.Graph.u; e.Graph.v ])
     g ();
   (* Flow conservation per commodity and vertex. *)
-  for h = 0 to nh - 1 do
-    let d = demands.(h) in
-    List.iter
-      (fun v ->
-        let terms = ref [] in
-        List.iter
-          (fun (_, e) ->
-            let u, _ = Graph.endpoints g e in
-            if u = v then
-              terms := (fwd model h e, 1.0) :: (bwd model h e, -1.0) :: !terms
-            else
-              terms := (fwd model h e, -1.0) :: (bwd model h e, 1.0) :: !terms)
-          (Graph.incident g v);
-        let b =
-          if v = d.Commodity.src then d.Commodity.amount
-          else if v = d.Commodity.dst then -.d.Commodity.amount
-          else 0.0
-        in
-        Lp.add_constraint lp !terms Lp.Eq b)
-      (Graph.vertices g)
-  done;
-  model
+  Array.iteri
+    (fun h d ->
+      List.iter
+        (fun v ->
+          Lp.add_constraint lp (Mcf_lp.net_outflow flows h v) Lp.Eq
+            (Mcf_lp.supply d v))
+        (Graph.vertices g))
+    demands;
+  { lp; delta_v; delta_e; flows }
 
 (* Binaries in a fixed order — vertices ascending, then edges ascending —
    so branching (and hence the node sequence) is deterministic. *)
@@ -149,26 +120,9 @@ let solution_of_values inst model values =
   let repaired_edges =
     List.filter
       (fun e -> model.delta_e.(e) >= 0 && values.(model.delta_e.(e)) > 0.5)
-      (List.init model.ne (fun e -> e))
+      (List.init (Array.length model.delta_e) Fun.id)
   in
-  let demands = Array.of_list inst.Instance.demands in
-  let g = inst.Instance.graph in
-  let routing =
-    Array.to_list
-      (Array.mapi
-         (fun h demand ->
-           let edge_flow = Array.make (Graph.ne g) 0.0 in
-           for e = 0 to model.ne - 1 do
-             edge_flow.(e) <- values.(fwd model h e) -. values.(bwd model h e)
-           done;
-           let paths =
-             Maxflow.decompose g ~source:demand.Commodity.src
-               ~sink:demand.Commodity.dst
-               { Maxflow.value = 0.0; edge_flow }
-           in
-           { Routing.demand; paths })
-         demands)
-  in
+  let routing = Mcf_lp.routing model.flows inst.Instance.demands values in
   { Instance.repaired_vertices; repaired_edges; routing }
 
 (* Steiner-forest-style cut separation for the MinR relaxation.  At a
@@ -193,7 +147,7 @@ let solution_of_values inst model values =
 let make_separator inst model =
   let g = inst.Instance.graph in
   let demands = Array.of_list inst.Instance.demands in
-  let ne = model.ne in
+  let ne = Graph.ne g in
   fun (x : float array) ->
     let gate = Array.make ne 1.0 in
     let gate_var = Array.make ne (-1) in

@@ -511,13 +511,10 @@ let infeasible_solution nv =
     pivots = 0;
     limited = None }
 
-let solve ?budget ?max_pivots ?pricing ?enabled ?integer p =
-  let enabled =
-    match enabled with Some b -> b | None -> Tuning.presolve_enabled ()
-  in
-  if not enabled then Lp.solve ?budget ?max_pivots ?pricing p
+let solve ?budget p =
+  if not (Tuning.presolve_enabled ()) then Lp.solve ?budget p
   else begin
-    let t = run ?integer p in
+    let t = run p in
     if t.infeasible then infeasible_solution (Lp.nvars p)
-    else lift_solution t (Lp.solve ?budget ?max_pivots ?pricing t.reduced)
+    else lift_solution t (Lp.solve ?budget t.reduced)
   end

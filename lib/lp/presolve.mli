@@ -66,15 +66,8 @@ val lift_solution : t -> Lp.solution -> Lp.solution
 (** [postsolve] applied to a solution of {!reduced}: values are lifted
     and, when optimal, the objective gains {!obj_offset}. *)
 
-val solve :
-  ?budget:Netrec_resilience.Budget.t ->
-  ?max_pivots:int ->
-  ?pricing:Tuning.pricing ->
-  ?enabled:bool ->
-  ?integer:Lp.var list ->
-  Lp.problem ->
-  Lp.solution
-(** Presolve, solve the reduced problem with {!Lp.solve}, postsolve.
-    With [~enabled:false] (default {!Tuning.presolve_enabled}) this is
-    exactly [Lp.solve].  A presolve-detected infeasibility returns
-    [Infeasible] without invoking the simplex. *)
+val solve : ?budget:Netrec_resilience.Budget.t -> Lp.problem -> Lp.solution
+(** Presolve a pure LP, solve the reduced problem with {!Lp.solve},
+    postsolve.  While {!Tuning.presolve_enabled} is off this is exactly
+    [Lp.solve].  A presolve-detected infeasibility returns [Infeasible]
+    without invoking the simplex. *)

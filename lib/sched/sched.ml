@@ -10,6 +10,7 @@ module Milp = Netrec_lp.Milp
 module Failure = Netrec_disrupt.Failure
 module Commodity = Netrec_flow.Commodity
 module Routing = Netrec_flow.Routing
+module Mcf_lp = Netrec_flow.Mcf_lp
 
 type element = Schedule.element
 
@@ -330,13 +331,12 @@ type oracle_error =
 
 (* Time-indexed assignment MILP.  Variables, in layout order:
    - z_{i,t} (binary): element [i] repaired in round [t];
-   - f/b_{t,h,e}: forward/backward flow of commodity [h] on live edge
-     [e] in round [t] (bounded by the edge capacity);
+   - one flow block per round [t] over the live edges, its flows bounded
+     by the edge capacity;
    - s_{t,h} in [0, amount_h]: demand served in round [t], objective
      coefficient -1 (minimizing yields maximal total service).
-   Each round carries an independent flow block; broken elements gate
-   their capacity through the cumulative availability
-   X_{i,t} = sum_{t'<=t} z_{i,t'}. *)
+   Broken elements gate their capacity through the cumulative
+   availability X_{i,t} = sum_{t'<=t} z_{i,t'}. *)
 let oracle ?(budget = Budget.unlimited) ?(node_limit = 20_000)
     ?(var_cap = 20_000) ~cap inst elements =
   match Schedule.validate_order inst elements with
@@ -365,16 +365,7 @@ let oracle ?(budget = Budget.unlimited) ?(node_limit = 20_000)
       let u, w = Graph.endpoints g e in
       v_usable u && v_usable w
     in
-    let live = ref [] in
-    for e = ne - 1 downto 0 do
-      if e_usable e then live := e :: !live
-    done;
-    let live = Array.of_list !live in
-    let nlive = Array.length live in
-    (* Position of each edge in [live], -1 when unusable: shared by the
-       vertex big-M rows and flow conservation. *)
-    let slot = Array.make ne (-1) in
-    Array.iteri (fun le e -> slot.(e) <- le) live;
+    let live = List.filter e_usable (List.init ne Fun.id) in
     let demands =
       Array.of_list
         (List.filter
@@ -398,7 +389,7 @@ let oracle ?(budget = Budget.unlimited) ?(node_limit = 20_000)
     in
     if k = 0 || tr <= 1 || total <= 0.0 || nh = 0 then trivial ()
     else
-      let nvars = (k * tr) + (2 * tr * nh * nlive) + (tr * nh) in
+      let nvars = (k * tr) + (2 * tr * nh * List.length live) + (tr * nh) in
       if nvars > var_cap then Error (Too_big { vars = nvars; cap = var_cap })
       else begin
         let p = Lp.create () in
@@ -406,29 +397,17 @@ let oracle ?(budget = Budget.unlimited) ?(node_limit = 20_000)
         for _ = 0 to (k * tr) - 1 do
           ignore (Lp.add_var p ~lb:0.0 ~ub:1.0 ())
         done;
-        let base_flow = k * tr in
-        let fwd t h le = base_flow + (2 * ((((t * nh) + h) * nlive) + le)) in
-        let bwd t h le = fwd t h le + 1 in
-        for t = 0 to tr - 1 do
-          ignore t;
-          for h = 0 to nh - 1 do
-            ignore h;
-            for le = 0 to nlive - 1 do
-              let c = Graph.capacity g live.(le) in
-              ignore (Lp.add_var p ~lb:0.0 ~ub:c ());
-              ignore (Lp.add_var p ~lb:0.0 ~ub:c ())
-            done
-          done
-        done;
-        let sv t h = base_flow + (2 * tr * nh * nlive) + (t * nh) + h in
-        for t = 0 to tr - 1 do
-          ignore t;
-          for h = 0 to nh - 1 do
-            ignore
-              (Lp.add_var p ~lb:0.0 ~ub:demands.(h).Commodity.amount
-                 ~obj:(-1.0) ())
-          done
-        done;
+        let flows =
+          Array.init tr (fun _ ->
+              Mcf_lp.block ~ub:(Graph.capacity g) p g ~ncommodities:nh live)
+        in
+        let sv =
+          Array.init tr (fun _ ->
+              Array.map
+                (fun d ->
+                  Lp.add_var p ~lb:0.0 ~ub:d.Commodity.amount ~obj:(-1.0) ())
+                demands)
+        in
         (* Every element lands in exactly one round. *)
         for i = 0 to k - 1 do
           let terms = List.init tr (fun t -> (zv i t, 1.0)) in
@@ -459,20 +438,16 @@ let oracle ?(budget = Budget.unlimited) ?(node_limit = 20_000)
         (* Joint edge capacity per round; broken edges carry capacity
            only once repaired. *)
         for t = 0 to tr - 1 do
-          for le = 0 to nlive - 1 do
-            let e = live.(le) in
-            let c = Graph.capacity g e in
-            let flow_terms =
-              List.concat
-                (List.init nh (fun h ->
-                     [ (fwd t h le, 1.0); (bwd t h le, 1.0) ]))
-            in
-            if Failure.edge_broken fl e then
-              Lp.add_constraint p
-                (flow_terms @ avail_terms sched_e.(e) t (-.c))
-                Lp.Le 0.0
-            else Lp.add_constraint p flow_terms Lp.Le c
-          done
+          List.iter
+            (fun e ->
+              let c = Graph.capacity g e in
+              let flow_terms = Mcf_lp.load flows.(t) e in
+              if Failure.edge_broken fl e then
+                Lp.add_constraint p
+                  (flow_terms @ avail_terms sched_e.(e) t (-.c))
+                  Lp.Le 0.0
+              else Lp.add_constraint p flow_terms Lp.Le c)
+            live
         done;
         (* Broken vertices block all incident flow until repaired
            (big-M = total live incident capacity). *)
@@ -480,24 +455,15 @@ let oracle ?(budget = Budget.unlimited) ?(node_limit = 20_000)
           if Failure.vertex_broken fl v && sched_v.(v) >= 0 then begin
             let inc =
               List.filter_map
-                (fun (_, e) -> if slot.(e) >= 0 then Some slot.(e) else None)
+                (fun (_, e) -> if Mcf_lp.mem flows.(0) e then Some e else None)
                 (Graph.incident g v)
             in
             if inc <> [] then begin
               let m =
-                List.fold_left
-                  (fun acc le -> acc +. Graph.capacity g live.(le))
-                  0.0 inc
+                List.fold_left (fun acc e -> acc +. Graph.capacity g e) 0.0 inc
               in
               for t = 0 to tr - 1 do
-                let flow_terms =
-                  List.concat
-                    (List.init nh (fun h ->
-                         List.concat_map
-                           (fun le ->
-                             [ (fwd t h le, 1.0); (bwd t h le, 1.0) ])
-                           inc))
-                in
+                let flow_terms = List.concat_map (Mcf_lp.load flows.(t)) inc in
                 Lp.add_constraint p
                   (flow_terms @ avail_terms sched_v.(v) t (-.m))
                   Lp.Le 0.0
@@ -507,35 +473,16 @@ let oracle ?(budget = Budget.unlimited) ?(node_limit = 20_000)
         done;
         (* Flow conservation per (round, commodity, usable vertex);
            served volume [s] enters at the source and leaves at the
-           sink.  Forward flow runs first->second endpoint. *)
-        let incident_live =
-          Array.init nv (fun v ->
-              if not (v_usable v) then []
-              else
-                List.filter_map
-                  (fun (_, e) ->
-                    if slot.(e) < 0 then None
-                    else
-                      let u, _ = Graph.endpoints g e in
-                      Some (slot.(e), if u = v then 1 else -1))
-                  (Graph.incident g v))
-        in
+           sink. *)
         for t = 0 to tr - 1 do
           for h = 0 to nh - 1 do
             let d = demands.(h) in
             for v = 0 to nv - 1 do
               if v_usable v then begin
+                let terms = Mcf_lp.net_outflow flows.(t) h v in
                 let terms =
-                  List.concat_map
-                    (fun (le, dir) ->
-                      if dir > 0 then
-                        [ (fwd t h le, 1.0); (bwd t h le, -1.0) ]
-                      else [ (bwd t h le, 1.0); (fwd t h le, -1.0) ])
-                    incident_live.(v)
-                in
-                let terms =
-                  if v = d.Commodity.src then (sv t h, -1.0) :: terms
-                  else if v = d.Commodity.dst then (sv t h, 1.0) :: terms
+                  if v = d.Commodity.src then (sv.(t).(h), -1.0) :: terms
+                  else if v = d.Commodity.dst then (sv.(t).(h), 1.0) :: terms
                   else terms
                 in
                 if terms <> [] then Lp.add_constraint p terms Lp.Eq 0.0
@@ -553,7 +500,7 @@ let oracle ?(budget = Budget.unlimited) ?(node_limit = 20_000)
               if Failure.vertex_broken fl v && sched_v.(v) >= 0 then
                 for t = 0 to tr - 1 do
                   Lp.add_constraint p
-                    ((sv t h, 1.0)
+                    ((sv.(t).(h), 1.0)
                     :: avail_terms sched_v.(v) t (-.d.Commodity.amount))
                     Lp.Le 0.0
                 done)

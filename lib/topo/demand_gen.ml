@@ -101,3 +101,19 @@ let far_pairs ~rng ~count ~amount g = draw ~rng ~count ~amount ~distinct:false g
 
 let distinct_endpoint_pairs ~rng ~count ~amount g =
   draw ~rng ~count ~amount ~distinct:true g
+
+let feasible ~rng ?(distinct = false) ~tries ~count ~amount g =
+  let routable ds =
+    List.length ds = count
+    &&
+    match Netrec_flow.Oracle.routable ~cap:(Graph.capacity g) g ds with
+    | Netrec_flow.Oracle.Routable _ -> true
+    | Netrec_flow.Oracle.Unroutable | Netrec_flow.Oracle.Unknown -> false
+  in
+  let rec attempt n =
+    if n = 0 then None
+    else
+      let ds = draw ~rng ~count ~amount ~distinct g in
+      if routable ds then Some ds else attempt (n - 1)
+  in
+  attempt tries

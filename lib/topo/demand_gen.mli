@@ -30,3 +30,18 @@ val distinct_endpoint_pairs :
 (** Like {!far_pairs} but additionally forces all [2 * count] endpoints
     to be distinct vertices — used on the large CAIDA topology where
     endpoint collisions would make series noisy. *)
+
+val feasible :
+  rng:Netrec_util.Rng.t ->
+  ?distinct:bool ->
+  tries:int ->
+  count:int ->
+  amount:float ->
+  Graph.t ->
+  Netrec_flow.Commodity.t list option
+(** Redraw {!far_pairs} ({!distinct_endpoint_pairs} with [~distinct:true];
+    default [false]) until a draw of exactly [count] pairs is routable on
+    the {e intact} supply graph ({!Netrec_flow.Oracle.routable} at
+    nominal capacities), so that every recovery problem posed to the
+    algorithms is solvable — as in the paper.  [None] after [tries]
+    draws without one. *)

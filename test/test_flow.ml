@@ -483,6 +483,115 @@ let oracle_matches_lp_prop =
       | Oracle.Unknown, _ -> true (* inconclusive is allowed *)
       | _ -> false)
 
+(* ---- pinned LP answers ---- *)
+
+(* Counter rises across [f ()], with the collector on. *)
+let counter_rises keys f =
+  let module Obs = Netrec_obs.Obs in
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  let before = List.map Obs.counter_value keys in
+  let r = f () in
+  let rises = List.map2 (fun k b -> Obs.counter_value k - b) keys before in
+  Obs.set_enabled was;
+  (r, rises)
+
+(* The MD5 of a routing's demands, paths and amounts, floats in hex. *)
+let routing_md5 (r : Routing.t) =
+  let b = Buffer.create 256 in
+  List.iter
+    (fun (a : Routing.assignment) ->
+      let d = a.Routing.demand in
+      Printf.bprintf b "%d>%d %h:" d.Commodity.src d.Commodity.dst
+        d.Commodity.amount;
+      List.iter
+        (fun (p, x) ->
+          Printf.bprintf b " [%s] %h"
+            (String.concat "," (List.map string_of_int p))
+            x)
+        a.Routing.paths;
+      Buffer.add_char b '\n')
+    r;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Bell-Canada with four feasible pairs of ten units (seed 1). *)
+let bell_canada_pairs () =
+  let g = Netrec_topo.Bell_canada.graph () in
+  ( g,
+    Netrec_experiments.Common.feasible_demands ~rng:(Rng.create 1) ~count:4
+      ~amount:10.0 g )
+
+(* The [vertex_ok]/[edge_ok] predicates of a uniform failure drawn from
+   [seed] (10% of the vertices, 20% of the edges). *)
+let uniform_ok g seed =
+  let f =
+    Netrec_disrupt.Models.uniform ~rng:(Rng.create seed) ~p_vertex:0.1
+      ~p_edge:0.2 g
+  in
+  ( (fun v -> not (Netrec_disrupt.Failure.vertex_broken f v)),
+    fun e -> not (Netrec_disrupt.Failure.edge_broken f e) )
+
+(* The other Mcf_lp tests check verdicts and values to 1e-6.  These
+   solves pin the split LP and the max-total LP exactly: the bits of the
+   optimum, the MD5 of the routing and the rise of the entry point's
+   pivot counter, as the LPs gave them when they were written.  The
+   failure predicates leave edges out of the flow block, and uniform
+   seed 4 breaks an endpoint of one demand. *)
+let test_mcf_lp_pinned () =
+  let g, demands = bell_canada_pairs () in
+  let h = List.hd demands in
+  let src = h.Commodity.src and dst = h.Commodity.dst in
+  let intact = ((fun _ -> true), fun _ -> true) in
+  let seed3 = uniform_ok g 3 and seed4 = uniform_ok g 4 in
+  let half e = 0.5 *. Graph.capacity g e in
+  let ratio =
+    List.map
+      (fun d -> ({ d with Commodity.amount = 0.0 }, d.Commodity.amount))
+      demands
+  in
+  let split v =
+    [ (h, -1.0);
+      (Commodity.make ~src ~dst:v ~amount:0.0, 1.0);
+      (Commodity.make ~src:v ~dst ~amount:0.0, 1.0) ]
+  in
+  List.iter
+    (fun (name, (vertex_ok, edge_ok), cap, tmax, param, bits, pivots) ->
+      match
+        counter_rises [ "mcf.max_scale_pivots" ] (fun () ->
+            Mcf_lp.max_scale ~vertex_ok ~edge_ok ~cap ~tmax g param)
+      with
+      | `Max x, rises ->
+        Alcotest.(check int64) (name ^ " value bits") bits
+          (Int64.bits_of_float x);
+        Alcotest.(check (list int)) (name ^ " pivots") [ pivots ] rises
+      | _ -> Alcotest.failf "%s: no maximum" name)
+    [ ("ratio intact", intact, cap_of g, infinity, ratio, 0x4000000000036f9cL,
+       112);
+      ("ratio seed 3", seed3, cap_of g, infinity, ratio, 0x3ff4000000000000L,
+       111);
+      ("split at 5 seed 3", seed3, half, 10.0, split 5, 0x4014000000000000L,
+       65);
+      ("split at 30 seed 3", seed3, half, 10.0, split 30, 0x4024000000000000L,
+       99) ];
+  List.iter
+    (fun (name, (vertex_ok, edge_ok), cap, bits, md5, pivots) ->
+      match
+        counter_rises [ "mcf.max_total_pivots" ] (fun () ->
+            Mcf_lp.max_total ~vertex_ok ~edge_ok ~cap g demands)
+      with
+      | `Routing r, rises ->
+        Alcotest.(check int64) (name ^ " routed bits") bits
+          (Int64.bits_of_float (Routing.total_routed r));
+        Alcotest.(check string) (name ^ " routing md5") md5 (routing_md5 r);
+        Alcotest.(check (list int)) (name ^ " pivots") [ pivots ] rises
+      | _ -> Alcotest.failf "%s: no routing" name)
+    [ ("half caps intact", intact, half, 0x40440000000225c2L,
+       "98663ef1ae46cca43f476bc7681aff73", 96);
+      ("seed 3", seed3, cap_of g, 0x4044000000000000L,
+       "1cfd0107a1eef10ddb8bc58032d4cb93", 91);
+      ("seed 4", seed4, cap_of g, 0x4034000000000000L,
+       "5453f69f923a9584a23771f536273d3f", 61) ]
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "netrec_flow"
@@ -514,7 +623,8 @@ let () =
           tc "pivots counted per domain" test_mcf_lp_pivots_per_domain;
           QCheck_alcotest.to_alcotest mcf_single_equals_maxflow_prop;
           QCheck_alcotest.to_alcotest max_scale_sound_prop;
-          QCheck_alcotest.to_alcotest gk_max_sum_lower_bound_prop ] );
+          QCheck_alcotest.to_alcotest gk_max_sum_lower_bound_prop;
+          tc "pinned" test_mcf_lp_pinned ] );
       ( "gk",
         [ tc "certifies feasible" test_gk_certifies_feasible;
           tc "detects overload" test_gk_detects_overload;

@@ -456,6 +456,55 @@ let test_mcf_mcb_feasible () =
       (satisfied inst r.Mcf_heuristic.mcb)
   | None -> Alcotest.fail "expected a solution"
 
+let repairs_string (sol : Instance.solution) =
+  let ints l = String.concat "," (List.map string_of_int l) in
+  Printf.sprintf "v:%s e:%s" (ints sol.Instance.repaired_vertices)
+    (ints sol.Instance.repaired_edges)
+
+(* The relaxation's other tests check orderings and feasibility, and the
+   work gate flags its pivots only beyond 10% drift.  These solves pin
+   its answer and work exactly: the bits of the LP optimum, the support,
+   MCB and MCW repair lists, and the simplex pivots of both LPs, as the
+   relaxation's model gave them when they were written. *)
+let test_mcf_pinned_work () =
+  let bell_canada_complete () =
+    let g = Netrec_topo.Bell_canada.graph () in
+    let rng = Rng.create 1 in
+    let demands =
+      Netrec_experiments.Common.feasible_demands ~rng ~count:4 ~amount:10.0 g
+    in
+    make_inst g demands (Failure.complete g)
+  in
+  List.iter
+    (fun (name, inst, bits, support, mcb, mcw, pivots) ->
+      match
+        counter_rises [ "simplex.pivots" ] (fun () -> Mcf_heuristic.solve inst)
+      with
+      | None, _ -> Alcotest.failf "%s: no relaxation" name
+      | Some r, rises ->
+        Alcotest.(check int64)
+          (name ^ " lp objective bits") bits
+          (Int64.bits_of_float r.Mcf_heuristic.lp_objective);
+        Alcotest.(check (list string))
+          (name ^ " support, mcb, mcw")
+          [ support; mcb; mcw ]
+          (List.map repairs_string
+             [ r.Mcf_heuristic.support; r.Mcf_heuristic.mcb;
+               r.Mcf_heuristic.mcw ]);
+        Alcotest.(check (list int)) (name ^ " pivots") [ pivots ] rises)
+    [ ( "bell-canada complete", bell_canada_complete (), 0x4072c00000000000L,
+        "v:0,1,4,5,6,7,10,11,13,20,26,27,29,31,33,35,38 \
+         e:0,1,2,3,4,5,6,11,12,20,21,22,25,29,31,51",
+        "v:0,1,4,5,6,7,10,11,13,20,26,27,29,31,33,35,38 \
+         e:0,1,2,3,4,5,6,11,12,20,21,22,25,29,31,51",
+        "v:0,1,4,5,6,7,10,11,13,20,26,27,28,29,30,31,33,35,38 \
+         e:0,1,2,3,4,5,6,11,12,18,19,20,21,22,25,29,31,51,52,54",
+        549 );
+      ( "catalog 1", catalog_disaster 1, 0x4049000000000000L,
+        "v:15,16,17,19,20,27,33 e:5,14,15,40",
+        "v:15,16,17,19,20,27,33 e:5,14,15,40",
+        "v:15,16,17,19,20,27,28,30,33 e:5,14,15,16,17,18,40,53", 290 ) ]
+
 (* ---- Steiner ---- *)
 
 let test_steiner_forest_single_pair () =
@@ -681,7 +730,8 @@ let () =
         [ tc "orders" test_mcf_orders;
           tc "infeasible" test_mcf_infeasible;
           tc "mcb feasible" test_mcf_mcb_feasible;
-          tc "partial failure minimal" test_mcf_partial_failure_minimal ] );
+          tc "partial failure minimal" test_mcf_partial_failure_minimal;
+          tc "pinned work" test_mcf_pinned_work ] );
       ( "steiner",
         [ tc "single pair" test_steiner_forest_single_pair;
           tc "two pairs disjoint" test_steiner_forest_two_pairs_disjoint;

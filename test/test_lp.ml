@@ -457,7 +457,7 @@ let presolve_roundtrip_prop =
       let rng = Netrec_util.Rng.create seed in
       let p = random_lp rng in
       let direct = Lp.solve p in
-      let pre = Presolve.solve ~enabled:true p in
+      let pre = Presolve.solve p in
       pre.Lp.status = direct.Lp.status
       && (direct.Lp.status <> Lp.Optimal
          || abs_float (pre.Lp.objective -. direct.Lp.objective) <= 1e-6

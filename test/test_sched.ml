@@ -526,6 +526,57 @@ let memo_matches_reference_prop =
       let ref_order, ref_auc = reference_search ~crews ~max_moves inst order in
       Sched.order_of plan = ref_order && Float.equal plan.Sched.auc ref_auc)
 
+(* ---- pinned oracle work ---- *)
+
+let element_name = function
+  | `Vertex v -> Printf.sprintf "v%d" v
+  | `Edge e -> Printf.sprintf "e%d" e
+
+let round_groups plan =
+  String.concat " | "
+    (List.map
+       (fun r -> String.concat " " (List.map element_name r.Sched.elements))
+       plan.Sched.rounds)
+
+(* The oracle gates and properties check orderings and a 1e-4 AUC
+   agreement; the gate block sees a single B&B node.  These solves pin
+   the MILP's work and answer exactly: B&B nodes, simplex pivots, the
+   bits of the MILP's AUC and the round groups it chose, as the oracle's
+   model gave them when they were written.  Random seeds 27 and 39 prove
+   in well under a second. *)
+let test_oracle_pinned_work () =
+  let random seed =
+    let inst = random_instance (Rng.create seed) in
+    (inst, Sched.capacity ~crews:2 (), broken_elements inst)
+  in
+  List.iter
+    (fun (name, (inst, cap, els), nodes, pivots, bits, groups) ->
+      match Sched.oracle ~cap inst els with
+      | Error _ -> Alcotest.failf "%s: oracle refused" name
+      | Ok r ->
+        Alcotest.(check bool) (name ^ " proved") true r.Sched.proved;
+        Alcotest.(check (list int))
+          (name ^ " nodes, pivots")
+          [ nodes; pivots ]
+          [ r.Sched.nodes; r.Sched.pivots ];
+        Alcotest.(check int64)
+          (name ^ " milp auc bits") bits
+          (Int64.bits_of_float r.Sched.milp_auc);
+        Alcotest.(check string) (name ^ " rounds") groups
+          (round_groups r.Sched.plan))
+    [ ( "gate fixture",
+        (gate_instance (), Sched.capacity ~crews:3 (), gate_elements ()),
+        20, 143, 0x3ff0000000000000L, "v1 e0 e1 | v4 e2 e4 | v3 e3" );
+      ( "smoke scenario",
+        ( Netrec_experiments.Fig_sched.smoke_scenario (),
+          Sched.capacity ~crews:Netrec_experiments.Fig_sched.smoke_crews (),
+          Netrec_experiments.Fig_sched.smoke_elements () ),
+        1, 34, 0x3ff0000000000000L, "v1 e0 e1 | e2 e3 e4 | v3 v4" );
+      ( "random 27", random 27, 371, 5457, 0x3fe0000000000000L,
+        "v3 e3 | v1 v4 | v2 e1 | e5" );
+      ( "random 39", random 39, 78, 1262, 0x3fe8000000000000L,
+        "v1 | v2 e1 | v4 e4 | e3 e5" ) ]
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "netrec_sched"
@@ -541,7 +592,8 @@ let () =
         [ tc "proves gate instance" test_oracle_proves_gate_instance;
           tc "milp auc consistent" test_oracle_milp_auc_consistent;
           tc "too big refused" test_oracle_too_big_refused;
-          tc "malformed rejected" test_oracle_malformed ] );
+          tc "malformed rejected" test_oracle_malformed;
+          tc "pinned work" test_oracle_pinned_work ] );
       ( "local-search",
         [ tc "improves one-move order" test_local_search_improves_one_move_order;
           tc "never degrades" test_local_search_never_degrades;
