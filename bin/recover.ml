@@ -231,6 +231,13 @@ let export_observability ~verbose ~trace_file ~metrics_file ~events_file =
     Printf.printf "wrote %s\n" path
   | None -> ()
 
+(* Every command that solves records telemetry; span intervals are kept
+   only when a Chrome trace will be written, so a long-running daemon
+   does not accumulate one per span it ever ran. *)
+let start_collector ~trace_file =
+  Obs.set_enabled true;
+  Obs.set_intervals (Option.is_some trace_file)
+
 let build_topology name ~er_p ~seed =
   match name with
   | "bell-canada" -> Netrec_topo.Bell_canada.graph ()
@@ -382,7 +389,7 @@ let plan topology er_p seed pairs amount algorithm disruption variance fail_p
     deadline certify dot_file save_file load_file save_solution_file
     trace_file metrics_file events_file verbose =
   try
-    Obs.set_enabled true;
+    start_collector ~trace_file;
     let inst =
       match load_file with
       | Some path -> Netrec_core.Serialize.load path
@@ -534,7 +541,7 @@ let experiment figure runs opt_nodes jobs certify journal_file trace_file
     2
   end
   else begin
-    Obs.set_enabled true;
+    start_collector ~trace_file;
     if certify then Check.install_certifier ();
     (* SIGINT/SIGTERM stop the sweep at the next cell boundary: completed
        cells are already in the journal, so the same --journal file
@@ -971,7 +978,7 @@ let serve_run topology er_p seed socket tcp jobs queue_cap default_deadline
     cache_cap inject_spec breaker_window breaker_min_samples breaker_rate
     breaker_cooldown trace_file metrics_file events_file verbose =
   try
-    Obs.set_enabled true;
+    start_collector ~trace_file;
     let g = build_topology topology ~er_p ~seed in
     let address = parse_address ~socket ~tcp in
     let inject =

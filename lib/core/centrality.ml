@@ -8,52 +8,82 @@ type t = { score : float array; contributions : contribution list }
 
 module Cache = struct
   (* A bundle is a function of (src, dst, amount) and the current
-     length/cap metrics only, so that triple is the key.  An entry stays
-     exactly valid while (a) no edge of its own paths worsened (longer
-     or less residual — prunes only ever worsen) and (b) no edge
-     anywhere improved (repairs shorten lengths, so every entry is
-     suspect and the whole cache is flushed).  Exactness of (a) rests on
-     Dijkstra's vertex-id tie-break: worsening edges off a cached path
-     can only push competing paths further away, never change which
-     path wins.  See DESIGN §11 for the argument. *)
+     length/cap metrics only, so that triple is the key.  The solver
+     reports every metric change: [note_worse e] for an edge that got
+     longer or lost residual capacity (a committed prune), and
+     [note_improved c x] for a gate x, an endpoint of edges that got
+     shorter or gained capacity (a repair).  [settle] then evicts every
+     entry that one of the two kinds of change could alter; the rest
+     replay bit for bit.  See DESIGN §11 for the argument. *)
   type key = int * int * float
 
   type entry = {
     bundle : Paths.bundle;
     edges : int list;  (* distinct edge ids appearing on the paths *)
+    reach : float;
+        (* the length of the longest path, summed from the source in
+           path order under the metric that built the bundle (the label
+           Dijkstra gave the path's end); [infinity] when the bundle
+           stopped short of its demand with fewer than [max_paths]
+           paths, since a capacity gain could open another path *)
   }
 
   type cache = {
     table : (key, entry) Hashtbl.t;
     worse : (int, unit) Hashtbl.t;  (* edges worsened since last compute *)
-    mutable flush : bool;
+    mutable gates : Graph.vertex list;  (* gates reported since then *)
   }
 
   let create () =
-    { table = Hashtbl.create 64; worse = Hashtbl.create 64; flush = false }
+    { table = Hashtbl.create 64; worse = Hashtbl.create 64; gates = [] }
 
-  let note_worse c e = if not c.flush then Hashtbl.replace c.worse e ()
+  let note_worse c e = Hashtbl.replace c.worse e ()
 
-  let note_improved c =
-    c.flush <- true;
-    Hashtbl.reset c.worse
+  let note_improved c v = c.gates <- v :: c.gates
 
-  (* Apply the invalidations accumulated since the previous compute. *)
-  let settle c =
-    if c.flush then begin
-      Hashtbl.reset c.table;
-      c.flush <- false
-    end
-    else if Hashtbl.length c.worse > 0 then begin
-      let stale =
-        Hashtbl.fold
-          (fun key entry acc ->
-            if List.exists (Hashtbl.mem c.worse) entry.edges then key :: acc
-            else acc)
-          c.table []
-      in
-      List.iter (Hashtbl.remove c.table) stale;
+  (* Relative margin of the keep test: a sum of at most n path lengths is
+     rounded by at most n * 2^-53 relative. *)
+  let margin = 1e-9
+
+  let evict c stale =
+    let keys =
+      Hashtbl.fold
+        (fun key entry acc -> if stale key entry then key :: acc else acc)
+        c.table []
+    in
+    List.iter (Hashtbl.remove c.table) keys
+
+  (* Apply the changes reported since the previous compute.  Entries whose
+     paths use a worsened edge go first.  Then, if gates are pending, an
+     exact cache measures D, the distance from the nearest gate under the
+     current metric, and keeps (s, t) only when D(s) + D(t) exceeds its
+     reach: every path through a changed edge passes a gate, so it is
+     longer than all of the bundle's paths.  A sampled cache evicts
+     everything instead (its scores depend on which bundles are cached).
+     The search stops at half the largest reach: a pair that must go has
+     an end within it, and an unsettled end reads a lower bound, which
+     can only evict more. *)
+  let settle c ~exact ~length ~cap g =
+    if Hashtbl.length c.worse > 0 then begin
+      evict c (fun _ entry -> List.exists (Hashtbl.mem c.worse) entry.edges);
       Hashtbl.reset c.worse
+    end;
+    if c.gates <> [] then begin
+      if not exact then Hashtbl.reset c.table
+      else if Hashtbl.length c.table > 0 then begin
+        let farthest =
+          Hashtbl.fold (fun _ entry acc -> Float.max acc entry.reach) c.table 0.0
+        in
+        let d =
+          Dijkstra.within
+            ~edge_ok:(fun e -> cap e > Num.flow_eps)
+            ~bound:(farthest *. (1.0 +. margin) /. 2.0)
+            ~length g c.gates
+        in
+        evict c (fun (s, t, _) entry ->
+            not (d.(s) +. d.(t) > entry.reach *. (1.0 +. margin)))
+      end;
+      c.gates <- []
     end
 
   (* Drop entries for demands that no longer exist (splits and fully
@@ -61,12 +91,7 @@ module Cache = struct
   let retain c keys =
     let keep = Hashtbl.create (List.length keys) in
     List.iter (fun k -> Hashtbl.replace keep k ()) keys;
-    let dead =
-      Hashtbl.fold
-        (fun key _ acc -> if Hashtbl.mem keep key then acc else key :: acc)
-        c.table []
-    in
-    List.iter (Hashtbl.remove c.table) dead
+    evict c (fun key _ -> not (Hashtbl.mem keep key))
 end
 
 let demand_key d =
@@ -85,7 +110,9 @@ let compute ?cache ?sample ?max_paths ~length ~cap g demands =
   Obs.count ~n:0 "centrality.cache_misses";
   Obs.count ~n:0 "centrality.sampled_recomputed";
   Obs.count ~n:0 "centrality.sampled_skipped";
-  (match cache with Some c -> Cache.settle c | None -> ());
+  (match cache with
+  | Some c -> Cache.settle c ~exact:(sample = None) ~length ~cap g
+  | None -> ());
   let cached demand =
     match cache with
     | None -> None
@@ -138,8 +165,22 @@ let compute ?cache ?sample ?max_paths ~length ~cap g demands =
           List.sort_uniq compare
             (List.concat_map (fun (p, _) -> p) bundle.Paths.paths)
         in
+        (* [Paths.shortest_bundle]'s stop rule: covered, or [max_paths]
+           paths found; otherwise the endpoints ran out of paths. *)
+        let stopped_short =
+          bundle.Paths.covered < demand.Commodity.amount -. Num.flow_eps
+          && List.length bundle.Paths.paths
+             < Option.value max_paths ~default:max_int
+        in
+        let reach =
+          if stopped_short then infinity
+          else
+            List.fold_left
+              (fun acc (p, _) -> Float.max acc (Paths.length ~length p))
+              0.0 bundle.Paths.paths
+        in
         Hashtbl.replace c.Cache.table (demand_key demand)
-          { Cache.bundle; edges };
+          { Cache.bundle; edges; reach };
         bundle)
   in
   let contributions =

@@ -25,15 +25,12 @@ type t = {
 
 (** Incremental re-evaluation support.  A bundle depends only on the
     demand triple (src, dst, amount) and the current length/cap
-    metrics, so a solver that mutates those metrics monotonically can
-    keep bundles across iterations: it reports which edges {e worsened}
-    (residual capacity decreased, length increased — e.g. a committed
-    prune) and when anything {e improved} (a repair shortened lengths).
-    {!compute} then recomputes only the demands whose cached paths are
-    affected and reuses every other bundle verbatim — results are
-    bit-identical to a from-scratch evaluation (see DESIGN §11 for the
-    exactness argument, which relies on Dijkstra's deterministic
-    vertex-id tie-break). *)
+    metrics, so a solver that reports every change to those metrics can
+    keep bundles across iterations.  {!compute} then recomputes only the
+    demands a change can reach and reuses every other bundle verbatim —
+    results are bit-identical to a from-scratch evaluation (see DESIGN
+    §11 for the exactness argument, which relies on Dijkstra's
+    deterministic vertex-id tie-break). *)
 module Cache : sig
   type cache
 
@@ -42,12 +39,22 @@ module Cache : sig
 
   val note_worse : cache -> Graph.edge_id -> unit
   (** Record that an edge's length grew and/or its residual capacity
-      shrank since the last {!compute}.  Cached bundles whose paths use
-      the edge will be recomputed. *)
+      shrank since the last {!compute} (a committed prune).  Cached
+      bundles whose paths use the edge will be recomputed. *)
 
-  val note_improved : cache -> unit
-  (** Record that some element improved (a repair made lengths drop
-      somewhere).  Every cached bundle is invalidated. *)
+  val note_improved : cache -> Graph.vertex -> unit
+  (** [note_improved c x] records a {e gate} [x]: some edges incident to
+      [x] got shorter and/or gained residual capacity since the last
+      {!compute} (a repair).  Contract: every edge that improved since
+      the last {!compute} has an endpoint among the gates reported since
+      then — a vertex repair reports the vertex, an edge repair either
+      endpoint.  Without [?sample], the next {!compute} keeps the bundle
+      of a pair (s, t) only when D(s) + D(t) exceeds the length of its
+      longest path by a relative [1e-9], where D is the distance from
+      the nearest gate under the current metric (one multi-source
+      {!Dijkstra.within} search, counted in [dijkstra.*]); a bundle that
+      stopped short of its demand goes whenever a gate is pending.  With
+      [?sample], any gate invalidates every cached bundle. *)
 end
 
 val compute :

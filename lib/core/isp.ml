@@ -45,6 +45,7 @@ type state = {
   cfg : config;
   budget : Budget.t;
   resid : float array;  (* residual capacities c^(n) *)
+  len : float array;  (* the §IV-D length of every edge, kept current *)
   broken_v : bool array;  (* V_B^(n): still broken, not listed for repair *)
   broken_e : bool array;
   repaired_v : bool array;  (* the repair list L^(n) *)
@@ -96,30 +97,39 @@ let length_metric st e =
     let c = Float.max st.resid.(e) eps in
     (length_const +. ke +. ((kv u +. kv v) /. 2.0)) /. c
 
+(* [st.len] holds [length_metric] for every edge.  Its inputs change in
+   three places only — a vertex repair, an edge repair and a committed
+   prune — and each one re-evaluates the edges it touched. *)
+let refresh_length st e = st.len.(e) <- length_metric st e
+
 (* ---- repairs ---- *)
 
 (* A repair flips an element broken -> repaired, which drops its repair
-   cost out of the §IV-D metric: lengths can only get SHORTER anywhere
-   near it, so every cached centrality bundle becomes suspect.  Under the
-   Hop metric lengths are constant and repairs leave every centrality
-   input untouched, so the cache survives. *)
-let note_improvement st =
+   cost out of the §IV-D metric: only the lengths of the edges at [gate]
+   get SHORTER, so [gate] is what the centrality cache needs to find the
+   bundles that can change.  Under the Hop metric lengths are constant
+   and repairs leave every centrality input untouched, so the cache
+   hears nothing. *)
+let note_improvement st gate =
   match (st.cent_cache, st.cfg.length_mode) with
-  | Some c, Dynamic -> Centrality.Cache.note_improved c
+  | Some c, Dynamic -> Centrality.Cache.note_improved c gate
   | Some _, Hop | None, _ -> ()
 
 let repair_vertex st v =
   if st.broken_v.(v) then begin
     st.broken_v.(v) <- false;
     st.repaired_v.(v) <- true;
-    note_improvement st
+    Graph.iter_incident st.inst.Instance.graph v (fun _ e ->
+        refresh_length st e);
+    note_improvement st v
   end
 
 let repair_edge st e =
   if st.broken_e.(e) then begin
     st.broken_e.(e) <- false;
     st.repaired_e.(e) <- true;
-    note_improvement st
+    refresh_length st e;
+    note_improvement st (fst (Graph.endpoints st.inst.Instance.graph e))
   end
 
 (* ---- oracles ---- *)
@@ -146,6 +156,7 @@ let commit_prune st h (pr : Bubble.prune) =
       List.iter
         (fun e ->
           st.resid.(e) <- Float.max 0.0 (st.resid.(e) -. amount);
+          refresh_length st e;
           (* Residual shrank -> the dynamic length grew: a pure
              worsening, so only bundles using [e] need recomputing. *)
           match st.cent_cache with
@@ -360,7 +371,8 @@ let split_step st =
   let g = st.inst.Instance.graph in
   let cent =
     Centrality.compute ?cache:st.cent_cache ?sample:st.cfg.centrality_sample
-      ?max_paths:st.cfg.bundle_max_paths ~length:(length_metric st)
+      ?max_paths:st.cfg.bundle_max_paths
+      ~length:(fun e -> st.len.(e))
       ~cap:(fun e -> st.resid.(e))
       g st.demands
   in
@@ -400,7 +412,7 @@ let split_step st =
 let fallback_repair_path st h =
   let g = st.inst.Instance.graph in
   match
-    Dijkstra.shortest_path ~length:(length_metric st) g h.Commodity.src
+    Dijkstra.shortest_path ~length:(fun e -> st.len.(e)) g h.Commodity.src
       h.Commodity.dst
   with
   | None | Some [] -> false
@@ -458,6 +470,7 @@ let solve_body ~config ~budget inst =
       cfg = config;
       budget;
       resid = Array.init (Graph.ne g) (Graph.capacity g);
+      len = Array.make (Graph.ne g) 0.0;
       broken_v = Array.copy inst.Instance.failure.Failure.broken_vertices;
       broken_e = Array.copy inst.Instance.failure.Failure.broken_edges;
       repaired_v = Array.make (Graph.nv g) false;
@@ -474,6 +487,9 @@ let solve_body ~config ~budget inst =
       endpoint_repairs = 0;
       fallback_paths = 0 }
   in
+  for e = 0 to Graph.ne g - 1 do
+    refresh_length st e
+  done;
   (* Step 0: broken demand endpoints are forced repairs (any feasible
      solution must restore them: positive flow leaves/enters them). *)
   List.iter

@@ -41,10 +41,11 @@ type config = {
   incremental_centrality : bool;
       (** reuse centrality bundles across iterations via
           {!Centrality.Cache} (default [true]).  The result is
-          bit-identical to recomputing from scratch — prunes only worsen
-          edges they touch, repairs flush the cache — so this is purely
-          a speed knob; [false] forces the from-scratch path (used by
-          tests to cross-check the cache). *)
+          bit-identical to recomputing from scratch — prunes report the
+          edges they worsen, repairs report their vertex (or an endpoint
+          of the repaired edge) as a gate — so this is purely a speed
+          knob; [false] forces the from-scratch path (used by tests to
+          cross-check the cache). *)
   centrality_sample : int option;
       (** when [Some k], cap per-iteration centrality work: only the
           top-[k] cache-missing demands get fresh bundles each split step

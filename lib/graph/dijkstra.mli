@@ -11,7 +11,14 @@
     state.  Every vertex is settled at most once per search, and ties
     between equal-distance vertices are broken by vertex id, so the
     predecessor tree is a deterministic function of the length metric
-    alone. *)
+    alone.
+
+    Every entry point runs one search loop: it walks the graph's CSR rows
+    ({!Graph.csr}, edge-id order), relaxes with a strict [<], and pops
+    (distance, vertex id) minima from a binary heap.  {!run},
+    {!distances} and {!shortest_path} seed it with one source;
+    {!within} seeds it with several and stops it at a distance bound.
+    Each call counts [dijkstra.calls] and, batched, [dijkstra.settled]. *)
 
 val run :
   ?vertex_ok:(Graph.vertex -> bool) ->
@@ -51,3 +58,22 @@ val shortest_path :
     target; [Some []] when they coincide and are ok).  Runs entirely on
     pooled scratch and stops at the target, so point-to-point queries do
     not pay for settling the whole graph. *)
+
+val within :
+  ?edge_ok:(Graph.edge_id -> bool) ->
+  bound:float ->
+  length:(Graph.edge_id -> float) ->
+  Graph.t ->
+  Graph.vertex list ->
+  float array
+(** [within ~bound ~length g sources] is the distance from the nearest
+    of [sources] (each at distance 0) to every vertex, found by the same
+    search as {!run}, which stops before it settles a vertex farther than
+    [bound].  An entry [<= bound] is exact.  Any other entry is a lower
+    bound greater than [bound]: the smallest distance still queued when
+    the search stopped, or [infinity] when nothing was queued (the vertex
+    is unreachable).  Settles exactly the vertices within [bound].  The
+    repair-aware centrality cache uses it to measure how far a repair's
+    effect can reach (DESIGN §11).
+    @raise Invalid_argument on a negative edge length or an out-of-range
+    source. *)

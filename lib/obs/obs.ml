@@ -460,14 +460,19 @@ let gc_delta a b =
 
 (* Individual intervals feed the Chrome-trace export only; aggregates in
    [spans_tbl] are never dropped.  The cap bounds memory on long runs
-   (e.g. full bench sweeps). *)
+   (e.g. full bench sweeps), and a process that will write no trace keeps
+   none at all. *)
 let max_events = 1_000_000
+
+let intervals_flag = Atomic.make true
+let set_intervals b = Atomic.set intervals_flag b
 
 let events_dropped () =
   List.fold_left (fun acc st -> acc + st.dropped) 0 (states ())
 
 let record_event st path t0 dur =
-  if st.n_events < max_events then begin
+  if not (Atomic.get intervals_flag) then ()
+  else if st.n_events < max_events then begin
     st.events <-
       { epath = path; ets = t0 -. Atomic.get epoch; edur = dur; etid = st.dom }
       :: st.events;

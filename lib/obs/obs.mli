@@ -17,7 +17,8 @@
       counts, total and self (total minus children) time, and GC
       allocation deltas (minor/major words, compactions) are aggregated,
       and every individual interval is kept for the Chrome-trace export
-      (up to a fixed buffer; see {!events_dropped}).
+      (up to a fixed buffer; see {!events_dropped}) unless
+      {!set_intervals} turned that off.
     - {b counters}: monotonically increasing integers
       ([count "simplex.pivots"]).
     - {b gauges}: last/min/max of a sampled float
@@ -43,6 +44,13 @@ val enabled : unit -> bool
 val set_enabled : bool -> unit
 (** Turn the collector on or off.  Turning it off does not clear
     already-collected data. *)
+
+val set_intervals : bool -> unit
+(** Keep (the default) or drop each span's individual interval.  Only
+    {!chrome_trace} reads intervals, so a process that writes no Chrome
+    trace turns them off and its memory stays flat however many spans it
+    runs; span aggregates, counters, gauges, histograms and progress
+    events are recorded either way. *)
 
 val reset : unit -> unit
 (** Drop all collected spans, counters, gauges, histograms, trace and

@@ -191,12 +191,13 @@ let build_sub inst verts demands =
    repair-aware shortest full-graph path for each, largest amount first,
    committing the demand onto a residual so later fixups see the consumed
    capacity.  The candidate path comes from the {!Centrality} bundle
-   machinery backed by a {!Centrality.Cache}: stitch-pass repairs flush
-   it ([note_improved] — lengths drop) and capacity consumption
-   invalidates exactly the touched edges ([note_worse]), the same
-   invalidation contract ISP's loop relies on, so cached and fresh
-   bundles stay bit-identical (see the equality property in
-   test_shard.ml). *)
+   machinery backed by a {!Centrality.Cache}: each stitch-pass repair
+   reports its gate ([note_improved] — lengths drop at a repaired vertex
+   and at an endpoint of a repaired edge; under the sampled centrality
+   any gate flushes the cache) and capacity consumption invalidates
+   exactly the touched edges ([note_worse]), the same invalidation
+   contract ISP's loop relies on, so cached and fresh bundles stay
+   bit-identical (see the equality property in test_shard.ml). *)
 let fixup inst ~candidates ~broken_v ~broken_e ~repaired_v ~repaired_e =
   let g = inst.Instance.graph in
   let resid = Array.init (Graph.ne g) (Graph.capacity g) in
@@ -264,25 +265,23 @@ let fixup inst ~candidates ~broken_v ~broken_e ~repaired_v ~repaired_e =
         | (p, _) :: _ ->
           Log.debug (fun m ->
               m "fixup %a over %d-edge path" Commodity.pp h (List.length p));
-          let improved = ref false in
           List.iter
             (fun e ->
+              let u, v = Graph.endpoints g e in
               if broken_e.(e) then begin
                 broken_e.(e) <- false;
                 repaired_e.(e) <- true;
-                improved := true
+                Centrality.Cache.note_improved cache u
               end;
-              let u, v = Graph.endpoints g e in
               List.iter
                 (fun w ->
                   if broken_v.(w) then begin
                     broken_v.(w) <- false;
                     repaired_v.(w) <- true;
-                    improved := true
+                    Centrality.Cache.note_improved cache w
                   end)
                 [ u; v ])
             p;
-          if !improved then Centrality.Cache.note_improved cache;
           List.iter
             (fun e ->
               resid.(e) <- Float.max 0.0 (resid.(e) -. h.Commodity.amount);

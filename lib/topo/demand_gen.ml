@@ -1,29 +1,42 @@
 module Rng = Netrec_util.Rng
 module Commodity = Netrec_flow.Commodity
 
-(* All unordered pairs at hop distance >= threshold, with their distance. *)
-let eligible_pairs g =
+(* Every unordered pair (u, v), u < v, at hop distance >= ceil(diameter/2),
+   packed as [u * n + v] in descending (u, v) order; the farthest pairs
+   when no pair qualifies (degenerate graphs). *)
+let far_table g =
   let n = Graph.nv g in
   if n < 2 then invalid_arg "Demand_gen: graph too small";
   let diameter = Metrics.hop_diameter g in
-  let threshold = (diameter + 1) / 2 in
-  let pairs = ref [] in
-  for u = 0 to n - 1 do
-    let dist = Traverse.bfs_dist g u in
-    for v = u + 1 to n - 1 do
-      if dist.(v) < max_int then pairs := ((u, v), dist.(v)) :: !pairs
-    done
-  done;
-  let all = !pairs in
-  let far = List.filter (fun (_, d) -> d >= threshold) all in
-  if far <> [] then far
-  else
-    (* Degenerate graphs (e.g. cliques): fall back to the farthest pairs. *)
-    let dmax = List.fold_left (fun acc (_, d) -> max acc d) 0 all in
-    List.filter (fun (_, d) -> d = dmax) all
+  let pairs keep =
+    let acc = ref [] in
+    for u = 0 to n - 1 do
+      let dist = Traverse.bfs_dist g u in
+      for v = u + 1 to n - 1 do
+        if dist.(v) < max_int && keep dist.(v) then acc := ((u * n) + v) :: !acc
+      done
+    done;
+    Array.of_list !acc
+  in
+  let far = pairs (fun d -> d >= (diameter + 1) / 2) in
+  if Array.length far > 0 then far else pairs (fun d -> d = diameter)
 
-(* Above this vertex count [eligible_pairs]'s O(n^2) pair list is
-   unusable; pairs are drawn by sampling BFS rows instead. *)
+(* The table costs 2n BFS, so it is built once per topology: one entry
+   per domain, keyed by the graph's physical identity (graphs are
+   immutable). *)
+let table_memo : (Graph.t * int array) option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let far_table_of g =
+  match Domain.DLS.get table_memo with
+  | Some (g', table) when g' == g -> table
+  | _ ->
+    let table = far_table g in
+    Domain.DLS.set table_memo (Some (g, table));
+    table
+
+(* Above this vertex count [far_table]'s O(n^2) pairs are unusable;
+   pairs are drawn by sampling BFS rows instead. *)
 let sample_limit = 4096
 
 (* Sampled far pairs for xl graphs: draw a source, BFS it, draw a
@@ -78,13 +91,15 @@ let sampled_draw ~rng ~count ~amount ~distinct g =
 let draw ~rng ~count ~amount ~distinct g =
   if Graph.nv g > sample_limit then sampled_draw ~rng ~count ~amount ~distinct g
   else
-  let candidates = Array.of_list (eligible_pairs g) in
+  let n = Graph.nv g in
+  let candidates = Array.copy (far_table_of g) in
   Rng.shuffle rng candidates;
   let used = Hashtbl.create 16 in
   let taken = ref [] in
   let ntaken = ref 0 in
   Array.iter
-    (fun ((u, v), _) ->
+    (fun c ->
+      let u = c / n and v = c mod n in
       if !ntaken < count then begin
         let clash = distinct && (Hashtbl.mem used u || Hashtbl.mem used v) in
         if not clash then begin

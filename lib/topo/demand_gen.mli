@@ -15,10 +15,13 @@ val far_pairs :
 (** [far_pairs ~rng ~count ~amount g] draws [count] distinct unordered
     vertex pairs with hop distance >= ceil(diameter/2), uniformly, each
     with demand [amount].  Falls back to the farthest available pairs if
-    fewer than [count] pairs satisfy the threshold.  Beyond 4096
-    vertices the exhaustive pair enumeration is replaced by BFS-row
-    sampling against the {!Metrics.pseudo_diameter} bound, so the
-    generator stays linear-ish on xl synthetic topologies.
+    fewer than [count] pairs satisfy the threshold.  The eligible pairs
+    are listed once per topology (each domain keeps the table of the
+    last graph it drew from, by physical identity) and every draw
+    shuffles a copy, so a redraw costs no BFS.  Beyond 4096 vertices
+    the exhaustive pair enumeration is replaced by BFS-row sampling
+    against the {!Metrics.pseudo_diameter} bound, so the generator
+    stays linear-ish on xl synthetic topologies.
     @raise Invalid_argument when the graph has fewer than 2 vertices. *)
 
 val distinct_endpoint_pairs :

@@ -247,7 +247,7 @@ let centrality_incremental_prop =
               (* improve: an element gets cheaper again, like a repair *)
               length.(e) <- 1.0;
               resid.(e) <- 10.0;
-              Centrality.Cache.note_improved cache
+              Centrality.Cache.note_improved cache (fst (Graph.endpoints g e))
             end
             else begin
               (* worsen: a committed prune consumes residual capacity *)
@@ -292,6 +292,104 @@ let isp_cache_bit_identical_prop =
           && agree { Isp.default_config with Isp.length_mode = Isp.Hop }
         end
       end)
+
+(* Repair-aware invalidation (DESIGN §11): after every reported change —
+   a worsened edge, a vertex repair (every incident length drops) or an
+   edge repair (its length drops and its capacity may grow, reported at
+   either endpoint) — the cached computation must equal a from-scratch
+   one.  Lengths are real, or integral with zeros (ties, and paths of
+   length 0), and demands of up to 20 units over capacities of 0–8 often
+   exceed every cut, so their bundles stop short, and an edge repair can
+   then open a path over an edge that had no capacity.  Across the run some
+   lookup right after a repair must hit, or the property would hold
+   without the gate search ever keeping a bundle. *)
+let test_centrality_repair_aware () =
+  let module Obs = Netrec_obs.Obs in
+  let hits_after_repair = ref 0 in
+  let prop =
+    QCheck.Test.make ~count:300
+      ~name:"repair-aware centrality cache = from-scratch"
+      QCheck.(int_bound 1_000_000)
+      (fun seed ->
+        let rng = Rng.create seed in
+        let n = 4 + Rng.int rng 12 in
+        let pair () =
+          let u = Rng.int rng n in
+          (u, (u + 1 + Rng.int rng (n - 1)) mod n)
+        in
+        let edges =
+          List.init (n + Rng.int rng (2 * n)) (fun _ ->
+              let u, v = pair () in
+              (u, v, float_of_int (Rng.int rng 9)))
+        in
+        let g = Graph.make ~n ~edges () in
+        let integral = Rng.bool rng in
+        let length =
+          Array.init (Graph.ne g) (fun _ ->
+              if integral then float_of_int (Rng.int rng 4)
+              else Rng.float rng 3.0)
+        in
+        let cap = Array.init (Graph.ne g) (Graph.capacity g) in
+        let drop x =
+          if integral then Float.max 0.0 (x -. 1.0) else x *. Rng.float rng 1.0
+        in
+        let demands =
+          List.init (1 + Rng.int rng 4) (fun _ ->
+              let src, dst = pair () in
+              Commodity.make ~src ~dst
+                ~amount:(float_of_int (1 + Rng.int rng 20)))
+        in
+        let cache = Centrality.Cache.create () in
+        let agree () =
+          same_centrality
+            (Centrality.compute ~cache ~length:(Array.get length)
+               ~cap:(Array.get cap) g demands)
+            (Centrality.compute ~length:(Array.get length)
+               ~cap:(Array.get cap) g demands)
+        in
+        let ok = ref (agree ()) in
+        for _ = 1 to 12 do
+          if !ok then begin
+            let repaired =
+              match Rng.int rng 3 with
+              | 0 ->
+                (* a committed prune *)
+                let e = Rng.int rng (Graph.ne g) in
+                length.(e) <-
+                  (length.(e) +. if integral then 1.0 else Rng.float rng 1.0);
+                cap.(e) <- Float.max 0.0 (cap.(e) -. float_of_int (Rng.int rng 4));
+                Centrality.Cache.note_worse cache e;
+                false
+              | 1 ->
+                let v = Rng.int rng n in
+                Graph.iter_incident g v (fun _ e -> length.(e) <- drop length.(e));
+                Centrality.Cache.note_improved cache v;
+                true
+              | _ ->
+                let e = Rng.int rng (Graph.ne g) in
+                length.(e) <- drop length.(e);
+                if Rng.bool rng then
+                  cap.(e) <- cap.(e) +. float_of_int (1 + Rng.int rng 4);
+                let u, v = Graph.endpoints g e in
+                Centrality.Cache.note_improved cache (if Rng.bool rng then u else v);
+                true
+            in
+            let hits = Obs.domain_counter_value "centrality.cache_hits" in
+            ok := agree ();
+            if repaired then
+              hits_after_repair :=
+                !hits_after_repair
+                + Obs.domain_counter_value "centrality.cache_hits" - hits
+          end
+        done;
+        !ok)
+  in
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled was) @@ fun () ->
+  QCheck.Test.check_exn prop;
+  Alcotest.(check bool) "some lookup after a repair hit" true
+    (!hits_after_repair > 0)
 
 (* ---- Bubble ---- *)
 
@@ -1987,7 +2085,8 @@ let () =
           tc "no demands" test_centrality_no_demands;
           tc "length metric bias" test_centrality_length_metric_bias;
           QCheck_alcotest.to_alcotest centrality_incremental_prop;
-          QCheck_alcotest.to_alcotest isp_cache_bit_identical_prop ] );
+          QCheck_alcotest.to_alcotest isp_cache_bit_identical_prop;
+          tc "repair-aware cache = from-scratch" test_centrality_repair_aware ] );
       ( "bubble",
         [ tc "whole graph" test_bubble_whole_graph_single_demand;
           tc "blocked by endpoints" test_bubble_blocked_by_other_endpoints;

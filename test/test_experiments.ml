@@ -333,7 +333,21 @@ let test_caida_isp_pinned () =
   Alcotest.(check string) "serialized plan"
     "44a99b8c62f48f301aaecb399220620a"
     (Digest.to_hex
-       (Digest.string (Netrec_core.Serialize.solution_to_string sol)))
+       (Digest.string (Netrec_core.Serialize.solution_to_string sol)));
+  (* The search work of the same solve: Dijkstra calls and settles (gate
+     searches included) and the centrality cache's hits and misses, as
+     the repair-aware cache gives them. *)
+  let _, search =
+    rises
+      [ "dijkstra.calls"; "dijkstra.settled"; "centrality.cache_hits";
+        "centrality.cache_misses" ]
+      (fun () -> Netrec_core.Isp.solve (Gates.caida_scenario ()))
+  in
+  Alcotest.(check (list (pair string int)))
+    "search and cache work"
+    [ ("dijkstra.calls", 72); ("dijkstra.settled", 19688);
+      ("centrality.cache_hits", 69); ("centrality.cache_misses", 50) ]
+    search
 
 (* bubble.finds / bubble.labels count deterministic work: the same
    rises on 1 and 4 domains, and the plans do not depend on whether the

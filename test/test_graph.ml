@@ -1,5 +1,6 @@
 open Netrec_graph
 module Rng = Netrec_util.Rng
+module Obs = Netrec_obs.Obs
 
 (* A small fixture: 6-vertex graph with a bottleneck.
       0 -- 1 -- 2
@@ -173,6 +174,188 @@ let test_dijkstra_negative_length_rejected () =
     (Invalid_argument "Dijkstra: negative edge length") (fun () ->
       ignore (Dijkstra.distances ~length:(fun _ -> -1.0) g 0))
 
+(* The search loop Dijkstra had before it walked CSR rows in a [for]
+   loop, compared the target as an int and sifted its heap with a hole:
+   kept verbatim as the reference the current loop must reproduce —
+   dist, pred, path and the [dijkstra.settled] rise alike. *)
+module Reference = struct
+  let all _ = true
+
+  type scratch = {
+    mutable dist : float array;
+    mutable pred : int array;
+    mutable seen : int array;  (* seen.(v) = stamp: dist/pred valid *)
+    mutable settled : int array;  (* settled.(v) = stamp: popped final *)
+    mutable stamp : int;
+    mutable hp : float array;
+    mutable hv : int array;
+    mutable hlen : int;
+  }
+
+  let scratch_key =
+    Domain.DLS.new_key (fun () ->
+        { dist = [||];
+          pred = [||];
+          seen = [||];
+          settled = [||];
+          stamp = 0;
+          hp = Array.make 16 infinity;
+          hv = Array.make 16 0;
+          hlen = 0 })
+
+  let scratch n =
+    let s = Domain.DLS.get scratch_key in
+    if Array.length s.dist < n then begin
+      let cap = max n (2 * Array.length s.dist) in
+      s.dist <- Array.make cap infinity;
+      s.pred <- Array.make cap (-1);
+      s.seen <- Array.make cap 0;
+      s.settled <- Array.make cap 0;
+      s.stamp <- 0
+    end;
+    s.stamp <- s.stamp + 1;
+    s.hlen <- 0;
+    s
+
+  let heap_less s i j =
+    s.hp.(i) < s.hp.(j) || (s.hp.(i) = s.hp.(j) && s.hv.(i) < s.hv.(j))
+
+  let heap_swap s i j =
+    let p = s.hp.(i) and v = s.hv.(i) in
+    s.hp.(i) <- s.hp.(j);
+    s.hv.(i) <- s.hv.(j);
+    s.hp.(j) <- p;
+    s.hv.(j) <- v
+
+  let rec sift_up s i =
+    if i > 0 then begin
+      let parent = (i - 1) / 2 in
+      if heap_less s i parent then begin
+        heap_swap s i parent;
+        sift_up s parent
+      end
+    end
+
+  let rec sift_down s i =
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let smallest = ref i in
+    if l < s.hlen && heap_less s l !smallest then smallest := l;
+    if r < s.hlen && heap_less s r !smallest then smallest := r;
+    if !smallest <> i then begin
+      heap_swap s i !smallest;
+      sift_down s !smallest
+    end
+
+  let heap_push s p v =
+    if s.hlen = Array.length s.hp then begin
+      let cap = 2 * s.hlen in
+      let hp = Array.make cap infinity and hv = Array.make cap 0 in
+      Array.blit s.hp 0 hp 0 s.hlen;
+      Array.blit s.hv 0 hv 0 s.hlen;
+      s.hp <- hp;
+      s.hv <- hv
+    end;
+    s.hp.(s.hlen) <- p;
+    s.hv.(s.hlen) <- v;
+    s.hlen <- s.hlen + 1;
+    sift_up s (s.hlen - 1)
+
+  (* Pop the minimum (priority, vertex) pair; -1 when empty. *)
+  let heap_pop s =
+    if s.hlen = 0 then -1
+    else begin
+      let v = s.hv.(0) in
+      s.hlen <- s.hlen - 1;
+      s.hp.(0) <- s.hp.(s.hlen);
+      s.hv.(0) <- s.hv.(s.hlen);
+      if s.hlen > 0 then sift_down s 0;
+      v
+    end
+
+  (* Core search on pooled scratch.  Stops as soon as [target] (when
+     given) is settled; every vertex settles at most once (a settled mark
+     makes stale lazy-deletion heap entries skip, rather than re-expand as
+     the old [d <= dist] test did). *)
+  let search ?(vertex_ok = all) ?(edge_ok = all) ?target ~length g src =
+    Obs.count "dijkstra.calls";
+    let n = Graph.nv g in
+    if src < 0 || src >= n then invalid_arg "Dijkstra: source out of range";
+    (match target with
+    | Some t when t < 0 || t >= n -> invalid_arg "Dijkstra: target out of range"
+    | _ -> ());
+    let s = scratch n in
+    let stamp = s.stamp in
+    let nsettled = ref 0 in
+    if vertex_ok src then begin
+      s.dist.(src) <- 0.0;
+      s.pred.(src) <- -1;
+      s.seen.(src) <- stamp;
+      heap_push s 0.0 src;
+      let stop = ref false in
+      while not !stop do
+        let u = heap_pop s in
+        if u < 0 then stop := true
+        else if s.settled.(u) <> stamp then begin
+          s.settled.(u) <- stamp;
+          incr nsettled;
+          if target = Some u then stop := true
+          else begin
+            let d = s.dist.(u) in
+            Graph.iter_incident g u (fun w e ->
+                if vertex_ok w && edge_ok e then begin
+                  let len = length e in
+                  if len < 0.0 then
+                    invalid_arg "Dijkstra: negative edge length";
+                  let nd = d +. len in
+                  if s.seen.(w) <> stamp || nd < s.dist.(w) then begin
+                    s.dist.(w) <- nd;
+                    s.pred.(w) <- e;
+                    s.seen.(w) <- stamp;
+                    heap_push s nd w
+                  end
+                end)
+          end
+        end
+      done
+    end;
+    (* Batched per-call accounting: one table update instead of one per
+       settle, and the per-call distribution feeds the tail-latency
+       histograms. *)
+    if !nsettled > 0 then Obs.count ~n:!nsettled "dijkstra.settled";
+    Obs.observe "dijkstra.settled_per_call" (float_of_int !nsettled);
+    s
+
+  let run ?vertex_ok ?edge_ok ?target ~length g src =
+    let n = Graph.nv g in
+    let s = search ?vertex_ok ?edge_ok ?target ~length g src in
+    let stamp = s.stamp in
+    let dist = Array.make n infinity in
+    let pred = Array.make n (-1) in
+    for v = 0 to n - 1 do
+      if s.seen.(v) = stamp then begin
+        dist.(v) <- s.dist.(v);
+        pred.(v) <- s.pred.(v)
+      end
+    done;
+    (dist, pred)
+
+  let shortest_path ?vertex_ok ?edge_ok ~length g src dst =
+    let n = Graph.nv g in
+    if dst < 0 || dst >= n then invalid_arg "Dijkstra: target out of range";
+    let s = search ?vertex_ok ?edge_ok ~target:dst ~length g src in
+    let stamp = s.stamp in
+    if s.seen.(dst) <> stamp || s.dist.(dst) = infinity then None
+    else begin
+      let rec walk v acc =
+        if v = src then acc
+        else
+          let e = s.pred.(v) in
+          walk (Graph.other_end g e v) (e :: acc)
+      in
+      Some (walk dst [])
+    end
+end
+
 (* Settle-at-most-once: the [dijkstra.settled] counter must equal the
    number of reachable vertices exactly, even on inputs engineered to
    leave many stale (decreased-key) entries in the heap.  The lazy
@@ -249,6 +432,107 @@ let dijkstra_matches_bfs_prop =
         (fun b d ->
           if b = max_int then d = infinity else abs_float (d -. float_of_int b) < 1e-9)
         bfs dij)
+
+(* Random weighted multigraphs for the search-loop properties: parallel
+   edges, integer lengths with zeros (ties everywhere) or real ones, and
+   random vertex and edge masks. *)
+let weighted_multigraph seed =
+  let rng = Rng.create seed in
+  let n = 1 + Rng.int rng 25 in
+  let edges =
+    if n < 2 then []
+    else
+      List.init (Rng.int rng (3 * n)) (fun _ ->
+          let u = Rng.int rng n in
+          (u, (u + 1 + Rng.int rng (n - 1)) mod n, 1.0))
+  in
+  let g = Graph.make ~n ~edges () in
+  let integral = Rng.bool rng in
+  let lens =
+    Array.init (Graph.ne g) (fun _ ->
+        if integral then float_of_int (Rng.int rng 4) else Rng.float rng 3.0)
+  in
+  let pv = Rng.float rng 0.3 and pe = Rng.float rng 0.3 in
+  let vmask = Array.init n (fun _ -> not (Rng.bernoulli rng pv)) in
+  let emask = Array.init (Graph.ne g) (fun _ -> not (Rng.bernoulli rng pe)) in
+  (rng, g, Array.get lens, Array.get vmask, Array.get emask)
+
+(* The rise of [dijkstra.settled] across [f ()], and its result. *)
+let settled_rise f =
+  let before = Obs.domain_counter_value "dijkstra.settled" in
+  let r = f () in
+  (r, Obs.domain_counter_value "dijkstra.settled" - before)
+
+let with_collector f =
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled was) f
+
+let dijkstra_matches_reference_prop =
+  QCheck.Test.make ~name:"dijkstra search = the reference loop" ~count:300
+    QCheck.(int_bound 1_000_000) (fun seed ->
+      with_collector @@ fun () ->
+      let rng, g, length, vertex_ok, edge_ok = weighted_multigraph seed in
+      let n = Graph.nv g in
+      let same f reference =
+        let got, settled = settled_rise f in
+        let want, ref_settled = settled_rise reference in
+        got = want && settled = ref_settled
+      in
+      List.for_all
+        (fun _ ->
+          let src = Rng.int rng n and dst = Rng.int rng n in
+          let run target () =
+            Dijkstra.run ~vertex_ok ~edge_ok ?target ~length g src
+          and ref_run target () =
+            Reference.run ~vertex_ok ~edge_ok ?target ~length g src
+          in
+          (* The whole search, then the one [shortest_path] runs, then the
+             path walked along its predecessors (only once those agree,
+             so a broken tree cannot send the walk round a cycle). *)
+          same (run None) (ref_run None)
+          && same (run (Some dst)) (ref_run (Some dst))
+          && same
+               (fun () ->
+                 Dijkstra.shortest_path ~vertex_ok ~edge_ok ~length g src dst)
+               (fun () ->
+                 Reference.shortest_path ~vertex_ok ~edge_ok ~length g src dst))
+        (List.init 8 Fun.id))
+
+(* The gate search: several sources, one distance bound.  Below the bound
+   it must equal the minimum over single-source runs; beyond it, it must
+   read a lower bound past the bound and settle nothing. *)
+let dijkstra_within_prop =
+  QCheck.Test.make ~name:"dijkstra within = min of single-source runs"
+    ~count:300 QCheck.(int_bound 1_000_000) (fun seed ->
+      with_collector @@ fun () ->
+      let rng, g, length, _, edge_ok = weighted_multigraph seed in
+      let n = Graph.nv g in
+      let sources = List.init (1 + Rng.int rng 3) (fun _ -> Rng.int rng n) in
+      let bound =
+        match Rng.int rng 4 with
+        | 0 -> infinity
+        | 1 -> float_of_int (Rng.int rng 4)
+        | _ -> Rng.float rng 6.0
+      in
+      let nearest =
+        List.fold_left
+          (fun acc s ->
+            Array.map2 Float.min acc (Dijkstra.distances ~edge_ok ~length g s))
+          (Array.make n infinity) sources
+      in
+      let d, settled =
+        settled_rise (fun () -> Dijkstra.within ~edge_ok ~bound ~length g sources)
+      in
+      let inside =
+        Array.fold_left
+          (fun k m -> if m <= bound && m < infinity then k + 1 else k)
+          0 nearest
+      in
+      settled = inside
+      && Array.for_all2
+           (fun got m -> if m <= bound then got = m else got > bound && got <= m)
+           d nearest)
 
 (* ---- Bidirectional hop search ---- *)
 
@@ -854,7 +1138,9 @@ let () =
           tc "target early exit" test_dijkstra_target_early_exit;
           QCheck_alcotest.to_alcotest dijkstra_target_matches_full_prop;
           QCheck_alcotest.to_alcotest dijkstra_matches_bfs_prop;
-          QCheck_alcotest.to_alcotest dijkstra_triangle_prop ] );
+          QCheck_alcotest.to_alcotest dijkstra_triangle_prop;
+          QCheck_alcotest.to_alcotest dijkstra_matches_reference_prop;
+          QCheck_alcotest.to_alcotest dijkstra_within_prop ] );
       ( "bidir",
         [ tc "edge cases" test_bidir_edge_cases;
           tc "grows the cheap side" test_bidir_grows_the_cheap_side;

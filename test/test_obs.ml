@@ -854,6 +854,20 @@ let test_chrome_trace_well_formed =
       close_in ic;
       check_bool "file round-trips" true (String.trim round_trip = String.trim doc))
 
+(* Without interval recording (a process that writes no Chrome trace)
+   spans still aggregate, but no interval is kept. *)
+let test_intervals_off =
+  with_collector @@ fun () ->
+  Obs.set_intervals false;
+  Fun.protect ~finally:(fun () -> Obs.set_intervals true) @@ fun () ->
+  for _ = 1 to 3 do
+    Obs.span "outer" (fun () -> Obs.span "inner" ignore)
+  done;
+  check_int "outer counted" 3 (get_span "outer").Obs.calls;
+  check_int "inner counted" 3 (get_span "outer/inner").Obs.calls;
+  check_bool "no interval kept" false (contains (Obs.chrome_trace ()) "\"ph\"");
+  check_int "none dropped" 0 (Obs.events_dropped ())
+
 let test_reset_clears =
   with_collector @@ fun () ->
   record_some_everything ();
@@ -922,4 +936,6 @@ let () =
           Alcotest.test_case "chrome trace well-formedness" `Quick
             test_chrome_trace_well_formed;
           Alcotest.test_case "reset clears everything" `Quick
-            test_reset_clears ] ) ]
+            test_reset_clears;
+          Alcotest.test_case "intervals off: spans counted, none kept" `Quick
+            test_intervals_off ] ) ]

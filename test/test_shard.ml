@@ -106,7 +106,7 @@ let prop_cache_matches_fresh =
            else (
              (* a repair: some length drops somewhere *)
              lens.(e) <- Float.max 0.5 (lens.(e) -. 0.25);
-             Centrality.Cache.note_improved cache));
+             Centrality.Cache.note_improved cache (fst (Graph.endpoints g e))));
           let length i = lens.(i) and cap i = caps.(i) in
           let cached = Centrality.compute ~cache ~length ~cap g demands in
           let fresh = Centrality.compute ~length ~cap g demands in

@@ -124,6 +124,75 @@ let test_far_pairs_too_small_graph () =
     (Invalid_argument "Demand_gen: graph too small") (fun () ->
       ignore (Demand_gen.far_pairs ~rng:(Rng.create 1) ~count:1 ~amount:1.0 g))
 
+(* The draw as it was before the far-pair table: every call listed all
+   pairs with their distance, filtered the far ones and shuffled them. *)
+let reference_draw ~rng ~count ~amount ~distinct g =
+  let n = Graph.nv g in
+  let diameter = Metrics.hop_diameter g in
+  let threshold = (diameter + 1) / 2 in
+  let pairs = ref [] in
+  for u = 0 to n - 1 do
+    let dist = Traverse.bfs_dist g u in
+    for v = u + 1 to n - 1 do
+      if dist.(v) < max_int then pairs := ((u, v), dist.(v)) :: !pairs
+    done
+  done;
+  let all = !pairs in
+  let far = List.filter (fun (_, d) -> d >= threshold) all in
+  let eligible =
+    if far <> [] then far
+    else
+      let dmax = List.fold_left (fun acc (_, d) -> max acc d) 0 all in
+      List.filter (fun (_, d) -> d = dmax) all
+  in
+  let candidates = Array.of_list eligible in
+  Rng.shuffle rng candidates;
+  let used = Hashtbl.create 16 in
+  let taken = ref [] in
+  let ntaken = ref 0 in
+  Array.iter
+    (fun ((u, v), _) ->
+      if !ntaken < count then begin
+        let clash = distinct && (Hashtbl.mem used u || Hashtbl.mem used v) in
+        if not clash then begin
+          Hashtbl.replace used u ();
+          Hashtbl.replace used v ();
+          taken := Commodity.make ~src:u ~dst:v ~amount :: !taken;
+          incr ntaken
+        end
+      end)
+    candidates;
+  List.rev !taken
+
+(* Draws from the per-topology table equal the reference draw by draw,
+   and leave the generator in the same state, also when draws on two
+   topologies interleave (the table is rebuilt on a switch). *)
+let far_table_matches_reference_prop =
+  QCheck.Test.make ~name:"far-pair table draws = per-draw pair list" ~count:100
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let gen = Rng.create seed in
+      let graph () =
+        match Rng.int gen 3 with
+        | 0 -> Generate.complete ~n:(2 + Rng.int gen 6) ~capacity:1.0
+        | _ ->
+          Generate.erdos_renyi ~rng:gen ~n:(2 + Rng.int gen 30)
+            ~p:(Rng.float gen 0.4) ~capacity:1.0
+      in
+      let g1 = graph () and g2 = graph () in
+      let a = Rng.create (seed + 1) and b = Rng.create (seed + 1) in
+      List.for_all
+        (fun g ->
+          let count = 1 + Rng.int gen 5 and distinct = Rng.bool gen in
+          let got =
+            if distinct then
+              Demand_gen.distinct_endpoint_pairs ~rng:a ~count ~amount:2.0 g
+            else Demand_gen.far_pairs ~rng:a ~count ~amount:2.0 g
+          in
+          got = reference_draw ~rng:b ~count ~amount:2.0 ~distinct g)
+        [ g1; g1; g2; g1 ]
+      && Rng.int a 1_000_000 = Rng.int b 1_000_000)
+
 (* ---- CAIDA ---- *)
 
 let test_caida_size () =
@@ -264,7 +333,8 @@ let () =
           tc "deterministic" test_far_pairs_deterministic;
           tc "distinct endpoints" test_distinct_endpoints;
           tc "clique fallback" test_far_pairs_clique_fallback;
-          tc "too small graph" test_far_pairs_too_small_graph ] );
+          tc "too small graph" test_far_pairs_too_small_graph;
+          QCheck_alcotest.to_alcotest far_table_matches_reference_prop ] );
       ( "abilene",
         [ tc "size" (fun () ->
               let g = Abilene.graph () in
