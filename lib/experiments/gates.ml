@@ -54,7 +54,7 @@ let xl ?pool () =
   let (sol, st), deltas =
     with_deltas
       [ "centrality.sampled_recomputed"; "centrality.sampled_skipped";
-        "bidir.scanned" ]
+        "bidir.scanned"; "bidir.reach_scanned" ]
       (fun () -> Shard.solve ?pool inst)
   in
   [ ("xl.certified", flag (Check.ok st.Shard.certificate));

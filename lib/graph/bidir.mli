@@ -21,10 +21,17 @@
     itself in [S], so the replay sees every candidate predecessor the
     whole-graph search would have seen, in the same order.
 
+    {!reachable} runs step 1 alone: the first touch proves a working
+    path, and a ball that runs out first has labelled its endpoint's
+    whole working component, so a query costs about the smaller of the
+    two balls — an endpoint cut off in a small island is answered after
+    scanning only the island.
+
     Working state lives in per-domain pooled scratch ([Domain.DLS]), so
-    concurrent searches on pool domains never share it.  Each call
-    records [bidir.calls] and, batched once, the incidences it scanned
-    in [bidir.scanned]. *)
+    concurrent searches on pool domains never share it.  Each {!path}
+    call records [bidir.calls] and, batched once, the incidences it
+    scanned in [bidir.scanned]; {!reachable} records its own
+    [bidir.reach_calls] and [bidir.reach_scanned]. *)
 
 (** Which whole-graph search the result reproduces. *)
 type tie =
@@ -47,4 +54,15 @@ val path :
     connects them.  Edges are usable when [edge_ok] holds and both
     endpoints pass [vertex_ok]; both predicates default to accepting
     everything and must be pure for the duration of the call.
+    @raise Invalid_argument on an out-of-range endpoint. *)
+
+val reachable :
+  ?vertex_ok:(Graph.vertex -> bool) ->
+  ?edge_ok:(Graph.edge_id -> bool) ->
+  Graph.t ->
+  Graph.vertex ->
+  Graph.vertex ->
+  bool
+(** [reachable g src dst] is [path ~tie g src dst <> None] (for either
+    tie), decided by step 1 alone: same predicates, same defaults.
     @raise Invalid_argument on an out-of-range endpoint. *)

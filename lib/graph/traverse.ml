@@ -21,8 +21,7 @@ let bfs_dist ?(vertex_ok = all_vertices) ?(edge_ok = all_edges) g src =
   dist
 
 let reachable ?vertex_ok ?edge_ok g src dst =
-  let dist = bfs_dist ?vertex_ok ?edge_ok g src in
-  dist.(dst) < max_int
+  Bidir.reachable ?vertex_ok ?edge_ok g src dst
 
 let bfs_path ?vertex_ok ?edge_ok g src dst =
   Bidir.path ?vertex_ok ?edge_ok ~tie:Bidir.Fifo g src dst

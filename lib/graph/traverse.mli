@@ -22,7 +22,10 @@ val reachable :
   Graph.vertex ->
   Graph.vertex ->
   bool
-(** Whether a working path connects the two vertices. *)
+(** Whether a working path connects the two vertices, decided by
+    {!Bidir.reachable}'s balanced bidirectional BFS: a query scans about
+    the smaller of the two endpoints' balls, not the whole graph.
+    @raise Invalid_argument on an out-of-range endpoint. *)
 
 val bfs_path :
   ?vertex_ok:(Graph.vertex -> bool) ->

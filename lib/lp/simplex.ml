@@ -959,9 +959,13 @@ let cold_body t ~pivots_left ~budget =
     end
 
 (* Every solve that starts from the slack basis goes through here, so the
-   counters tell how much of the pivot work owes nothing to a warm basis. *)
+   counters tell how much of the pivot work owes nothing to a warm basis.
+   Every LP run passes here first, so it also materialises
+   simplex.refactors: a run whose solves never rebuild the inverse still
+   reports it, at 0. *)
 let cold t ~pivots_left ~budget =
   Obs.count "simplex.cold_solves";
+  Obs.count ~n:0 "simplex.refactors";
   let before = Obs.domain_counter_value "simplex.pivots" in
   let status = cold_body t ~pivots_left ~budget in
   Obs.count

@@ -280,13 +280,18 @@ let gates =
        take the sharded path (several shards, no delegation) and its
        stitched solution must certify; its hop searches must stay local
        (bidir.scanned, about 1.5x the measured 31012; a one-sided search
-       scans ~309k here). *)
+       scans ~309k here), and so must its reachability queries
+       (bidir.reach_scanned, about 1.5x the measured 5207; one
+       whole-graph labelling scans ~20k). *)
     { block = "xl_gate";
       invariants =
         [ ("xl.certified", Eq 1.0); ("check.violations", Eq 0.0);
           ("isp.shard_count", At_least 2.0); ("isp.shard_delegated", Eq 0.0);
-          ("bidir.scanned", At_most 46500.0) ];
-      drift = [ "isp.shard_count"; "xl.repairs_total"; "bidir.scanned" ];
+          ("bidir.scanned", At_most 46500.0);
+          ("bidir.reach_scanned", At_most 7800.0) ];
+      drift =
+        [ "isp.shard_count"; "xl.repairs_total"; "bidir.scanned";
+          "bidir.reach_scanned" ];
       live = [];
       present = [] };
     (* Greedy, local search and the MILP oracle on the pinned scheduling
@@ -322,10 +327,12 @@ let gates =
        live = work;
        present = [] }) ]
 
-(* Run-wide snapshot requirements for every bench mode.  The xl and
-   sched gates run in every mode, so their counters are live too;
-   moves_applied and the fixup/delegation/skip counters are materialised
-   at 0 and may stay there. *)
+(* Run-wide snapshot requirements for every bench mode.  The gates run
+   in every mode, so their counters are live too (the lp gate's OPT
+   solve makes cold solves, the xl gate's shard makes reachability
+   queries); moves_applied, refactors (the lp gate never rebuilds its
+   inverse) and the fixup/delegation/skip counters are materialised at 0
+   and may stay there. *)
 let run_wide =
   List.map
     (fun k -> Counter (k, Positive))
@@ -338,12 +345,13 @@ let run_wide =
       "sched.oracle_solves"; "sched.oracle_nodes"; "presolve.runs";
       "presolve.vars_fixed"; "presolve.rows_dropped";
       "presolve.bounds_tightened"; "cuts.separated"; "cuts.added";
-      "cuts.root_solves"; "simplex.dse_pivots" ]
+      "cuts.root_solves"; "simplex.dse_pivots"; "simplex.cold_solves";
+      "simplex.cold_pivots"; "bidir.reach_calls"; "bidir.reach_scanned" ]
   @ List.map
       (fun k -> Counter (k, Present))
       [ "centrality.cache_misses"; "isp.shard_fixup_paths";
         "isp.shard_delegated"; "centrality.sampled_skipped";
-        "sched.moves_applied" ]
+        "sched.moves_applied"; "simplex.refactors" ]
   @ [ Gauge ("parallel.cells_per_domain", "samples");
       Gauge ("parallel.cells_per_domain", "max") ]
   @ List.map

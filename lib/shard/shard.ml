@@ -88,6 +88,16 @@ let region_of ~halo inst =
   done;
   in_region
 
+(* Whether demand [h] lost working connectivity under the broken flags:
+   one bidirectional reachability query, which scans about the smaller
+   of its endpoints' working balls rather than the whole graph. *)
+let cut_off g ~broken_v ~broken_e h =
+  not
+    (Traverse.reachable
+       ~vertex_ok:(fun v -> not broken_v.(v))
+       ~edge_ok:(fun e -> not broken_e.(e))
+       g h.Commodity.src h.Commodity.dst)
+
 (* ---- demand segmentation ---- *)
 
 (* Cut one broken demand's full-graph shortest path into per-shard
@@ -200,99 +210,83 @@ let build_sub inst verts demands =
    bit-identical (see the equality property in test_shard.ml). *)
 let fixup inst ~candidates ~broken_v ~broken_e ~repaired_v ~repaired_e =
   let g = inst.Instance.graph in
-  let resid = Array.init (Graph.ne g) (Graph.capacity g) in
-  let cache = Centrality.Cache.create () in
-  let fixups = ref 0 in
-  let working_v v = not broken_v.(v) in
-  let working_e e =
-    (not broken_e.(e))
-    &&
-    let u, v = Graph.endpoints g e in
-    working_v u && working_v v
-  in
-  let length e =
-    let u, v = Graph.endpoints g e in
-    let ke = if broken_e.(e) then inst.Instance.edge_cost.(e) else 0.0 in
-    let kv w = if broken_v.(w) then inst.Instance.vertex_cost.(w) else 0.0 in
-    let c = Float.max resid.(e) eps in
-    (1.0 +. ke +. ((kv u +. kv v) /. 2.0)) /. c
-  in
-  let unsatisfied demands =
-    match demands with
-    | [] -> []
-    | _ ->
-      let comp =
-        Traverse.component_ids ~vertex_ok:working_v ~edge_ok:working_e g
-      in
-      List.filter
-        (fun h ->
-          comp.(h.Commodity.src) < 0
-          || comp.(h.Commodity.src) <> comp.(h.Commodity.dst))
-        demands
-  in
-  let by_amount =
-    List.stable_sort
-      (fun a b ->
-        match compare b.Commodity.amount a.Commodity.amount with
-        | 0 ->
-          compare
-            (a.Commodity.src, a.Commodity.dst)
-            (b.Commodity.src, b.Commodity.dst)
-        | c -> c)
-  in
-  let rec loop remaining =
-    match remaining with
-    | [] -> ()
-    | _ ->
-      let cent =
-        Centrality.compute ~cache ?sample:shard_isp.Isp.centrality_sample
-          ?max_paths:shard_isp.Isp.bundle_max_paths ~length
-          ~cap:(fun e -> resid.(e))
-          g remaining
-      in
-      (match cent.Centrality.contributions with
-      | [] ->
-        (* every remaining demand was sampled out (k = 0) or dead: give
-           up on this pass rather than spin. *)
-        ()
-      | c :: _ -> (
-        let h = c.Centrality.demand in
-        match c.Centrality.bundle.Paths.paths with
+  let unsatisfied = List.filter (cut_off g ~broken_v ~broken_e) in
+  match unsatisfied candidates with
+  | [] -> 0  (* the stitched repairs reconnected every candidate *)
+  | cut ->
+    let resid = Array.init (Graph.ne g) (Graph.capacity g) in
+    let cache = Centrality.Cache.create () in
+    let fixups = ref 0 in
+    let length e =
+      let u, v = Graph.endpoints g e in
+      let ke = if broken_e.(e) then inst.Instance.edge_cost.(e) else 0.0 in
+      let kv w = if broken_v.(w) then inst.Instance.vertex_cost.(w) else 0.0 in
+      let c = Float.max resid.(e) eps in
+      (1.0 +. ke +. ((kv u +. kv v) /. 2.0)) /. c
+    in
+    let by_amount =
+      List.stable_sort
+        (fun a b ->
+          match compare b.Commodity.amount a.Commodity.amount with
+          | 0 ->
+            compare
+              (a.Commodity.src, a.Commodity.dst)
+              (b.Commodity.src, b.Commodity.dst)
+          | c -> c)
+    in
+    let rec loop remaining =
+      match remaining with
+      | [] -> ()
+      | _ ->
+        let cent =
+          Centrality.compute ~cache ?sample:shard_isp.Isp.centrality_sample
+            ?max_paths:shard_isp.Isp.bundle_max_paths ~length
+            ~cap:(fun e -> resid.(e))
+            g remaining
+        in
+        (match cent.Centrality.contributions with
         | [] ->
-          (* no positive-residual full-graph path left: the demand cannot
-             be helped by repairs; drop it from the fixup queue. *)
-          loop (List.filter (fun d -> not (d == h)) remaining)
-        | (p, _) :: _ ->
-          Log.debug (fun m ->
-              m "fixup %a over %d-edge path" Commodity.pp h (List.length p));
-          List.iter
-            (fun e ->
-              let u, v = Graph.endpoints g e in
-              if broken_e.(e) then begin
-                broken_e.(e) <- false;
-                repaired_e.(e) <- true;
-                Centrality.Cache.note_improved cache u
-              end;
-              List.iter
-                (fun w ->
-                  if broken_v.(w) then begin
-                    broken_v.(w) <- false;
-                    repaired_v.(w) <- true;
-                    Centrality.Cache.note_improved cache w
-                  end)
-                [ u; v ])
-            p;
-          List.iter
-            (fun e ->
-              resid.(e) <- Float.max 0.0 (resid.(e) -. h.Commodity.amount);
-              Centrality.Cache.note_worse cache e)
-            p;
-          incr fixups;
-          Obs.count "isp.shard_fixup_paths";
-          loop (unsatisfied remaining)))
-  in
-  loop (by_amount (unsatisfied candidates));
-  !fixups
+          (* every remaining demand was sampled out (k = 0) or dead: give
+             up on this pass rather than spin. *)
+          ()
+        | c :: _ -> (
+          let h = c.Centrality.demand in
+          match c.Centrality.bundle.Paths.paths with
+          | [] ->
+            (* no positive-residual full-graph path left: the demand cannot
+               be helped by repairs; drop it from the fixup queue. *)
+            loop (List.filter (fun d -> not (d == h)) remaining)
+          | (p, _) :: _ ->
+            Log.debug (fun m ->
+                m "fixup %a over %d-edge path" Commodity.pp h (List.length p));
+            List.iter
+              (fun e ->
+                let u, v = Graph.endpoints g e in
+                if broken_e.(e) then begin
+                  broken_e.(e) <- false;
+                  repaired_e.(e) <- true;
+                  Centrality.Cache.note_improved cache u
+                end;
+                List.iter
+                  (fun w ->
+                    if broken_v.(w) then begin
+                      broken_v.(w) <- false;
+                      repaired_v.(w) <- true;
+                      Centrality.Cache.note_improved cache w
+                    end)
+                  [ u; v ])
+              p;
+            List.iter
+              (fun e ->
+                resid.(e) <- Float.max 0.0 (resid.(e) -. h.Commodity.amount);
+                Centrality.Cache.note_worse cache e)
+              p;
+            incr fixups;
+            Obs.count "isp.shard_fixup_paths";
+            loop (unsatisfied remaining)))
+    in
+    loop (by_amount cut);
+    !fixups
 
 (* ---- final routing (mirrors Isp.final_solution, size-gated) ---- *)
 
@@ -333,6 +327,9 @@ let final_solution inst repaired_v repaired_e =
 
 (* ---- the solver ---- *)
 
+let certify inst sol =
+  Obs.span "shard.certify" @@ fun () -> Check.certify inst sol
+
 let solve_body ~pool inst =
   let g = inst.Instance.graph in
   let n = Graph.nv g in
@@ -363,7 +360,7 @@ let solve_body ~pool inst =
     Log.info (fun m ->
         m "region %d/%d vertices: delegating to plain ISP" region_vertices n);
     let sol, isp_stats = Isp.solve ~config:Isp.default_config inst in
-    let certificate = Check.certify inst sol in
+    let certificate = certify inst sol in
     ( sol,
       { shards = 0;
         region_vertices;
@@ -376,37 +373,30 @@ let solve_body ~pool inst =
   end
   else begin
     (* Shards in order of smallest vertex, each vertex list ascending. *)
-    let components =
-      Traverse.components ~vertex_ok:(fun v -> in_region.(v)) g
+    let components, shard_of =
+      Obs.span "shard.components" @@ fun () ->
+      let components =
+        Traverse.components ~vertex_ok:(fun v -> in_region.(v)) g
+      in
+      let shard_of = Array.make n (-1) in
+      List.iteri
+        (fun i verts -> List.iter (fun v -> shard_of.(v) <- i) verts)
+        components;
+      (components, shard_of)
     in
-    let shard_of = Array.make n (-1) in
-    List.iteri
-      (fun i verts -> List.iter (fun v -> shard_of.(v) <- i) verts)
-      components;
     let nshards = List.length components in
     let subs = Array.make (max 1 nshards) [] in
     let fail = inst.Instance.failure in
-    let working_v v = not fail.Failure.broken_vertices.(v) in
-    let working_e e =
-      (not fail.Failure.broken_edges.(e))
-      &&
-      let u, v = Graph.endpoints g e in
-      working_v u && working_v v
-    in
     let cut_demands = ref 0 in
     (* Demands that lost working connectivity — the only ones recovery
        must touch.  Stitching and fixup only ever repair, so this set can
        not grow later; it doubles as the fixup candidate list. *)
     let broken_demands =
       Obs.span "shard.segment" @@ fun () ->
-      let comp =
-        Traverse.component_ids ~vertex_ok:working_v ~edge_ok:working_e g
-      in
       let broken_demands =
         List.filter
-          (fun h ->
-            comp.(h.Commodity.src) < 0
-            || comp.(h.Commodity.src) <> comp.(h.Commodity.dst))
+          (cut_off g ~broken_v:fail.Failure.broken_vertices
+             ~broken_e:fail.Failure.broken_edges)
           (Commodity.normalize inst.Instance.demands)
       in
       List.iter
@@ -430,16 +420,13 @@ let solve_body ~pool inst =
       broken_demands
     in
     (* Only shards that received sub-demands need solving. *)
-    let job_arr =
+    let sub_arr =
+      Obs.span "shard.build_sub" @@ fun () ->
       components
       |> List.mapi (fun i verts -> (i, verts))
       |> List.filter (fun (i, _) -> subs.(i) <> [])
       |> Array.of_list
-    in
-    let sub_arr =
-      Array.map
-        (fun (i, verts) -> build_sub inst verts (List.rev subs.(i)))
-        job_arr
+      |> Array.map (fun (i, verts) -> build_sub inst verts (List.rev subs.(i)))
     in
     Obs.count ~n:(Array.length sub_arr) "isp.shard_count";
     Log.info (fun m ->
@@ -452,37 +439,41 @@ let solve_body ~pool inst =
         sub_arr
     in
     (* Stitch: union of per-shard repairs, mapped back to global ids. *)
-    let broken_v = Array.copy fail.Failure.broken_vertices in
-    let broken_e = Array.copy fail.Failure.broken_edges in
-    let repaired_v = Array.make n false in
-    let repaired_e = Array.make (Graph.ne g) false in
-    Array.iteri
-      (fun i (sol, _) ->
-        let sub = sub_arr.(i) in
-        List.iter
-          (fun lv ->
-            let v = sub.l2g_v.(lv) in
-            if broken_v.(v) then begin
-              broken_v.(v) <- false;
-              repaired_v.(v) <- true
-            end)
-          sol.Instance.repaired_vertices;
-        List.iter
-          (fun le ->
-            let e = sub.l2g_e.(le) in
-            if broken_e.(e) then begin
-              broken_e.(e) <- false;
-              repaired_e.(e) <- true
-            end)
-          sol.Instance.repaired_edges)
-      results;
+    let broken_v, broken_e, repaired_v, repaired_e =
+      Obs.span "shard.stitch" @@ fun () ->
+      let broken_v = Array.copy fail.Failure.broken_vertices in
+      let broken_e = Array.copy fail.Failure.broken_edges in
+      let repaired_v = Array.make n false in
+      let repaired_e = Array.make (Graph.ne g) false in
+      Array.iteri
+        (fun i (sol, _) ->
+          let sub = sub_arr.(i) in
+          List.iter
+            (fun lv ->
+              let v = sub.l2g_v.(lv) in
+              if broken_v.(v) then begin
+                broken_v.(v) <- false;
+                repaired_v.(v) <- true
+              end)
+            sol.Instance.repaired_vertices;
+          List.iter
+            (fun le ->
+              let e = sub.l2g_e.(le) in
+              if broken_e.(e) then begin
+                broken_e.(e) <- false;
+                repaired_e.(e) <- true
+              end)
+            sol.Instance.repaired_edges)
+        results;
+      (broken_v, broken_e, repaired_v, repaired_e)
+    in
     let fixup_paths =
       Obs.span "shard.fixup" @@ fun () ->
       fixup inst ~candidates:broken_demands ~broken_v ~broken_e
         ~repaired_v ~repaired_e
     in
     let sol = final_solution inst repaired_v repaired_e in
-    let certificate = Check.certify inst sol in
+    let certificate = certify inst sol in
     ( sol,
       { shards = Array.length sub_arr;
         region_vertices;

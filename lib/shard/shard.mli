@@ -66,3 +66,23 @@ val solve :
     routing covers the instance's original demands over the repaired
     network (greedy-constructive on xl graphs, oracle-backed on small
     ones). *)
+
+(**/**)
+
+(** Internal: the boundary-demand fixup pass, exposed so that tests can
+    drive its loop on hand-built instances (the pinned scenarios never
+    leave a stitched demand disconnected).  [fixup inst ~candidates
+    ~broken_v ~broken_e ~repaired_v ~repaired_e] repairs, largest amount
+    first, a repair-aware shortest full-graph path for each candidate
+    with no working path under [broken_v]/[broken_e], clearing the
+    broken flags it repairs and setting the matching [repaired_*] ones;
+    a candidate with no positive-residual full-graph path is dropped.
+    Returns the number of paths repaired. *)
+val fixup :
+  Netrec_core.Instance.t ->
+  candidates:Netrec_flow.Commodity.t list ->
+  broken_v:bool array ->
+  broken_e:bool array ->
+  repaired_v:bool array ->
+  repaired_e:bool array ->
+  int

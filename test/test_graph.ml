@@ -627,6 +627,13 @@ let bfs_path_matches_reference_prop =
           Traverse.bfs_path ~vertex_ok ~edge_ok g src dst
           = reference_bfs_path ~vertex_ok ~edge_ok g src dst))
 
+let reachable_matches_reference_prop =
+  QCheck.Test.make ~name:"reachable = reference FIFO BFS finds a path"
+    ~count:300 QCheck.int (fun seed ->
+      for_random_pairs seed (fun g ~vertex_ok ~edge_ok src dst ->
+          Traverse.reachable ~vertex_ok ~edge_ok g src dst
+          = (reference_bfs_path ~vertex_ok ~edge_ok g src dst <> None)))
+
 (* Components by one BFS distance row per unseen source. *)
 let components_match_reference_prop =
   QCheck.Test.make ~name:"components = per-source BFS reference" ~count:300
@@ -652,36 +659,51 @@ let components_match_reference_prop =
            reference
       && Array.for_all2 (fun id s -> (id >= 0) = s) ids seen)
 
-(* Every entry point of the search, on 0 - 1 - 2 plus a separate 3 - 4. *)
+(* Every entry point of the search, on 0 - 1 - 2 plus a separate 3 - 4:
+   the path searches return the edges, [reachable] whether there are
+   any. *)
 let test_bidir_edge_cases () =
   let g = Graph.make ~n:5 ~edges:[ (0, 1, 1.0); (1, 2, 1.0); (3, 4, 1.0) ] () in
   let all _ = true and not1 v = v <> 1 in
+  let cases =
+    [ ("src = dst", all, 2, 2, Some []);
+      ("masked src = dst", not1, 1, 1, None);
+      ("masked src", not1, 1, 2, None);
+      ("masked dst", not1, 0, 1, None);
+      ("cut by a masked vertex", not1, 0, 2, None);
+      ("disconnected", all, 0, 4, None);
+      ("path", all, 0, 2, Some [ 0; 1 ]) ]
+  in
+  let check_entry name fn check search =
+    List.iter
+      (fun (what, vertex_ok, src, dst, expected) ->
+        check (name ^ ": " ^ what) expected (search vertex_ok g src dst))
+      cases;
+    Alcotest.check_raises (name ^ ": src out of range")
+      (Invalid_argument (fn ^ ": source out of range")) (fun () ->
+        ignore (search all g 5 0));
+    Alcotest.check_raises (name ^ ": dst out of range")
+      (Invalid_argument (fn ^ ": target out of range")) (fun () ->
+        ignore (search all g 0 (-1)))
+  in
   List.iter
     (fun (name, search) ->
-      let check what = Alcotest.(check (option (list int))) (name ^ ": " ^ what) in
-      check "src = dst" (Some []) (search all g 2 2);
-      check "masked src = dst" None (search not1 g 1 1);
-      check "masked src" None (search not1 g 1 2);
-      check "masked dst" None (search not1 g 0 1);
-      check "cut by a masked vertex" None (search not1 g 0 2);
-      check "disconnected" None (search all g 0 4);
-      check "path" (Some [ 0; 1 ]) (search all g 0 2);
-      Alcotest.check_raises (name ^ ": src out of range")
-        (Invalid_argument "Bidir.path: source out of range") (fun () ->
-          ignore (search all g 5 0));
-      Alcotest.check_raises (name ^ ": dst out of range")
-        (Invalid_argument "Bidir.path: target out of range") (fun () ->
-          ignore (search all g 0 (-1))))
+      check_entry name "Bidir.path" Alcotest.(check (option (list int))) search)
     [ ("By_id", fun vertex_ok g -> Bidir.path ~vertex_ok ~tie:Bidir.By_id g);
       ("Fifo", fun vertex_ok g -> Bidir.path ~vertex_ok ~tie:Bidir.Fifo g);
-      ("bfs_path", fun vertex_ok g -> Traverse.bfs_path ~vertex_ok g) ]
+      ("bfs_path", fun vertex_ok g -> Traverse.bfs_path ~vertex_ok g) ];
+  check_entry "reachable" "Bidir.reachable"
+    (fun what expected got -> Alcotest.(check bool) what (expected <> None) got)
+    (fun vertex_ok g -> Traverse.reachable ~vertex_ok g)
 
 (* The point of the search.  Vertex 0 has 30 neighbours with 30 leaves
    each (961 vertices within two hops) and reaches the target over a
    thin 3-hop path.  Growing the cheaper frontier walks the path from
    the target and never enters the dense side (75 incidences scanned,
    vertex 0's own 31 twice among them); a one-sided search from 0
-   scans 1,905. *)
+   scans 1,905.  Reachability stops at the first touch (5 incidences),
+   and with the path's middle edge masked, 933's ball runs out after
+   its 2-vertex island (3 incidences) without entering the dense side. *)
 let test_bidir_grows_the_cheap_side () =
   let module Obs = Netrec_obs.Obs in
   let hubs = List.init 30 (fun i -> (0, 1 + i, 1.0)) in
@@ -691,18 +713,42 @@ let test_bidir_grows_the_cheap_side () =
   in
   let path = [ (0, 931, 1.0); (931, 932, 1.0); (932, 933, 1.0) ] in
   let g = Graph.make ~n:934 ~edges:(hubs @ leaves @ path) () in
-  Obs.set_enabled true;
-  Obs.reset ();
-  let p = Bidir.path ~tie:Bidir.By_id g 0 933 in
-  let calls = Obs.counter_value "bidir.calls" in
-  let scanned = Obs.counter_value "bidir.scanned" in
-  Obs.reset ();
-  Obs.set_enabled false;
-  Alcotest.(check (option (list int))) "path" (Some [ 930; 931; 932 ]) p;
-  Alcotest.(check int) "one call" 1 calls;
-  Alcotest.(check bool)
-    (Printf.sprintf "scanned %d incidences, not the dense side" scanned)
-    true (scanned <= 100)
+  (* [f ()] and the search counters it left. *)
+  let counted f =
+    Obs.set_enabled true;
+    Obs.reset ();
+    let r = f () in
+    let counters =
+      List.map Obs.counter_value
+        [ "bidir.calls"; "bidir.scanned"; "bidir.reach_calls";
+          "bidir.reach_scanned" ]
+    in
+    Obs.reset ();
+    Obs.set_enabled false;
+    (r, counters)
+  in
+  (match counted (fun () -> Bidir.path ~tie:Bidir.By_id g 0 933) with
+  | p, [ calls; scanned; 0; 0 ] ->
+    Alcotest.(check (option (list int))) "path" (Some [ 930; 931; 932 ]) p;
+    Alcotest.(check int) "one call" 1 calls;
+    Alcotest.(check bool)
+      (Printf.sprintf "scanned %d incidences, not the dense side" scanned)
+      true (scanned <= 100)
+  | _ -> Alcotest.fail "path: reachability counters moved");
+  (match counted (fun () -> Traverse.reachable g 0 933) with
+  | r, [ 0; 0; calls; scanned ] ->
+    Alcotest.(check bool) "reachable" true r;
+    Alcotest.(check int) "one reachability call" 1 calls;
+    Alcotest.(check bool)
+      (Printf.sprintf "reachability scanned %d incidences" scanned)
+      true (scanned <= 100)
+  | _ -> Alcotest.fail "reachable: path counters moved");
+  (* Edge 931 is 931 - 932: the 30 hub and 900 leaf edges come first. *)
+  match counted (fun () -> Traverse.reachable ~edge_ok:(fun e -> e <> 931) g 0 933) with
+  | r, [ _; _; _; scanned ] ->
+    Alcotest.(check bool) "island cut off" false r;
+    Alcotest.(check int) "scanned only the island's incidences" 3 scanned
+  | _ -> assert false
 
 (* ---- Maxflow ---- *)
 
@@ -1146,6 +1192,7 @@ let () =
           tc "grows the cheap side" test_bidir_grows_the_cheap_side;
           QCheck_alcotest.to_alcotest bidir_hop_matches_dijkstra_prop;
           QCheck_alcotest.to_alcotest bfs_path_matches_reference_prop;
+          QCheck_alcotest.to_alcotest reachable_matches_reference_prop;
           QCheck_alcotest.to_alcotest components_match_reference_prop ] );
       ( "maxflow",
         [ tc "two disjoint paths" test_maxflow_two_disjoint_paths;

@@ -393,7 +393,7 @@ let doc_with_xl ~certified ~violations ~shards =
       "xl_gate":{"xl.certified":%d,"check.violations":%d,
                  "isp.shard_count":%d,"isp.shard_delegated":0,
                  "xl.repairs_total":50,"isp.shard_cut_demands":12,
-                 "bidir.scanned":31012},
+                 "bidir.scanned":31012,"bidir.reach_scanned":5207},
       "metrics":{"counters":{},"gauges":{},"histograms":{},
                  "progress":[]}}|}
     certified violations shards
@@ -448,7 +448,7 @@ let test_diff_vanished_gate_keys () =
       check_bool (key ^ " vanishing regresses") true
         (List.exists (fun s -> contains s key) regs))
     [ "simplex.pivots"; "milp.nodes"; "isp.shard_count"; "isp.shard_delegated";
-      "xl.repairs_total" ]
+      "xl.repairs_total"; "bidir.reach_scanned" ]
 
 (* ---- the gate table, one case per row ---- *)
 
@@ -565,11 +565,12 @@ let live_counters =
     "sched.oracle_solves"; "sched.oracle_nodes"; "presolve.runs";
     "presolve.vars_fixed"; "presolve.rows_dropped";
     "presolve.bounds_tightened"; "cuts.separated"; "cuts.added";
-    "cuts.root_solves"; "simplex.dse_pivots" ]
+    "cuts.root_solves"; "simplex.dse_pivots"; "simplex.cold_solves";
+    "simplex.cold_pivots"; "bidir.reach_calls"; "bidir.reach_scanned" ]
 
 let present_counters =
   [ "centrality.cache_misses"; "isp.shard_fixup_paths"; "isp.shard_delegated";
-    "centrality.sampled_skipped"; "sched.moves_applied" ]
+    "centrality.sampled_skipped"; "sched.moves_applied"; "simplex.refactors" ]
 
 let required_histograms =
   [ "isp.iteration_ms"; "isp.solve_ms"; "shard.solve_ms";
@@ -614,7 +615,8 @@ let minimal_valid_doc () =
         num_obj
           [ ("xl.certified", 1.0); ("check.violations", 0.0);
             ("isp.shard_count", 2.0); ("isp.shard_delegated", 0.0);
-            ("xl.repairs_total", 1.0); ("bidir.scanned", 1.0) ] );
+            ("xl.repairs_total", 1.0); ("bidir.scanned", 1.0);
+            ("bidir.reach_scanned", 1.0) ] );
       ( "sched_gate",
         num_obj
           ([ ("sched.oracle_proved", 1.0); ("sched.certified", 1.0);
@@ -669,6 +671,10 @@ let test_validate_rules () =
       ("bidir.scanned", [ "xl_gate"; "bidir.scanned" ], Some (Num 46501.0));
       ("xl_gate", [ "xl_gate" ], gone);
       ("bidir.scanned", [ "xl_gate"; "bidir.scanned" ], gone);
+      ( "bidir.reach_scanned",
+        [ "xl_gate"; "bidir.reach_scanned" ],
+        Some (Num 7801.0) );
+      ("bidir.reach_scanned", [ "xl_gate"; "bidir.reach_scanned" ], gone);
       ("sched.oracle_proved", [ "sched_gate"; "sched.oracle_proved" ], zero);
       ("sched.certified", [ "sched_gate"; "sched.certified" ], zero);
       ( "sched.regret_microunits",
@@ -710,15 +716,36 @@ let test_validate_rules () =
         (fs <> [] && List.exists (fun s -> contains s key) fs))
     mutations
 
+(* Under dune the test runs in _build/default/test. *)
+let committed_baseline () =
+  if Sys.file_exists "../BENCH_metrics.json" then "../BENCH_metrics.json"
+  else "BENCH_metrics.json"
+
 let test_validate_committed_baseline () =
-  (* Under dune the test runs in _build/default/test. *)
-  let path =
-    if Sys.file_exists "../BENCH_metrics.json" then "../BENCH_metrics.json"
-    else "BENCH_metrics.json"
-  in
-  let r = Diff.validate_file path in
+  let r = Diff.validate_file (committed_baseline ()) in
   if r.Diff.regressions <> [] then
     Alcotest.failf "committed baseline invalid:\n%s" (Diff.report_to_string r)
+
+(* A baseline regenerated before a counter existed must not pass: the
+   committed file, with any one of the newest required counters deleted,
+   fails naming it. *)
+let test_validate_baseline_missing_counter () =
+  let doc =
+    Diff.Json.parse
+      (In_channel.with_open_bin (committed_baseline ()) In_channel.input_all)
+  in
+  List.iter
+    (fun k ->
+      let fs =
+        (Diff.validate (edit [ "metrics"; "counters"; k ] None doc))
+          .Diff.regressions
+      in
+      check_bool
+        (Printf.sprintf "baseline without %s fails naming it" k)
+        true
+        (List.exists (fun s -> contains s ("counter " ^ k ^ ": missing")) fs))
+    [ "simplex.cold_solves"; "simplex.cold_pivots"; "simplex.refactors";
+      "bidir.reach_calls"; "bidir.reach_scanned" ]
 
 let test_validate_bad_files () =
   let fails r = r.Diff.regressions <> [] in
@@ -926,6 +953,8 @@ let () =
             test_validate_rules;
           Alcotest.test_case "validate: committed baseline" `Quick
             test_validate_committed_baseline;
+          Alcotest.test_case "validate: baseline missing a counter" `Quick
+            test_validate_baseline_missing_counter;
           Alcotest.test_case "validate: bad files fail" `Quick
             test_validate_bad_files;
           Alcotest.test_case "vendored json parser" `Quick test_json_parser;

@@ -41,6 +41,130 @@ let test_pool_determinism () =
     s4.Instance.repaired_edges;
   Alcotest.(check bool) "whole solution byte-identical" true (s1 = s4)
 
+(* ---- pinned outputs ----
+
+   Which demands count as cut, their segmentation, the fixup and the
+   final routing all show in the solution text and the stats.  Pinned
+   here for twelve fig9-xl scenarios (topology seed 42): six at 5k
+   vertices (vmult 0.3, 24 pairs) and six at 20k (vmult 0.5, 40 pairs),
+   fail/demand seeds 7+i / 13+i.  The values were measured when the cut
+   demands were read off a whole-graph component labelling; the
+   per-demand reachability queries must agree with it. *)
+let pinned =
+  [ (5_000, 0, "ca78a323b2a32ed8827d8c48a0fce376", (4, 73, 9, 0));
+    (5_000, 1, "d24af6a099fb1d15d56e36cad53cd4d5", (1, 77, 7, 0));
+    (5_000, 2, "cb1172f58c93df0e9226ca72ec79d593", (1, 72, 11, 0));
+    (5_000, 3, "a17b8dc9d1461e660d16f32c5647c875", (3, 75, 11, 0));
+    (5_000, 4, "b1617a1d9fd989a5632e4882a33ca232", (2, 77, 14, 0));
+    (5_000, 5, "2f63c6124536c626758f058576d1797c", (2, 83, 10, 0));
+    (20_000, 0, "f64a1f3ea9cdbc7e283ecd4178203db9", (1, 1650, 13, 0));
+    (20_000, 1, "ca348e2f2042d449c865a3893cd26a41", (2, 1648, 14, 0));
+    (20_000, 2, "27d2bc10e16ac257c27eb0da1263f186", (2, 1728, 10, 0));
+    (20_000, 3, "720adee07461b9da71c98a4037f554f9", (1, 1508, 6, 0));
+    (20_000, 4, "ea5e712bfde74cd745ede2e96c8553a7", (1, 2210, 6, 0));
+    (20_000, 5, "3fe216f4fea5707ff97b69c12fd1b3bf", (1, 1796, 7, 0)) ]
+
+let test_pinned_outputs () =
+  List.iter
+    (fun (n, i, md5, (shards, region, cut, fixup)) ->
+      let vmult, pairs = if n = 5_000 then (0.3, 24) else (0.5, 40) in
+      let inst =
+        Fig9_xl.scenario ~n ~vmult ~pairs ~topo_seed:42 ~fail_seed:(7 + i)
+          ~demand_seed:(13 + i) ()
+      in
+      let sol, st = Shard.solve inst in
+      let label = Printf.sprintf "n=%d i=%d" n i in
+      Alcotest.(check string)
+        (label ^ " solution md5") md5
+        (Digest.to_hex (Digest.string (Serialize.solution_to_string sol)));
+      Alcotest.(check (list int))
+        (label ^ " shards, region, cut, fixup")
+        [ shards; region; cut; fixup ]
+        [ st.Shard.shards; st.Shard.region_vertices; st.Shard.cut_demands;
+          st.Shard.fixup_paths ];
+      Alcotest.(check bool) (label ^ " certified") true
+        (Check.ok st.Shard.certificate))
+    pinned
+
+(* ---- the fixup loop ----
+
+   No pinned scenario leaves a stitched demand disconnected, so the loop
+   is driven directly.  Every edge has capacity 10 and every element
+   costs 1. *)
+
+let fixup_instance ~n ~edges ~broken demands =
+  let g = Graph.make ~n ~edges:(List.map (fun (u, v) -> (u, v, 10.0)) edges) () in
+  let failure = Failure.none g in
+  List.iter (fun v -> failure.Failure.broken_vertices.(v) <- true) broken;
+  let demands =
+    List.map (fun (src, dst, amount) -> Commodity.make ~src ~dst ~amount) demands
+  in
+  Instance.make ~graph:g ~demands ~failure ()
+
+let run_fixup inst =
+  let g = inst.Instance.graph in
+  let fail = inst.Instance.failure in
+  let broken_v = Array.copy fail.Failure.broken_vertices in
+  let broken_e = Array.copy fail.Failure.broken_edges in
+  let repaired_v = Array.make (Graph.nv g) false in
+  let repaired_e = Array.make (Graph.ne g) false in
+  let fixups =
+    Shard.fixup inst ~candidates:inst.Instance.demands ~broken_v ~broken_e
+      ~repaired_v ~repaired_e
+  in
+  let connected h =
+    Traverse.reachable
+      ~vertex_ok:(fun v -> not broken_v.(v))
+      ~edge_ok:(fun e -> not broken_e.(e))
+      g h.Commodity.src h.Commodity.dst
+  in
+  (fixups, broken_v, repaired_v, repaired_e, connected)
+
+let indices a =
+  List.filter (fun i -> a.(i)) (List.init (Array.length a) Fun.id)
+
+(* A star through broken hub 1 cuts 0 -> 2 and 0 -> 3; 4 -> 5 is intact.
+   Repairing 0 -> 2's path repairs the hub, and the re-check then finds
+   0 -> 3 connected: one path for both. *)
+let test_fixup_repairs_cut_candidate () =
+  let inst =
+    fixup_instance ~n:6
+      ~edges:[ (0, 1); (1, 2); (1, 3); (4, 5) ]
+      ~broken:[ 1 ]
+      [ (0, 2, 5.0); (0, 3, 3.0); (4, 5, 1.0) ]
+  in
+  let fixups, broken_v, repaired_v, repaired_e, connected = run_fixup inst in
+  Alcotest.(check int) "one fixup path" 1 fixups;
+  Alcotest.(check (list int)) "hub repaired" [ 1 ] (indices repaired_v);
+  Alcotest.(check (list int)) "no edge repaired" [] (indices repaired_e);
+  Alcotest.(check bool) "hub no longer broken" false broken_v.(1);
+  List.iter
+    (fun h ->
+      Alcotest.(check bool)
+        (Format.asprintf "%a connected" Commodity.pp h)
+        true (connected h))
+    inst.Instance.demands
+
+(* 0 -> 2 has no path even in the full graph: it is dropped (the larger
+   amount goes first), the loop goes on to 3 -> 5 through broken 4, and
+   then ends. *)
+let test_fixup_drops_dead_candidate () =
+  let inst =
+    fixup_instance ~n:6
+      ~edges:[ (0, 1); (3, 4); (4, 5) ]
+      ~broken:[ 4 ]
+      [ (0, 2, 5.0); (3, 5, 2.0) ]
+  in
+  let fixups, _, repaired_v, repaired_e, connected = run_fixup inst in
+  Alcotest.(check int) "one fixup path" 1 fixups;
+  Alcotest.(check (list int)) "only 4 repaired" [ 4 ] (indices repaired_v);
+  Alcotest.(check (list int)) "no edge repaired" [] (indices repaired_e);
+  match inst.Instance.demands with
+  | [ dead; live ] ->
+    Alcotest.(check bool) "dead candidate stays cut" false (connected dead);
+    Alcotest.(check bool) "live candidate connected" true (connected live)
+  | _ -> Alcotest.fail "expected two demands"
+
 (* ---- delegation ---- *)
 
 (* Complete destruction makes the region the whole graph, so the solver
@@ -119,5 +243,8 @@ let () =
     [ ( "shard",
         [ tc "smoke scenario certified" test_sharded_certified;
           tc "-j1 = -j4" test_pool_determinism;
+          tc "pinned outputs" test_pinned_outputs;
+          tc "fixup repairs a cut candidate" test_fixup_repairs_cut_candidate;
+          tc "fixup drops a dead candidate" test_fixup_drops_dead_candidate;
           tc "delegation matches isp" test_delegation_matches_isp;
           QCheck_alcotest.to_alcotest prop_cache_matches_fresh ] ) ]
