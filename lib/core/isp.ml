@@ -44,6 +44,8 @@ type state = {
   inst : Instance.t;
   cfg : config;
   budget : Budget.t;
+  src : int array;  (* the graph's edge columns ([Graph.columns]) *)
+  dst : int array;
   resid : float array;  (* residual capacities c^(n) *)
   len : float array;  (* the §IV-D length of every edge, kept current *)
   broken_v : bool array;  (* V_B^(n): still broken, not listed for repair *)
@@ -77,9 +79,8 @@ let working_vertex st v = not st.broken_v.(v)
 
 let working_edge st e =
   (not st.broken_e.(e))
-  &&
-  let { Graph.u; v; _ } = Graph.edge st.inst.Instance.graph e in
-  working_vertex st u && working_vertex st v
+  && working_vertex st st.src.(e)
+  && working_vertex st st.dst.(e)
 
 (* The §IV-D dynamic metric on the full graph: repair costs of elements
    not yet listed for repair inflate the length; residual capacity
@@ -88,8 +89,7 @@ let length_metric st e =
   match st.cfg.length_mode with
   | Hop -> 1.0
   | Dynamic ->
-    let g = st.inst.Instance.graph in
-    let u, v = Graph.endpoints g e in
+    let u = st.src.(e) and v = st.dst.(e) in
     let ke = if st.broken_e.(e) then st.inst.Instance.edge_cost.(e) else 0.0 in
     let kv w =
       if st.broken_v.(w) then st.inst.Instance.vertex_cost.(w) else 0.0
@@ -129,7 +129,7 @@ let repair_edge st e =
     st.broken_e.(e) <- false;
     st.repaired_e.(e) <- true;
     refresh_length st e;
-    note_improvement st (fst (Graph.endpoints st.inst.Instance.graph e))
+    note_improvement st st.src.(e)
   end
 
 (* ---- oracles ---- *)
@@ -438,7 +438,7 @@ let final_solution st =
     List.filter (fun v -> st.repaired_v.(v)) (Graph.vertices g)
   in
   let repaired_edges =
-    List.filter (fun e -> st.repaired_e.(e)) (List.map (fun e -> e.Graph.id) (Graph.edges g))
+    List.filter (fun e -> st.repaired_e.(e)) (List.init (Graph.ne g) Fun.id)
   in
   let sol0 =
     { Instance.repaired_vertices; repaired_edges; routing = Routing.empty }
@@ -465,10 +465,13 @@ let final_solution st =
 
 let solve_body ~config ~budget inst =
   let g = inst.Instance.graph in
+  let src, dst, _ = Graph.columns g in
   let st =
     { inst;
       cfg = config;
       budget;
+      src;
+      dst;
       resid = Array.init (Graph.ne g) (Graph.capacity g);
       len = Array.make (Graph.ne g) 0.0;
       broken_v = Array.copy inst.Instance.failure.Failure.broken_vertices;

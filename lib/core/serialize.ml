@@ -38,12 +38,12 @@ let to_string inst =
   let ids a = Array.iteri (fun i b -> if b then (add_int buf i; eol ())) a in
   let floats a = Array.iter (fun x -> add_float buf x; eol ()) a in
   line "[graph]";
-  Graph.fold_edges
-    (fun e () ->
-      add_int buf e.Graph.u; sep ();
-      add_int buf e.Graph.v; sep ();
-      add_float buf e.Graph.capacity; eol ())
-    g ();
+  let src, dst, capacity = Graph.columns g in
+  for e = 0 to Graph.ne g - 1 do
+    add_int buf src.(e); sep ();
+    add_int buf dst.(e); sep ();
+    add_float buf capacity.(e); eol ()
+  done;
   if Graph.has_coords g then begin
     line "[coords]";
     for v = 0 to nv - 1 do
@@ -85,12 +85,17 @@ let err line fmt =
 
 (* ---- scanner ----
 
-   Both parsers walk the text once, by index.  A line is the piece
-   between two '\n' (numbered as [String.split_on_char '\n'] numbers
-   them, so the empty piece after a trailing newline counts), trimmed of
+   Both parsers walk the text by index.  A line is the piece between two
+   '\n' (numbered as [String.split_on_char '\n'] numbers them, so the
+   empty piece after a trailing newline counts), trimmed of
    [String.trim]'s whitespace; blank lines and '#' comments are skipped.
    Fields split on ' ' only, by position, and numbers are read in place:
-   only a token off the fast paths below is copied out. *)
+   only a token off the fast paths below is copied out.
+
+   The instance parser first tries each line with a one-pass walk (see
+   "the walk" below), which reads a record in canonical form from its
+   first byte to its newline.  Every other line, and every error, goes
+   to the line reader: [next_line], [split] and the field readers. *)
 
 type scanner = {
   text : string;
@@ -98,13 +103,14 @@ type scanner = {
   mutable line : int;  (* 1-based number of the current line *)
   mutable first : int;  (* the current line, trimmed, is [first, last) *)
   mutable last : int;
+  mutable pos : int;  (* where the last number read stopped *)
   mutable nf : int;  (* fields of the current line, after [split] *)
   mutable fs : int array;  (* field [i] is [fs.(i), fe.(i)) *)
   mutable fe : int array;
 }
 
 let scanner text =
-  { text; next = 0; line = 0; first = 0; last = 0; nf = 0;
+  { text; next = 0; line = 0; first = 0; last = 0; pos = 0; nf = 0;
     fs = Array.make 8 0; fe = Array.make 8 0 }
 
 let is_space = function ' ' | '\t' | '\n' | '\r' | '\012' -> true | _ -> false
@@ -156,20 +162,29 @@ let split sc =
   done;
   sc.nf <- !nf
 
-(* The value of [text.[s .. e-1]] when it is at most 18 decimal digits
-   (so it cannot overflow), else -1. *)
-let rec plain_int text i e acc =
-  if i = e then acc
-  else
-    match String.unsafe_get text i with
-    | '0' .. '9' as c -> plain_int text (i + 1) e ((acc * 10) + Char.code c - 48)
-    | _ -> -1
+(* The value of the decimal digits from [sc.pos] on, when there are one
+   to 18 of them (so it cannot overflow), with [sc.pos] moved past them;
+   else -1. *)
+let plain_int sc =
+  let text = sc.text and s = sc.pos in
+  let stop = min (String.length text) (s + 19) in
+  let i = ref s and acc = ref 0 in
+  while
+    !i < stop
+    && match String.unsafe_get text !i with '0' .. '9' -> true | _ -> false
+  do
+    acc := (!acc * 10) + Char.code (String.unsafe_get text !i) - 48;
+    incr i
+  done;
+  sc.pos <- !i;
+  if !i = s || !i - s > 18 then -1 else !acc
 
 (* A non-negative integer field: [int_of_string_opt]'s syntax and value
    (hex, '_', a leading '+' ... go through it on a copy). *)
 let id_in sc what s e =
-  let v = if e - s <= 18 then plain_int sc.text s e 0 else -1 in
-  if v >= 0 then v
+  sc.pos <- s;
+  let v = plain_int sc in
+  if v >= 0 && sc.pos = e then v
   else
     let tok = String.sub sc.text s (e - s) in
     match int_of_string_opt tok with
@@ -187,9 +202,12 @@ let pow10 =
    10^|k| (5^22 < 2^53).  One IEEE multiply or divide is correctly
    rounded, so it yields the correctly rounded value of the decimal,
    which is what [float_of_string] (strtod) returns; negation is exact.
-   Any other token gives NaN, and the caller falls back. *)
-let decimal text s e =
-  let neg = String.unsafe_get text s = '-' in
+   The token is read from [sc.pos] as far as that syntax goes, but not
+   past [e], and [sc.pos] is left where it stopped.  A token off the
+   fast path gives NaN, and the caller falls back. *)
+let decimal sc e =
+  let text = sc.text and s = sc.pos in
+  let neg = s < e && String.unsafe_get text s = '-' in
   let i = ref (if neg then s + 1 else s) in
   let m = ref 0 and digits = ref 0 and seen = ref false in
   let k = ref 0 and point = ref false and mantissa = ref true in
@@ -226,7 +244,8 @@ let decimal text s e =
     end
     else true
   in
-  if !i <> e || (not !seen) || (not exp_ok) || !digits > 15 || !k < -22 || !k > 22
+  sc.pos <- !i;
+  if (not !seen) || (not exp_ok) || !digits > 15 || !k < -22 || !k > 22
   then Float.nan
   else
     let x = float_of_int !m in
@@ -235,8 +254,9 @@ let decimal text s e =
 
 (* A numeric field: [float_of_string_opt]'s syntax and value. *)
 let float_in sc what s e =
-  let x = decimal sc.text s e in
-  if not (Float.is_nan x) then x
+  sc.pos <- s;
+  let x = decimal sc e in
+  if sc.pos = e && not (Float.is_nan x) then x
   else
     let tok = String.sub sc.text s (e - s) in
     match float_of_string_opt tok with
@@ -282,6 +302,15 @@ let number sc what s e =
 
 let number_at sc k what = number sc what sc.fs.(k) sc.fe.(k)
 
+(* A [graph] endpoint must lie below the text's length in bytes: a
+   vertex id sizes every per-vertex array, and an encoded instance
+   spends more than one byte per vertex. *)
+let endpoint_at sc k =
+  let u = id_at sc k "vertex id" in
+  let len = String.length sc.text in
+  if u >= len then err sc.line "vertex id %d too large for a %d-byte text" u len;
+  u
+
 let cost sc what =
   let c = number sc what sc.first sc.last in
   if c < 0.0 then err sc.line "negative %s %g" what c;
@@ -293,8 +322,118 @@ let fields sc want section what =
   if sc.nf <> want then
     err sc.line "expected %s in %s, got %d field(s)" what section sc.nf
 
+(* Whether the byte at [sc.pos] is [c]; if so, [sc.pos] steps over it. *)
+let skip sc c =
+  sc.pos < String.length sc.text
+  && String.unsafe_get sc.text sc.pos = c
+  && begin
+    sc.pos <- sc.pos + 1;
+    true
+  end
+
+(* Whether the text from [sc.pos] on starts with ["v" ^ string_of_int k],
+   the default name of vertex [k]; [sc.pos] ends after its digits. *)
+let default_name sc k =
+  skip sc 'v'
+  &&
+  let s = sc.pos in
+  plain_int sc = k && (String.unsafe_get sc.text s <> '0' || sc.pos = s + 1)
+
+(* ---- the walk ----
+
+   A record line in canonical form (what [to_string] writes: no space
+   but one between fields, plain-digit ids, numbers on the fast path of
+   [decimal]) is read in one pass from its first byte to its newline,
+   splitting at spaces and reading each field as it comes.  The walk
+   takes a line only when the record passes every check the line reader
+   would make, and only then does it store the record and step past the
+   line; otherwise [next] and [line] stay where they were and the line
+   reader reads the line again, raising any error from there. *)
+
+(* The walk is at the end of its line: step past it. *)
+let walk_eol sc =
+  (sc.pos = String.length sc.text || String.unsafe_get sc.text sc.pos = '\n')
+  && begin
+    sc.next <- sc.pos + 1;
+    sc.line <- sc.line + 1;
+    true
+  end
+
+let walk_number sc = decimal sc (String.length sc.text)
+
+(* [graph]: "u v capacity" *)
+let walk_edge sc eu ev cap =
+  sc.pos <- sc.next;
+  let len = String.length sc.text in
+  let u = plain_int sc in
+  u >= 0 && u < len && skip sc ' '
+  &&
+  let v = plain_int sc in
+  v >= 0 && v < len && v <> u && skip sc ' '
+  &&
+  let c = walk_number sc in
+  c >= 0.0 && walk_eol sc
+  && begin
+    push eu u;
+    push ev v;
+    pushf cap c;
+    true
+  end
+
+(* [coords]: "x y" *)
+let walk_coord sc cx cy =
+  sc.pos <- sc.next;
+  let x = walk_number sc in
+  (not (Float.is_nan x)) && skip sc ' '
+  &&
+  let y = walk_number sc in
+  (not (Float.is_nan y)) && walk_eol sc
+  && begin
+    pushf cx x;
+    pushf cy y;
+    true
+  end
+
+(* [vertex_costs], [edge_costs]: one cost *)
+let walk_cost sc costs =
+  sc.pos <- sc.next;
+  let c = walk_number sc in
+  c >= 0.0 && walk_eol sc
+  && begin
+    pushf costs c;
+    true
+  end
+
+(* [names]: the default name of vertex [k] *)
+let walk_default_name sc k =
+  sc.pos <- sc.next;
+  default_name sc k && walk_eol sc
+
 (* A record whose ids are range-checked once the whole text is read. *)
 type ranged = Broken_vertex of int | Broken_edge of int | Demand of Commodity.t
+
+type section =
+  | Before_any
+  | Edges
+  | Coords
+  | Names
+  | Demands
+  | Broken_vertices
+  | Broken_edges
+  | Vertex_costs
+  | Edge_costs
+  | Unknown of string
+
+let section_of_header = function
+  | "[graph]" -> Edges
+  | "[coords]" -> Coords
+  | "[names]" -> Names
+  | "[demands]" -> Demands
+  | "[broken_vertices]" -> Broken_vertices
+  | "[broken_edges]" -> Broken_edges
+  | "[vertex_costs]" -> Vertex_costs
+  | "[edge_costs]" -> Edge_costs
+  | s -> Unknown s
 
 (* Each field is checked in field order, then the record's own checks
    run. *)
@@ -303,40 +442,60 @@ let parse text =
   let eu = ints () and ev = ints () and cap = floats () in
   let cx = floats () and cy = floats () in
   let vcost = floats () and ecost = floats () in
-  let names = ref [] and n_names = ref 0 in
+  (* [names] while every name so far is the default one: only a count;
+     after the first other name, every name, in reverse order. *)
+  let n_names = ref 0 and defaults = ref true and names = ref [] in
   let ranged = ref [] in  (* (line, record), in reverse file order *)
   (* First line of each section header, for errors spanning a section. *)
   let header_line = Hashtbl.create 8 in
-  let current = ref "" in
-  while next_line sc do
+  let current = ref Before_any in
+  let walk () =
+    match !current with
+    | Edges -> walk_edge sc eu ev cap
+    | Coords -> walk_coord sc cx cy
+    | Names -> !defaults && walk_default_name sc !n_names && (incr n_names; true)
+    | Vertex_costs -> walk_cost sc vcost
+    | Edge_costs -> walk_cost sc ecost
+    | Before_any | Demands | Broken_vertices | Broken_edges | Unknown _ -> false
+  in
+  let add_name () =
+    sc.pos <- sc.first;
+    if not (!defaults && default_name sc !n_names && sc.pos = sc.last) then begin
+      if !defaults then begin
+        defaults := false;
+        names := List.init !n_names (fun i -> "v" ^ string_of_int (!n_names - 1 - i))
+      end;
+      names := line_text sc :: !names
+    end;
+    incr n_names
+  in
+  let read_line () =
     let ln = sc.line in
     if is_header sc then begin
-      current := line_text sc;
-      if not (Hashtbl.mem header_line !current) then
-        Hashtbl.replace header_line !current ln
+      let h = line_text sc in
+      current := section_of_header h;
+      if not (Hashtbl.mem header_line h) then Hashtbl.replace header_line h ln
     end
     else
       match !current with
-      | "[graph]" ->
+      | Edges ->
         fields sc 3 "[graph]" "3 fields (u v capacity)";
-        let u = id_at sc 0 "vertex id" in
-        let v = id_at sc 1 "vertex id" in
+        let u = endpoint_at sc 0 in
+        let v = endpoint_at sc 1 in
         let c = number_at sc 2 "capacity" in
         if c < 0.0 then err ln "negative capacity %g" c;
         if u = v then err ln "self-loop at vertex %d" u;
         push eu u;
         push ev v;
         pushf cap c
-      | "[coords]" ->
+      | Coords ->
         fields sc 2 "[coords]" "2 fields (x y)";
         let x = number_at sc 0 "coordinate" in
         let y = number_at sc 1 "coordinate" in
         pushf cx x;
         pushf cy y
-      | "[names]" ->
-        names := line_text sc :: !names;
-        incr n_names
-      | "[demands]" ->
+      | Names -> add_name ()
+      | Demands ->
         fields sc 3 "[demands]" "3 fields (src dst amount)";
         let s = id_at sc 0 "vertex id" in
         let t = id_at sc 1 "vertex id" in
@@ -346,17 +505,18 @@ let parse text =
         if a = Float.infinity then err ln "non-finite demand amount %g" a;
         if s = t then err ln "demand with equal endpoints %d" s;
         ranged := (ln, Demand { Commodity.src = s; dst = t; amount = a }) :: !ranged
-      | "[broken_vertices]" ->
+      | Broken_vertices ->
         let v = id_in sc "vertex id" sc.first sc.last in
         ranged := (ln, Broken_vertex v) :: !ranged
-      | "[broken_edges]" ->
+      | Broken_edges ->
         let e = id_in sc "edge id" sc.first sc.last in
         ranged := (ln, Broken_edge e) :: !ranged
-      | "[vertex_costs]" -> pushf vcost (cost sc "vertex cost")
-      | "[edge_costs]" -> pushf ecost (cost sc "edge cost")
-      | "" -> err ln "content before any section: %S" (line_text sc)
-      | s -> err (Hashtbl.find header_line s) "unknown section %s" s
-  done;
+      | Vertex_costs -> pushf vcost (cost sc "vertex cost")
+      | Edge_costs -> pushf ecost (cost sc "edge cost")
+      | Before_any -> err ln "content before any section: %S" (line_text sc)
+      | Unknown s -> err (Hashtbl.find header_line s) "unknown section %s" s
+  in
+  while walk () || (next_line sc && (read_line (); true)) do () done;
   let section_err section fmt =
     err (Option.value ~default:0 (Hashtbl.find_opt header_line section)) fmt
   in
@@ -369,11 +529,14 @@ let parse text =
     n := max !n (max eu.iv.(i) ev.iv.(i) + 1)
   done;
   let n = !n in
+  (* A [names] section of exactly the default names leaves the graph
+     unnamed: [Graph.name] gives the same strings. *)
   let names =
     if !n_names = 0 then None
     else if !n_names <> n then
       section_err "[names]" "[names] arity mismatch (%d names, %d vertices)"
         !n_names n
+    else if !defaults then None
     else Some (Array.of_list (List.rev !names))
   in
   let coords =
@@ -381,7 +544,7 @@ let parse text =
     else if cx.fl <> n then
       section_err "[coords]" "[coords] arity mismatch (%d coords, %d vertices)"
         cx.fl n
-    else Some (Array.init n (fun i -> (cx.fv.(i), cy.fv.(i))))
+    else Some (Array.sub cx.fv 0 n, Array.sub cy.fv 0 n)
   in
   let graph =
     try
@@ -545,11 +708,11 @@ let save path inst =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (to_string inst))
 
-let load path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic) |> of_string)
+(* Read to the end of the file rather than by its length, so a pipe or a
+   FIFO loads too. *)
+let read_all path = In_channel.with_open_bin path In_channel.input_all
+
+let load path = of_string (read_all path)
 
 let save_solution ?cost path sol =
   let oc = open_out path in
@@ -557,9 +720,4 @@ let save_solution ?cost path sol =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (solution_to_string ?cost sol))
 
-let load_solution path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      really_input_string ic (in_channel_length ic) |> solution_of_string)
+let load_solution path = solution_of_string (read_all path)

@@ -31,8 +31,22 @@
     Beyond syntax, the parser rejects at the offending line: NaN in any
     numeric field; a negative capacity; a negative, zero or infinite
     demand amount; a demand whose endpoints are equal; a self-loop; a
-    negative or infinite cost.  An infinite capacity or coordinate is
-    legal.  Ids are range-checked once the whole text is read. *)
+    negative or infinite cost; a [graph] endpoint id at or above the
+    text's length in bytes.  That last rule bounds every per-vertex
+    array by the input's size (no encoded instance is refused: it spends
+    more than one byte per vertex).  An infinite capacity or coordinate
+    is legal.  Other ids are range-checked once the whole text is read.
+
+    A [names] section that reads exactly [v0] ... [v(n-1)], the names
+    {!to_string} writes for an unnamed graph, leaves the parsed graph
+    unnamed: {!Graph.name} gives the same strings and {!to_string} the
+    same bytes, and the graph holds no name strings.
+
+    A record line in canonical form (fields one space apart, plain-digit
+    ids, decimals of at most 15 significant digits) is read in one pass
+    from its first byte to its newline; any other line, and every
+    error, goes through the general line reader, so the language, the
+    values and the errors are the same either way. *)
 
 type parse_error = {
   line : int;
@@ -65,7 +79,8 @@ val save : string -> Instance.t -> unit
 (** Write {!to_string} to a file. *)
 
 val load : string -> Instance.t
-(** Read and {!of_string} a file.  @raise Sys_error / Parse_error. *)
+(** Read a file to its end and {!of_string} it; a pipe or a FIFO
+    ([/dev/stdin], [<(...)]) loads too.  @raise Sys_error / Parse_error. *)
 
 (** {1 Solutions}
 
@@ -105,5 +120,5 @@ val save_solution : ?cost:float -> string -> Instance.solution -> unit
 (** Write {!solution_to_string} to a file. *)
 
 val load_solution : string -> Instance.solution * float option
-(** Read and {!solution_of_string} a file.
+(** Read a file (or a pipe) to its end and {!solution_of_string} it.
     @raise Sys_error / Parse_error. *)

@@ -68,20 +68,28 @@ let scale_free ~rng ?(jitter = 0.03) ~n ~m ~capacity () =
   let m0 = m + 1 in
   (* seed path on m0 vertices *)
   let ne_total = (m0 - 1) + ((n - m0) * m) in
-  let edges = Array.make ne_total (0, 0, capacity) in
+  let src = Array.make ne_total 0 and dst = Array.make ne_total 0 in
   let targets = Array.make (max 2 (2 * ne_total)) 0 in
-  let coords = Array.make n (0.0, 0.0) in
+  let xs = Array.make n 0.0 and ys = Array.make n 0.0 in
+  (* A coordinate comes in as a pair expression so that its two draws run
+     in the order that fixes every seeded topology: OCaml evaluates a
+     pair's components right to left. *)
+  let place v (x, y) =
+    xs.(v) <- x;
+    ys.(v) <- y
+  in
   let tlen = ref 0 in
   let elen = ref 0 in
   let push_edge u v =
-    edges.(!elen) <- (u, v, capacity);
+    src.(!elen) <- u;
+    dst.(!elen) <- v;
     incr elen;
     targets.(!tlen) <- u;
     targets.(!tlen + 1) <- v;
     tlen := !tlen + 2
   in
   for v = 0 to m0 - 1 do
-    coords.(v) <- (Rng.float rng 1.0, Rng.float rng 1.0);
+    place v (Rng.float rng 1.0, Rng.float rng 1.0);
     if v > 0 then push_edge (v - 1) v
   done;
   let clamp x = Float.min 1.0 (Float.max 0.0 x) in
@@ -105,14 +113,15 @@ let scale_free ~rng ?(jitter = 0.03) ~n ~m ~capacity () =
       in
       chosen.(k) <- draw 0
     done;
-    let tx, ty = coords.(chosen.(0)) in
+    let tx = xs.(chosen.(0)) and ty = ys.(chosen.(0)) in
     let jx, jy = Rng.gaussian2 rng in
-    coords.(v) <- (clamp (tx +. (jitter *. jx)), clamp (ty +. (jitter *. jy)));
+    place v (clamp (tx +. (jitter *. jx)), clamp (ty +. (jitter *. jy)));
     for k = 0 to m - 1 do
       push_edge chosen.(k) v
     done
   done;
-  Graph.of_edge_array ~coords ~n edges
+  Graph.of_columns ~coords:(xs, ys) ~n ~src ~dst
+    ~capacity:(Array.make ne_total capacity) ()
 
 let grid ~width ~height ~capacity =
   if width < 1 || height < 1 then invalid_arg "Generate.grid: empty";

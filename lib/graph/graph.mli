@@ -6,7 +6,14 @@
     construction — per-iteration state (residual capacities, broken sets,
     repair lists) lives outside the graph and is passed to algorithms as
     functions ([cap : edge_id -> float], [edge_ok : edge_id -> bool], ...),
-    so one graph value can back many concurrent problem instances. *)
+    so one graph value can back many concurrent problem instances.
+
+    Storage is by column: edge [e] is [src.(e)], [dst.(e)] and
+    [capacity.(e)] (two int arrays and an unboxed float array),
+    coordinates are an x and a y float array, and the adjacency is a CSR
+    built from the edge columns.  An {!edge} record is built on demand by
+    {!edge}, {!edges} and {!fold_edges}; per-arc kernels read the
+    columns ({!columns}) and the CSR ({!csr}) instead. *)
 
 type vertex = int
 (** Dense vertex identifier in [0 .. nv-1]. *)
@@ -39,31 +46,24 @@ val make :
     rejected; parallel edges are allowed.
     @raise Invalid_argument on out-of-range endpoints or arity mismatch. *)
 
-val of_edge_array :
-  ?names:string array ->
-  ?coords:(float * float) array ->
-  n:int ->
-  (vertex * vertex * float) array ->
-  t
-(** Array-based variant of {!make} (ids assigned in array order) — the
-    constructor the large-scale generators use: a million-edge topology
-    builds without materialising an intermediate list.  The array is not
-    retained.  Same validation as {!make}. *)
-
 val of_columns :
   ?names:string array ->
-  ?coords:(float * float) array ->
+  ?coords:float array * float array ->
   n:int ->
   src:vertex array ->
   dst:vertex array ->
   capacity:float array ->
   unit ->
   t
-(** Column form of {!of_edge_array}: edge [i] is
-    [(src.(i), dst.(i), capacity.(i))].  A parser that collects its
-    records in int and float arrays builds the graph from them without
-    an intermediate tuple per edge.  The arrays are not retained.  Same
-    validation as {!make}, and the three lengths must agree. *)
+(** Column form of {!make}: edge [i] is [(src.(i), dst.(i),
+    capacity.(i))], and [coords] is the pair of x and y columns.  The
+    graph keeps the arrays it is handed as its own storage, without a
+    copy: the caller hands them over and must not write them afterwards.
+    A parser or generator that collects its records in int and float
+    arrays builds the graph from them with no tuple or record per edge.
+    Same validation as {!make}, in the same order (vertex count, names,
+    coords, then the three lengths must agree, then each edge in id
+    order: endpoint range, self-loop, negative capacity). *)
 
 val nv : t -> int
 (** Number of vertices. *)
@@ -72,10 +72,11 @@ val ne : t -> int
 (** Number of edges. *)
 
 val edge : t -> edge_id -> edge
-(** Edge record by id.  @raise Invalid_argument when out of range. *)
+(** Edge record by id, built from the columns on each call (it
+    allocates).  @raise Invalid_argument when out of range. *)
 
 val edges : t -> edge list
-(** All edges in id order. *)
+(** All edges in id order, as fresh records. *)
 
 val capacity : t -> edge_id -> float
 (** Nominal capacity of an edge. *)
@@ -111,6 +112,13 @@ val csr : t -> int array * int array * int array
     kernels that keep per-slot cursors (Dinic); read them, never write
     them. *)
 
+val columns : t -> vertex array * vertex array * float array
+(** [columns g] is [(src, dst, capacity)], the edge columns: edge [e]
+    joins [src.(e)] and [dst.(e)] with nominal capacity [capacity.(e)].
+    Like {!csr}, the arrays are the graph's own storage, not copies — for
+    per-arc kernels that must not build an {!edge} record per arc; read
+    them, never write them. *)
+
 val neighbors : t -> vertex -> vertex list
 (** Adjacent vertices (with multiplicity for parallel edges). *)
 
@@ -139,7 +147,7 @@ val vertices : t -> vertex list
 (** [0; 1; ...; nv-1]. *)
 
 val fold_edges : (edge -> 'a -> 'a) -> t -> 'a -> 'a
-(** Fold over edges in id order. *)
+(** Fold over edges in id order, building each record on demand. *)
 
 val total_capacity : t -> float
 (** Sum of nominal capacities. *)

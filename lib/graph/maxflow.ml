@@ -16,7 +16,9 @@ let flow_eps = Netrec_util.Num.flow_eps
    admissible subgraph of a large graph, so a call must not pay O(n+m)
    of allocation before its first augmenting path.  The arcs leaving a
    vertex are read straight off the graph's CSR row ([Graph.csr]), in
-   edge-id order, which fixes the order of phases and augmentations.
+   edge-id order, which fixes the order of phases and augmentations; a
+   slot's direction and a default capacity come from the edge columns
+   ([Graph.columns]).
    Residuals, levels, current-arc cursors and the BFS queue live in a
    per-domain scratch record that is grown once and reused, like
    Dijkstra's: concurrent calls on different domains never share it, and
@@ -56,8 +58,9 @@ let dinic ~vertex_ok ~edge_ok ~cap g ~source ~sink =
   let s = scratch ~n ~m in
   let resid = s.resid and level = s.level and cursor = s.cursor in
   let queue = s.queue in
+  let src, _, capacity = Graph.columns g in
   for e = 0 to m - 1 do
-    let c = match cap with Some f -> f e | None -> Graph.capacity g e in
+    let c = match cap with Some f -> f e | None -> capacity.(e) in
     if c < 0.0 then invalid_arg "Maxflow: negative capacity";
     resid.(2 * e) <- c;
     resid.((2 * e) + 1) <- c
@@ -66,7 +69,7 @@ let dinic ~vertex_ok ~edge_ok ~cap g ~source ~sink =
   (* The arc of slot [k] in the row of [tail]. *)
   let arc tail k =
     let e = eid.(k) in
-    if (Graph.edge g e).Graph.u = tail then 2 * e else (2 * e) + 1
+    if src.(e) = tail then 2 * e else (2 * e) + 1
   in
   (* An arc is admissible when its edge and its head are: its tail
      always is, since the source is checked and every other tail was
@@ -166,7 +169,8 @@ let max_flow ?(vertex_ok = all) ?(edge_ok = all) ?cap g ~source ~sink =
 
 let min_cut ?(vertex_ok = all) ?(edge_ok = all) ?cap g ~source ~sink =
   let { edge_flow; _ } = max_flow ~vertex_ok ~edge_ok ?cap g ~source ~sink in
-  let cap_of e = match cap with Some f -> f e | None -> Graph.capacity g e in
+  let src, dst, capacity = Graph.columns g in
+  let cap_of e = match cap with Some f -> f e | None -> capacity.(e) in
   (* Residual reachability from the source: an edge is traversable u -> v
      when its residual capacity in that direction is positive. *)
   let n = Graph.nv g in
@@ -179,8 +183,7 @@ let min_cut ?(vertex_ok = all) ?(edge_ok = all) ?cap g ~source ~sink =
       let u = Queue.pop queue in
       Graph.iter_incident g u (fun w e ->
           if vertex_ok w && edge_ok e && not seen.(w) then begin
-            let { Graph.u = eu; _ } = Graph.edge g e in
-            let along = if eu = u then edge_flow.(e) else -.edge_flow.(e) in
+            let along = if src.(e) = u then edge_flow.(e) else -.edge_flow.(e) in
             if cap_of e -. along > flow_eps then begin
               seen.(w) <- true;
               Queue.add w queue
@@ -189,26 +192,21 @@ let min_cut ?(vertex_ok = all) ?(edge_ok = all) ?cap g ~source ~sink =
     done
   end;
   let side = List.filter (fun v -> seen.(v)) (Graph.vertices g) in
-  let crossing =
-    Graph.fold_edges
-      (fun e acc ->
-        if edge_ok e.Graph.id && vertex_ok e.Graph.u && vertex_ok e.Graph.v
-           && seen.(e.Graph.u) <> seen.(e.Graph.v)
-        then e.Graph.id :: acc
-        else acc)
-      g []
-  in
-  (side, List.rev crossing)
+  let crossing = ref [] in
+  for e = 0 to Graph.ne g - 1 do
+    let u = src.(e) and v = dst.(e) in
+    if edge_ok e && vertex_ok u && vertex_ok v && seen.(u) <> seen.(v) then
+      crossing := e :: !crossing
+  done;
+  (side, List.rev !crossing)
 
 let decompose g ~source ~sink { edge_flow; _ } =
   let flow = Array.copy edge_flow in
   (* Walk positive-flow arcs from source to sink, peel off the bottleneck,
      repeat.  Each peel zeroes at least one edge, so at most [ne] paths. *)
   let n = Graph.nv g in
-  let along e u =
-    let { Graph.u = eu; _ } = Graph.edge g e in
-    if eu = u then flow.(e) else -.flow.(e)
-  in
+  let src, _, _ = Graph.columns g in
+  let along e u = if src.(e) = u then flow.(e) else -.flow.(e) in
   let rec find_path () =
     let pred = Array.make n (-1) in
     let seen = Array.make n false in
@@ -246,8 +244,7 @@ let decompose g ~source ~sink { edge_flow; _ } =
         | [] -> ()
         | e :: rest ->
           let w = Graph.other_end g e v in
-          let { Graph.u = eu; _ } = Graph.edge g e in
-          if eu = v then flow.(e) <- flow.(e) -. amt
+          if src.(e) = v then flow.(e) <- flow.(e) -. amt
           else flow.(e) <- flow.(e) +. amt;
           subtract w rest
       in

@@ -154,19 +154,18 @@ let build_sub inst verts demands =
           end))
     l2g_v;
   let l2g_e = Array.of_list (List.sort compare !edge_ids) in
-  let edges =
-    Array.map
-      (fun e ->
-        let u, v = Graph.endpoints g e in
-        (Hashtbl.find g2l u, Hashtbl.find g2l v, Graph.capacity g e))
-      l2g_e
-  in
+  let src, dst, capacity = Graph.columns g in
+  let local column = Array.map (fun e -> Hashtbl.find g2l column.(e)) l2g_e in
   let coords =
     if Graph.has_coords g then
-      Some (Array.map (fun v -> Option.get (Graph.coord g v)) l2g_v)
+      let xy = Array.map (fun v -> Option.get (Graph.coord g v)) l2g_v in
+      Some (Array.map fst xy, Array.map snd xy)
     else None
   in
-  let sg = Graph.of_edge_array ?coords ~n:nl edges in
+  let sg =
+    Graph.of_columns ?coords ~n:nl ~src:(local src) ~dst:(local dst)
+      ~capacity:(Array.map (fun e -> capacity.(e)) l2g_e) ()
+  in
   let fail = inst.Instance.failure in
   let failure =
     { Failure.broken_vertices =

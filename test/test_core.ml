@@ -1254,7 +1254,15 @@ let malformed_cases =
       4, "demand endpoint out of range" );
     ( "first bad coordinate field",
       "[graph]\n0 1 5\n[coords]\nfoo bar\n0 0\n",
-      4, "bad coordinate \"foo\"" ) ]
+      4, "bad coordinate \"foo\"" );
+    (* A vertex id sizes every per-vertex array, so a [graph] endpoint
+       must lie below the text's length in bytes. *)
+    ( "vertex id beyond the text",
+      "[graph]\n0 3000000 1\n",
+      2, "vertex id 3000000 too large for a 20-byte text" );
+    ( "first of two vertex ids beyond the text",
+      "[graph]\n0 1 5\n40 1 5\n0 90 5\n",
+      3, "vertex id 40 too large" ) ]
 
 let contains hay needle =
   let n = String.length needle and h = String.length hay in
@@ -1679,7 +1687,8 @@ let starts_with prefix s = String.starts_with ~prefix s
 
 (* The differences the rejection rules make on purpose.  NaN anywhere,
    infinite amounts and costs, negative costs, zero amounts, equal
-   demand endpoints and self-loops are rejected at their own line, where
+   demand endpoints, self-loops and [graph] endpoint ids at or above the
+   text's length are rejected at their own line, where
    the reference accepted them, raised, or blamed line 0 or the section
    header; such a rejection may only pre-empt a reference error that is
    not a syntax error on an earlier line.  Out-of-range ids blame the
@@ -1689,7 +1698,8 @@ let sanctioned ~reference ~fresh =
   let new_rejection m =
     List.exists (fun p -> starts_with p m)
       [ "NaN "; "non-finite "; "negative vertex cost"; "negative edge cost";
-        "zero demand amount"; "demand with equal endpoints"; "self-loop at vertex" ]
+        "zero demand amount"; "demand with equal endpoints"; "self-loop at vertex";
+        "vertex id " ]
   in
   let syntax m =
     List.exists (fun p -> starts_with p m)
@@ -1748,16 +1758,19 @@ let rich_instance rng =
 
 (* Tokens the number syntax treats specially.  Fractional 16- and
    17-digit mantissas take the fallback; integral ones are left out,
-   since as a vertex id they size the graph's arrays. *)
+   since as a vertex id they would size the reference's arrays (large
+   ids come from [mutate]'s own case, near the text's length). *)
 let odd_tokens =
   [| "-1"; "nan"; "0x1f"; "1_0"; "+3"; "1e400"; "3.141592653589793";
      "0.30000000000000004"; "1234567890123.4567"; "-0"; "inf"; "-inf";
      "1e22"; "1e-23"; "007" |]
 
 (* One random edit of a serialized text: a token deleted, duplicated,
-   swapped or replaced by an odd one; a tab, form feed, CR or space at a
-   line's end or for its separators, CRLF, comments, blank lines,
-   repeated or unknown sections; a line dropped. *)
+   swapped or replaced by an odd one or by a large id (just below, at or
+   beyond the text's length, which bounds a [graph] endpoint); a tab,
+   form feed, CR or space at a line's end or for its separators, CRLF,
+   comments, blank lines, repeated or unknown sections; a line
+   dropped. *)
 let mutate rng text =
   let lines = Array.of_list (String.split_on_char '\n' text) in
   let nl = Array.length lines in
@@ -1768,7 +1781,7 @@ let mutate rng text =
     Array.concat [ Array.sub lines 0 k; [| s |]; Array.sub lines k (nl - k) ]
   in
   let edited =
-    match Rng.int rng 12 with
+    match Rng.int rng 13 with
     | 0 ->
       let l = pick_line () in
       let a = tokens l in
@@ -1812,6 +1825,16 @@ let mutate rng text =
       let headers = List.filter (fun s -> starts_with "[" s) (Array.to_list lines) in
       insert_at (Rng.int rng (nl + 1)) (List.nth headers (Rng.int rng (List.length headers)))
     | 10 -> insert_at (Rng.int rng (nl + 1)) "[extra]"
+    | 11 ->
+      (* an id field is one of a line's first two tokens *)
+      let l = pick_line () in
+      let a = tokens l in
+      let len = String.length text in
+      let past = if Rng.bool rng then 0 else Rng.int rng (4 * len) in
+      let big = len - 1 + Rng.int rng 3 + past in
+      a.(Rng.int rng (min 2 (Array.length a))) <- string_of_int big;
+      set_tokens l a;
+      lines
     | _ ->
       let l = pick_line () in
       Array.append (Array.sub lines 0 l) (Array.sub lines (l + 1) (nl - l - 1))
@@ -2015,6 +2038,77 @@ let test_serialize_xl_text_pinned () =
         Netrec_experiments.Fig9_xl.smoke_scenario (),
         "d8f30215c773ee5a91bdf82c48aaeeb4" ) ]
 
+(* The parsed plan-xl shape at 5,000 vertices holds its graph in about
+   6 words per vertex + edge: edge and coordinate columns, the CSR, and
+   no default-name strings.  Per-edge records, coordinate tuples or
+   "v<i>" strings each push it well past the bound (12.0 words with all
+   three). *)
+let test_serialize_representation () =
+  let inst =
+    Netrec_experiments.Fig9_xl.scenario ~n:5000 ~vmult:0.5 ~topo_seed:42
+      ~fail_seed:7 ~demand_seed:13 ()
+  in
+  let g = (Serialize.of_string (Serialize.to_string inst)).Instance.graph in
+  let words = Obj.reachable_words (Obj.repr g) in
+  let bound = 6 * (Graph.nv g + Graph.ne g) in
+  if words > bound then
+    Alcotest.failf "parsed graph holds %d words, over %d (6 per vertex + edge)"
+      words bound
+
+(* A [names] section of exactly v0 ... v(n-1) leaves the graph unnamed:
+   it holds what the same text without [names] holds, names its
+   vertices the same, and re-encodes to the same bytes.  Near misses
+   keep every name as written. *)
+let named_text names =
+  let n = Array.length names in
+  let g =
+    Graph.make ~names ~n ~edges:(List.init (n - 1) (fun i -> (i, i + 1, 2.0))) ()
+  in
+  Serialize.to_string (make_inst g [ demand 0 (n - 1) ] (Failure.none g))
+
+let test_serialize_default_names () =
+  let defaults = Array.init 12 (fun i -> "v" ^ string_of_int i) in
+  let text = named_text defaults in
+  let g = (Serialize.of_string text).Instance.graph in
+  Alcotest.(check string) "re-encodes" text
+    (Serialize.to_string (Serialize.of_string text));
+  Array.iteri (fun v s -> Alcotest.(check string) "name" s (Graph.name g v)) defaults;
+  (* the same text with the [names] section cut out *)
+  let lines = String.split_on_char '\n' text in
+  let rec drop_names = function
+    | "[names]" :: rest ->
+      let rec skip = function
+        | l :: rest when l <> "" && l.[0] <> '[' -> skip rest
+        | rest -> rest
+      in
+      skip rest
+    | l :: rest -> l :: drop_names rest
+    | [] -> []
+  in
+  let unnamed =
+    (Serialize.of_string (String.concat "\n" (drop_names lines))).Instance.graph
+  in
+  Alcotest.(check int) "no name strings"
+    (Obj.reachable_words (Obj.repr unnamed))
+    (Obj.reachable_words (Obj.repr g))
+
+let test_serialize_near_default_names () =
+  List.iter
+    (fun (label, names) ->
+      let text = named_text names in
+      let g = (Serialize.of_string text).Instance.graph in
+      Alcotest.(check string) (label ^ ": re-encodes") text
+        (Serialize.to_string (Serialize.of_string text));
+      Array.iteri
+        (fun v s -> Alcotest.(check string) (label ^ ": name") s (Graph.name g v))
+        names)
+    [ ("v01", [| "v0"; "v01"; "v2" |]);
+      ("v-1", [| "v0"; "v-1"; "v2" |]);
+      ("V0", [| "V0"; "v1"; "v2" |]);
+      ("out of order", [| "v1"; "v0"; "v2" |]);
+      ("one renamed", [| "v0"; "v1"; "west"; "v3" |]);
+      ("last renamed", [| "v0"; "v1"; "v2"; "v30" |]) ]
+
 (* ---- Evaluate ---- *)
 
 let test_evaluate_empty_solution_loss () =
@@ -2139,6 +2233,9 @@ let () =
           tc "roundtrip property" test_serialize_roundtrip_property;
           tc "solutions agree" test_serialize_solutions_agree;
           tc "xl text pinned" test_serialize_xl_text_pinned;
+          tc "representation" test_serialize_representation;
+          tc "default names" test_serialize_default_names;
+          tc "near-default names" test_serialize_near_default_names;
           QCheck_alcotest.to_alcotest serialize_differential_prop;
           QCheck_alcotest.to_alcotest serialize_never_raises_prop;
           QCheck_alcotest.to_alcotest serialize_numbers_prop;

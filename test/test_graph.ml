@@ -90,6 +90,217 @@ let test_names_coords () =
   Alcotest.(check (option (pair (float 0.0) (float 0.0)))) "coord"
     (Some (1.0, 1.0)) (Graph.coord g 1)
 
+(* ---- Graph storage against its reference ----
+
+   The record-array build that the column storage replaced: one
+   [Graph.edge] record per edge, coordinates as tuples, the CSR built
+   from the records, and the validation of [Graph.make] and
+   [Graph.of_columns] in their order (vertex count, names, coords,
+   column lengths, then each edge: range, self-loop, capacity). *)
+module Reference_graph = struct
+  type t = {
+    nv : int;
+    edges : Graph.edge array;
+    off : int array;
+    nbr : int array;
+    eid : int array;
+    names : string array option;
+    coords : (float * float) array option;
+  }
+
+  let build ?names ?coords ~n src dst cap =
+    if n < 0 then invalid_arg "Graph.make: negative vertex count";
+    (match names with
+    | Some a when Array.length a <> n -> invalid_arg "Graph.make: names arity"
+    | _ -> ());
+    (match coords with
+    | Some a when Array.length a <> n -> invalid_arg "Graph.make: coords arity"
+    | _ -> ());
+    let m = Array.length src in
+    if Array.length dst <> m || Array.length cap <> m then
+      invalid_arg "Graph.make: column lengths";
+    let edges =
+      Array.init m (fun id ->
+          let u = src.(id) and v = dst.(id) and capacity = cap.(id) in
+          if u < 0 || u >= n || v < 0 || v >= n then
+            invalid_arg "Graph.make: endpoint out of range";
+          if u = v then invalid_arg "Graph.make: self-loop";
+          if capacity < 0.0 then invalid_arg "Graph.make: negative capacity";
+          { Graph.id; u; v; capacity })
+    in
+    let off = Array.make (n + 1) 0 in
+    Array.iter
+      (fun e ->
+        off.(e.Graph.u + 1) <- off.(e.Graph.u + 1) + 1;
+        off.(e.Graph.v + 1) <- off.(e.Graph.v + 1) + 1)
+      edges;
+    for v = 0 to n - 1 do
+      off.(v + 1) <- off.(v + 1) + off.(v)
+    done;
+    let nbr = Array.make (2 * m) 0 and eid = Array.make (2 * m) 0 in
+    let cursor = Array.copy off in
+    let place w other id =
+      nbr.(cursor.(w)) <- other;
+      eid.(cursor.(w)) <- id;
+      cursor.(w) <- cursor.(w) + 1
+    in
+    Array.iter
+      (fun e ->
+        place e.Graph.u e.Graph.v e.Graph.id;
+        place e.Graph.v e.Graph.u e.Graph.id)
+      edges;
+    { nv = n; edges; off; nbr; eid; names; coords }
+
+  let name r v =
+    match r.names with Some a -> a.(v) | None -> "v" ^ string_of_int v
+
+  let coord r v = Option.map (fun a -> a.(v)) r.coords
+
+  let max_degree r =
+    let best = ref 0 in
+    for v = 0 to r.nv - 1 do
+      best := max !best (r.off.(v + 1) - r.off.(v))
+    done;
+    !best
+
+  let to_edge_list r =
+    String.concat ""
+      (Array.to_list
+         (Array.map
+            (fun e -> Printf.sprintf "%d %d %g\n" e.Graph.u e.Graph.v e.Graph.capacity)
+            r.edges))
+end
+
+(* Everything a graph shows of its storage, floats by their bits. *)
+type shown = {
+  s_nv : int;
+  s_ne : int;
+  s_edges : (int * int * int * int64) list;  (* id, u, v, capacity *)
+  s_capacity : int64 list;
+  s_endpoints : (int * int) list;
+  s_csr : int array * int array * int array;
+  s_names : string list;
+  s_coords : (int64 * int64) option list;
+  s_has_coords : bool;
+  s_max_degree : int;
+  s_edge_list : string;
+}
+
+let bits = Int64.bits_of_float
+let bits2 = Option.map (fun (x, y) -> (bits x, bits y))
+
+let show_graph g =
+  let ne = Graph.ne g and vs = Graph.vertices g in
+  let ids = List.init ne Fun.id in
+  { s_nv = Graph.nv g;
+    s_ne = ne;
+    s_edges =
+      List.map
+        (fun id ->
+          let e = Graph.edge g id in
+          (e.Graph.id, e.Graph.u, e.Graph.v, bits e.Graph.capacity))
+        ids;
+    s_capacity = List.map (fun id -> bits (Graph.capacity g id)) ids;
+    s_endpoints = List.map (Graph.endpoints g) ids;
+    s_csr = Graph.csr g;
+    s_names = List.map (Graph.name g) vs;
+    s_coords = List.map (fun v -> bits2 (Graph.coord g v)) vs;
+    s_has_coords = Graph.has_coords g;
+    s_max_degree = Graph.max_degree g;
+    s_edge_list = Graph.to_edge_list g }
+
+let show_reference r =
+  let module R = Reference_graph in
+  let vs = List.init r.R.nv Fun.id in
+  let edges = Array.to_list r.R.edges in
+  { s_nv = r.R.nv;
+    s_ne = Array.length r.R.edges;
+    s_edges =
+      List.map (fun e -> (e.Graph.id, e.Graph.u, e.Graph.v, bits e.Graph.capacity)) edges;
+    s_capacity = List.map (fun e -> bits e.Graph.capacity) edges;
+    s_endpoints = List.map (fun e -> (e.Graph.u, e.Graph.v)) edges;
+    s_csr = (r.R.off, r.R.nbr, r.R.eid);
+    s_names = List.map (R.name r) vs;
+    s_coords = List.map (fun v -> bits2 (R.coord r v)) vs;
+    s_has_coords = r.R.coords <> None;
+    s_max_degree = R.max_degree r;
+    s_edge_list = R.to_edge_list r }
+
+let built f = match f () with v -> Ok v | exception Invalid_argument m -> Error m
+
+(* A random multigraph, sometimes invalid: parallel edges, isolated
+   trailing vertices, n = 0, with and without names and coordinates; an
+   endpoint out of range, a self-loop, a negative capacity, a names or
+   coords array of the wrong length, or (for [of_columns]) a short
+   column. *)
+let graph_storage_prop =
+  QCheck.Test.make ~name:"make = of_columns = record-array reference"
+    ~count:1000 (QCheck.int_bound 1_000_000) (fun seed ->
+      let rng = Rng.create (seed + 1) in
+      let n = if Rng.bernoulli rng 0.1 then 0 else 1 + Rng.int rng 9 in
+      let bad p = Rng.bernoulli rng p in
+      let m = if n < 2 then (if bad 0.3 then 1 else 0) else Rng.int rng (3 * n) in
+      (* endpoints in the first vertices only, so the last ones are
+         often isolated; parallel edges come from the small range *)
+      let span = max 1 (n - Rng.int rng 3) in
+      let src = Array.make m 0 and dst = Array.make m 0 in
+      let cap = Array.make m 0.0 in
+      for e = 0 to m - 1 do
+        let u = Rng.int rng span in
+        let v = if span > 1 then (u + 1 + Rng.int rng (span - 1)) mod span else u in
+        src.(e) <- (if bad 0.02 then n + Rng.int rng 2 else if bad 0.02 then -1 else u);
+        dst.(e) <- (if bad 0.02 then src.(e) else v);
+        cap.(e) <-
+          (if bad 0.02 then -1.0
+           else if Rng.bernoulli rng 0.1 then 0.0
+           else Rng.float rng 20.0)
+      done;
+      let arity () = if bad 0.05 then n + 1 else n in
+      let names =
+        if Rng.bool rng then None
+        else Some (Array.init (arity ()) (fun i -> Printf.sprintf "n%d" (i * 7)))
+      in
+      let coords =
+        if Rng.bool rng then None
+        else
+          Some (Array.init (arity ()) (fun _ -> (Rng.float rng 1.0, -.Rng.float rng 1.0)))
+      in
+      let split a = (Array.map fst a, Array.map snd a) in
+      let short a =
+        if bad 0.05 && Array.length a > 0 then Array.sub a 0 (Array.length a - 1)
+        else a
+      in
+      let csrc = short src and cdst = short dst and ccap = short cap in
+      let reference src dst cap =
+        built (fun () ->
+            show_reference (Reference_graph.build ?names ?coords ~n src dst cap))
+      in
+      let columns =
+        built (fun () ->
+            show_graph
+              (Graph.of_columns ?names ?coords:(Option.map split coords) ~n
+                 ~src:(Array.copy csrc) ~dst:(Array.copy cdst)
+                 ~capacity:(Array.copy ccap) ()))
+      in
+      let made =
+        built (fun () ->
+            show_graph
+              (Graph.make ?names ?coords ~n
+                 ~edges:(List.init m (fun e -> (src.(e), dst.(e), cap.(e))))
+                 ()))
+      in
+      let report what = function
+        | Ok _ -> what ^ " built"
+        | Error m -> what ^ " raised " ^ m
+      in
+      if columns <> reference csrc cdst ccap then
+        QCheck.Test.fail_reportf "of_columns: %s, reference: %s" (report "graph" columns)
+          (report "reference" (reference csrc cdst ccap));
+      if made <> reference src dst cap then
+        QCheck.Test.fail_reportf "make: %s, reference: %s" (report "graph" made)
+          (report "reference" (reference src dst cap));
+      true)
+
 (* ---- Traverse ---- *)
 
 let test_bfs_dist () =
@@ -566,7 +777,7 @@ let masked_graph seed =
              (Graph.edges grid))
       in
       Rng.shuffle rng edges;
-      Graph.of_edge_array ~n edges
+      Graph.make ~n ~edges:(Array.to_list edges) ()
     | _ ->
       let m = 1 + Rng.int rng 3 in
       Generate.scale_free ~rng ~n:(m + 2 + Rng.int rng 60) ~m ~capacity:1.0 ()
@@ -1164,7 +1375,8 @@ let () =
           tc "parallel edges" test_parallel_edges;
           tc "total capacity" test_total_capacity;
           tc "edge list roundtrip" test_edge_list_roundtrip;
-          tc "names and coords" test_names_coords ] );
+          tc "names and coords" test_names_coords;
+          QCheck_alcotest.to_alcotest graph_storage_prop ] );
       ( "traverse",
         [ tc "bfs dist" test_bfs_dist;
           tc "broken vertex" test_bfs_respects_broken_vertex;
