@@ -17,6 +17,11 @@ type report = {
   routing : Netrec_flow.Routing.t;  (** the routing the fraction refers to *)
 }
 
+val valid : Instance.t -> Instance.solution -> bool
+(** Sanity: every repaired element was actually broken, no duplicates,
+    and the routing (if any) fits nominal capacities on the
+    post-recovery graph. *)
+
 val assess : Instance.t -> Instance.solution -> report
 (** Evaluate a solution against its instance.  Invokes the installed
     {!set_certifier} hook (if any) on the solution first. *)

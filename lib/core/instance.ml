@@ -1,4 +1,3 @@
-module Num = Netrec_util.Num
 module Failure = Netrec_disrupt.Failure
 module Commodity = Netrec_flow.Commodity
 module Routing = Netrec_flow.Routing
@@ -60,57 +59,6 @@ let repair_cost t s =
 let vertex_repairs s = List.length s.repaired_vertices
 let edge_repairs s = List.length s.repaired_edges
 let total_repairs s = vertex_repairs s + edge_repairs s
-
-(* Membership arrays built once per partial application, so the
-   predicates searches call once per relaxation are one array read.
-   Out-of-range repair ids (a parsed solution may carry them; Check
-   reports them) mark nothing. *)
-let working broken repaired =
-  let ok = Array.map not broken in
-  List.iter
-    (fun x -> if x >= 0 && x < Array.length ok then ok.(x) <- true)
-    repaired;
-  ok
-
-let repaired_vertex_ok t s =
-  let ok = working t.failure.Failure.broken_vertices s.repaired_vertices in
-  fun v -> ok.(v)
-
-let repaired_edge_ok t s =
-  let vertex_ok = repaired_vertex_ok t s in
-  let ok = working t.failure.Failure.broken_edges s.repaired_edges in
-  Array.iteri
-    (fun e itself ->
-      if itself then begin
-        let u, v = Graph.endpoints t.graph e in
-        ok.(e) <- vertex_ok u && vertex_ok v
-      end)
-    ok;
-  fun e -> ok.(e)
-
-let no_duplicates l = List.length (List.sort_uniq compare l) = List.length l
-
-let valid t s =
-  let routing_ok =
-    s.routing = Routing.empty
-    || (Routing.satisfies t.graph ~cap:(Graph.capacity t.graph) s.routing
-       &&
-       (* every loaded edge must be available after the repairs *)
-       let load = Routing.edge_load t.graph s.routing in
-       let edge_ok = repaired_edge_ok t s in
-       let ok = ref true in
-       Array.iteri
-         (fun e l ->
-           if Num.positive ~eps:Num.flow_eps l && not (edge_ok e) then
-             ok := false)
-         load;
-       !ok)
-  in
-  no_duplicates s.repaired_vertices
-  && no_duplicates s.repaired_edges
-  && List.for_all (Failure.vertex_broken t.failure) s.repaired_vertices
-  && List.for_all (Failure.edge_broken t.failure) s.repaired_edges
-  && routing_ok
 
 let repair_all t =
   { repaired_vertices = Failure.broken_vertex_list t.failure;

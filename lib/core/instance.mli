@@ -54,23 +54,6 @@ val edge_repairs : solution -> int
 val total_repairs : solution -> int
 (** Vertices + edges (Figs. 3, 4(c), 5(a), 6(a), 7(b), 9(a) series). *)
 
-val repaired_vertex_ok : t -> solution -> Graph.vertex -> bool
-(** Post-recovery availability: a vertex works iff it was never broken or
-    it is repaired by the solution.  Partially applied to [t] and the
-    solution it builds a membership array once (O(nv)), so each check of
-    the returned predicate is O(1); apply it once per solution, not once
-    per vertex. *)
-
-val repaired_edge_ok : t -> solution -> Graph.edge_id -> bool
-(** Post-recovery edge availability (both endpoints must also work).
-    Like {!repaired_vertex_ok}, the partial application precomputes every
-    edge (O(nv + ne)) and the predicate is one array read. *)
-
-val valid : t -> solution -> bool
-(** Sanity: every repaired element was actually broken, no duplicates,
-    and the routing (if any) fits nominal capacities on the
-    post-recovery graph. *)
-
 val repair_all : t -> solution
 (** The trivial ALL baseline: repair every broken element. *)
 

@@ -1,5 +1,4 @@
 module Num = Netrec_util.Num
-module Failure = Netrec_disrupt.Failure
 module Obs = Netrec_obs.Obs
 module Commodity = Netrec_flow.Commodity
 module Routing = Netrec_flow.Routing
@@ -44,14 +43,9 @@ type state = {
   inst : Instance.t;
   cfg : config;
   budget : Budget.t;
-  src : int array;  (* the graph's edge columns ([Graph.columns]) *)
-  dst : int array;
+  rep : Repairs.t;  (* V_B^(n), E_B^(n) and the repair list L^(n) *)
   resid : float array;  (* residual capacities c^(n) *)
   len : float array;  (* the §IV-D length of every edge, kept current *)
-  broken_v : bool array;  (* V_B^(n): still broken, not listed for repair *)
-  broken_e : bool array;
-  repaired_v : bool array;  (* the repair list L^(n) *)
-  repaired_e : bool array;
   mutable demands : Commodity.t list;  (* H^(n) *)
   mutable routing : Routing.t;  (* committed by prunes *)
   cent_cache : Centrality.Cache.cache option;
@@ -65,9 +59,6 @@ type state = {
 
 let eps = Num.flow_eps
 
-(* The [const] of the §IV-D metric: the length of a working link. *)
-let length_const = 1.0
-
 (* Exact-LP size threshold for the inner oracles, and the GK accuracy
    used above it. *)
 let lp_var_budget = 2500
@@ -75,27 +66,15 @@ let gk_eps = 0.05
 
 (* ---- availability predicates ---- *)
 
-let working_vertex st v = not st.broken_v.(v)
+let working_vertex st = Repairs.vertex_ok st.rep
+let working_edge st = Repairs.edge_ok st.rep
 
-let working_edge st e =
-  (not st.broken_e.(e))
-  && working_vertex st st.src.(e)
-  && working_vertex st st.dst.(e)
-
-(* The §IV-D dynamic metric on the full graph: repair costs of elements
-   not yet listed for repair inflate the length; residual capacity
-   deflates it. *)
+(* The §IV-D dynamic metric on the full graph ({!Repairs.length}) over
+   the residual capacities, or 1 under the Hop ablation. *)
 let length_metric st e =
   match st.cfg.length_mode with
   | Hop -> 1.0
-  | Dynamic ->
-    let u = st.src.(e) and v = st.dst.(e) in
-    let ke = if st.broken_e.(e) then st.inst.Instance.edge_cost.(e) else 0.0 in
-    let kv w =
-      if st.broken_v.(w) then st.inst.Instance.vertex_cost.(w) else 0.0
-    in
-    let c = Float.max st.resid.(e) eps in
-    (length_const +. ke +. ((kv u +. kv v) /. 2.0)) /. c
+  | Dynamic -> Repairs.length st.rep ~resid:st.resid e
 
 (* [st.len] holds [length_metric] for every edge.  Its inputs change in
    three places only — a vertex repair, an edge repair and a committed
@@ -115,30 +94,27 @@ let note_improvement st gate =
   | Some c, Dynamic -> Centrality.Cache.note_improved c gate
   | Some _, Hop | None, _ -> ()
 
-let repair_vertex st v =
-  if st.broken_v.(v) then begin
-    st.broken_v.(v) <- false;
-    st.repaired_v.(v) <- true;
-    Graph.iter_incident st.inst.Instance.graph v (fun _ e ->
-        refresh_length st e);
-    note_improvement st v
-  end
+(* What ISP does after [Repairs] lists an element: refresh the lengths
+   it touched, then report the gate. *)
+let vertex_repaired st v =
+  Graph.iter_incident st.inst.Instance.graph v (fun _ e -> refresh_length st e);
+  note_improvement st v
 
-let repair_edge st e =
-  if st.broken_e.(e) then begin
-    st.broken_e.(e) <- false;
-    st.repaired_e.(e) <- true;
-    refresh_length st e;
-    note_improvement st st.src.(e)
-  end
+let edge_repaired st e =
+  refresh_length st e;
+  note_improvement st (fst (Graph.endpoints st.inst.Instance.graph e))
+
+let repair_vertex st v =
+  if Repairs.repair_vertex st.rep v then vertex_repaired st v
+
+let repair_edge st e = if Repairs.repair_edge st.rep e then edge_repaired st e
 
 (* ---- oracles ---- *)
 
 let termination_check st =
   Obs.span "isp.oracle" @@ fun () ->
   Oracle.routable ~budget:st.budget
-    ~vertex_ok:(working_vertex st)
-    ~edge_ok:(fun e -> working_edge st e)
+    ~vertex_ok:(working_vertex st) ~edge_ok:(working_edge st)
     ~lp_var_budget ~gk_eps
     ~cap:(fun e -> st.resid.(e))
     st.inst.Instance.graph st.demands
@@ -191,7 +167,7 @@ let prune_pass st =
           match
             Bubble.prune ~cache:st.bubbles
               ~working_vertex:(working_vertex st)
-              ~working_edge:(fun e -> working_edge st e)
+              ~working_edge:(working_edge st)
               ~cap:(fun e -> st.resid.(e))
               st.inst.Instance.graph ~demands:st.demands h
           with
@@ -215,14 +191,13 @@ let direct_repairs st =
     (fun h ->
       if h.Commodity.amount > eps then begin
         let direct_broken =
-          List.filter (fun e -> st.broken_e.(e))
+          List.filter (Repairs.edge_broken st.rep)
             (Graph.find_edges g h.Commodity.src h.Commodity.dst)
         in
         if direct_broken <> [] then begin
           let satisfiable =
             Maxflow.max_flow_value
-              ~vertex_ok:(working_vertex st)
-              ~edge_ok:(fun e -> working_edge st e)
+              ~vertex_ok:(working_vertex st) ~edge_ok:(working_edge st)
               ~cap:(fun e -> st.resid.(e))
               g ~source:h.Commodity.src ~sink:h.Commodity.dst
             >= h.Commodity.amount -. eps
@@ -417,13 +392,10 @@ let fallback_repair_path st h =
   with
   | None | Some [] -> false
   | Some p ->
-    List.iter
-      (fun e ->
-        repair_edge st e;
-        let u, v = Graph.endpoints g e in
-        repair_vertex st u;
-        repair_vertex st v)
-      p;
+    ignore
+      (Repairs.repair_path ~on_edge:(edge_repaired st)
+         ~on_vertex:(vertex_repaired st) st.rep p
+        : bool);
     st.fallback_paths <- st.fallback_paths + 1;
     Obs.count "isp.fallback_paths";
     true
@@ -434,19 +406,9 @@ let final_solution st =
   Obs.span "isp.final_route" @@ fun () ->
   let inst = st.inst in
   let g = inst.Instance.graph in
-  let repaired_vertices =
-    List.filter (fun v -> st.repaired_v.(v)) (Graph.vertices g)
-  in
-  let repaired_edges =
-    List.filter (fun e -> st.repaired_e.(e)) (List.init (Graph.ne g) Fun.id)
-  in
-  let sol0 =
-    { Instance.repaired_vertices; repaired_edges; routing = Routing.empty }
-  in
   (* Route the ORIGINAL demands over the post-recovery network with
      nominal capacities; this is the routing artifact ISP reports. *)
-  let vertex_ok = Instance.repaired_vertex_ok inst sol0 in
-  let edge_ok = Instance.repaired_edge_ok inst sol0 in
+  let vertex_ok = working_vertex st and edge_ok = working_edge st in
   let routing =
     match
       Oracle.routable ~budget:st.budget ~vertex_ok ~edge_ok
@@ -461,23 +423,17 @@ let final_solution st =
         ~lp_var_budget ~cap:(Graph.capacity g) g
         inst.Instance.demands
   in
-  { sol0 with Instance.routing }
+  Repairs.solution ~routing st.rep
 
 let solve_body ~config ~budget inst =
   let g = inst.Instance.graph in
-  let src, dst, _ = Graph.columns g in
   let st =
     { inst;
       cfg = config;
       budget;
-      src;
-      dst;
+      rep = Repairs.create inst;
       resid = Array.init (Graph.ne g) (Graph.capacity g);
       len = Array.make (Graph.ne g) 0.0;
-      broken_v = Array.copy inst.Instance.failure.Failure.broken_vertices;
-      broken_e = Array.copy inst.Instance.failure.Failure.broken_edges;
-      repaired_v = Array.make (Graph.nv g) false;
-      repaired_e = Array.make (Graph.ne g) false;
       demands = Commodity.normalize inst.Instance.demands;
       routing = Routing.empty;
       cent_cache =
@@ -497,8 +453,8 @@ let solve_body ~config ~budget inst =
      solution must restore them: positive flow leaves/enters them). *)
   List.iter
     (fun v ->
-      if st.broken_v.(v) then begin
-        repair_vertex st v;
+      if Repairs.repair_vertex st.rep v then begin
+        vertex_repaired st v;
         st.endpoint_repairs <- st.endpoint_repairs + 1
       end)
     (Commodity.endpoints st.demands);

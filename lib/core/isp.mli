@@ -28,8 +28,8 @@ type length_mode =
   | Dynamic
       (** the §IV-D repair-aware metric
           [(const + ke + (kv_u + kv_v)/2) / residual_capacity] with
-          [const = 1] (a working link's length), updated every
-          iteration — the paper's choice *)
+          [const = 1] (a working link's length), {!Repairs.length},
+          updated every iteration — the paper's choice *)
   | Hop  (** unit lengths: ablation switch to measure what the dynamic
              metric buys (see the fig4 ablation bench) *)
 

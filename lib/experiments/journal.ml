@@ -5,25 +5,11 @@ let format_tag = "netrec-journal/1"
 
 type cells = (string * (string * float) list) list
 
-(* ---- line codec ----
-   One flat JSON object per line.  Numbers are written with %.17g, so
+(* ---- the journal ----
+   One flat JSON object per line.  Strings go through [Json.escape], so a
+   line holds no raw control byte; numbers are written with %.17g, so
    they read back bit for bit, non-finite ones through the parser's
    [~non_finite] mode. *)
-
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-(* ---- the journal ---- *)
 
 type t = {
   oc : out_channel;
@@ -177,14 +163,14 @@ let completed j ~point ~run =
 let record j ~point ~run cells =
   let head kind =
     Printf.sprintf "{\"type\":\"%s\",\"point\":\"%s\",\"run\":%d" kind
-      (escape point) run
+      (Json.escape point) run
   in
   List.iter
     (fun (alg, payload) ->
       output_string j.oc (head "cell");
-      Printf.fprintf j.oc ",\"alg\":\"%s\"" (escape alg);
+      Printf.fprintf j.oc ",\"alg\":\"%s\"" (Json.escape alg);
       List.iter
-        (fun (k, v) -> Printf.fprintf j.oc ",\"%s\":%.17g" (escape k) v)
+        (fun (k, v) -> Printf.fprintf j.oc ",\"%s\":%.17g" (Json.escape k) v)
         payload;
       output_string j.oc "}\n")
     cells;

@@ -20,12 +20,6 @@ let bfs_dist ?(vertex_ok = all_vertices) ?(edge_ok = all_edges) g src =
   end;
   dist
 
-let reachable ?vertex_ok ?edge_ok g src dst =
-  Bidir.reachable ?vertex_ok ?edge_ok g src dst
-
-let bfs_path ?vertex_ok ?edge_ok g src dst =
-  Bidir.path ?vertex_ok ?edge_ok ~tie:Bidir.Fifo g src dst
-
 (* One BFS labelling pass over a shared array queue: each vertex is
    enqueued once, so k components cost O(n + e), not O(k * n).  Scanning
    sources in increasing order numbers components by smallest vertex. *)

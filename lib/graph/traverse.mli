@@ -1,5 +1,6 @@
-(** Breadth-first traversal, reachability and connected components with
-    vertex/edge availability predicates.
+(** Breadth-first distances and connected components with vertex/edge
+    availability predicates (point-to-point reachability and hop paths
+    are {!Bidir}'s).
 
     The predicates express the "working subgraph" of a partially destroyed
     network: algorithms see only vertices with [vertex_ok] and edges with
@@ -14,31 +15,6 @@ val bfs_dist :
   int array
 (** Hop distance from the source to every vertex ([max_int] when
     unreachable, including the source itself when [vertex_ok src] fails). *)
-
-val reachable :
-  ?vertex_ok:(Graph.vertex -> bool) ->
-  ?edge_ok:(Graph.edge_id -> bool) ->
-  Graph.t ->
-  Graph.vertex ->
-  Graph.vertex ->
-  bool
-(** Whether a working path connects the two vertices, decided by
-    {!Bidir.reachable}'s balanced bidirectional BFS: a query scans about
-    the smaller of the two endpoints' balls, not the whole graph.
-    @raise Invalid_argument on an out-of-range endpoint. *)
-
-val bfs_path :
-  ?vertex_ok:(Graph.vertex -> bool) ->
-  ?edge_ok:(Graph.edge_id -> bool) ->
-  Graph.t ->
-  Graph.vertex ->
-  Graph.vertex ->
-  Graph.edge_id list option
-(** A minimum-hop working path as an edge sequence from source to target
-    ([Some []] when source = target and the source is ok): exactly the
-    path a FIFO BFS from the source with first-discovery parents
-    returns, found by {!Bidir.path} without scanning the whole graph.
-    @raise Invalid_argument on an out-of-range endpoint. *)
 
 val component_ids :
   ?vertex_ok:(Graph.vertex -> bool) ->

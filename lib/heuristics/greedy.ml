@@ -32,54 +32,11 @@ let sorted_paths ?max_per_pair inst =
       compare (path_weight inst p1) (path_weight inst p2))
     enum.Path_enum.paths
 
-type state = {
-  inst : Instance.t;
-  repaired_v : bool array;
-  repaired_e : bool array;
-}
-
-let fresh_state inst =
-  { inst;
-    repaired_v = Array.make (Graph.nv inst.Instance.graph) false;
-    repaired_e = Array.make (Graph.ne inst.Instance.graph) false }
-
-(* Returns whether any element was newly repaired. *)
-let repair_path st p =
-  let g = st.inst.Instance.graph in
-  let failure = st.inst.Instance.failure in
-  let news = ref false in
-  let mark arr i = if not arr.(i) then begin arr.(i) <- true; news := true end in
-  List.iter
-    (fun e ->
-      if Failure.edge_broken failure e then mark st.repaired_e e;
-      let u, v = Graph.endpoints g e in
-      if Failure.vertex_broken failure u then mark st.repaired_v u;
-      if Failure.vertex_broken failure v then mark st.repaired_v v)
-    p;
-  !news
-
-let working_vertex st v =
-  (not (Failure.vertex_broken st.inst.Instance.failure v)) || st.repaired_v.(v)
-
-let working_edge st e =
-  ((not (Failure.edge_broken st.inst.Instance.failure e)) || st.repaired_e.(e))
-  &&
-  let u, v = Graph.endpoints st.inst.Instance.graph e in
-  working_vertex st u && working_vertex st v
-
-let to_solution st routing =
-  let indices a =
-    List.filteri (fun i _ -> a.(i)) (List.init (Array.length a) (fun i -> i))
-  in
-  { Instance.repaired_vertices = indices st.repaired_v;
-    repaired_edges = indices st.repaired_e;
-    routing }
-
 (* ---- GRD-COM ---- *)
 
 let grd_com ?max_per_pair inst =
   let g = inst.Instance.graph in
-  let st = fresh_state inst in
+  let rep = Repairs.create inst in
   let paths = sorted_paths ?max_per_pair inst in
   let demands = Array.of_list inst.Instance.demands in
   let remaining = Array.map (fun d -> d.Commodity.amount) demands in
@@ -102,10 +59,10 @@ let grd_com ?max_per_pair inst =
     let rec go () =
       if Num.positive ~eps:Num.flow_eps remaining.(k) then begin
         let edge_ok e =
-          working_edge st e && Num.positive ~eps:Num.flow_eps resid.(e)
+          Repairs.edge_ok rep e && Num.positive ~eps:Num.flow_eps resid.(e)
         in
         match
-          Dijkstra.shortest_path ~vertex_ok:(working_vertex st) ~edge_ok
+          Dijkstra.shortest_path ~vertex_ok:(Repairs.vertex_ok rep) ~edge_ok
             ~length:(fun e -> 1.0 /. Float.max resid.(e) Num.flow_eps)
             g d.Commodity.src d.Commodity.dst
         with
@@ -138,7 +95,7 @@ let grd_com ?max_per_pair inst =
         (* A saturated path cannot serve anybody: repairing it would only
            waste crews, so skip it. *)
         if Num.positive ~eps:Num.flow_eps cap_now then begin
-          ignore (repair_path st p : bool);
+          ignore (Repairs.repair_path rep p : bool);
           let amount = Float.min cap_now remaining.(i) in
           commit i p amount;
           (* Let every other demand use the newly repaired capacity. *)
@@ -156,24 +113,24 @@ let grd_com ?max_per_pair inst =
          (fun i demand -> { Routing.demand; paths = List.rev assignments.(i) })
          demands)
   in
-  to_solution st routing
+  Repairs.solution ~routing rep
 
 (* ---- GRD-NC ---- *)
 
 let grd_nc ?max_per_pair inst =
   let g = inst.Instance.graph in
-  let st = fresh_state inst in
+  let rep = Repairs.create inst in
   let paths = sorted_paths ?max_per_pair inst in
   let routable () =
-    Oracle.routable ~vertex_ok:(working_vertex st)
-      ~edge_ok:(fun e -> working_edge st e)
+    Oracle.routable ~vertex_ok:(Repairs.vertex_ok rep)
+      ~edge_ok:(Repairs.edge_ok rep)
       ~cap:(Graph.capacity g) g inst.Instance.demands
   in
   let rec consume last = function
     | [] -> last
     | (_, p) :: rest ->
       (* Re-test only when the path actually repaired something new. *)
-      if repair_path st p then begin
+      if Repairs.repair_path rep p then begin
         match routable () with
         | Oracle.Routable r -> Some r
         | Oracle.Unroutable | Oracle.Unknown -> consume last rest
@@ -186,4 +143,4 @@ let grd_nc ?max_per_pair inst =
     | Oracle.Routable r -> Some r
     | Oracle.Unroutable | Oracle.Unknown -> consume None paths
   in
-  to_solution st (Option.value ~default:Routing.empty result)
+  Repairs.solution ?routing:result rep

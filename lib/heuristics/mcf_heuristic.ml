@@ -1,7 +1,6 @@
 module Num = Netrec_util.Num
 module Lp = Netrec_lp.Lp
 module Obs = Netrec_obs.Obs
-module Routing = Netrec_flow.Routing
 module Mcf_lp = Netrec_flow.Mcf_lp
 module Failure = Netrec_disrupt.Failure
 open Netrec_core
@@ -43,35 +42,16 @@ let build_flow_lp inst =
 (* Repairs implied by a flow: every broken edge carrying flow, every
    broken vertex some loaded edge touches. *)
 let support_of_flow inst flows values =
-  let g = inst.Instance.graph in
-  let failure = inst.Instance.failure in
-  let used_v = Array.make (Graph.nv g) false in
-  let used_e = Array.make (Graph.ne g) false in
-  Graph.fold_edges
-    (fun e () ->
-      let load =
-        List.fold_left
-          (fun acc (x, _) -> acc +. values.(x))
-          0.0
-          (Mcf_lp.load flows e.Graph.id)
-      in
-      if Num.positive ~eps:Num.feas_eps load then begin
-        used_e.(e.Graph.id) <- true;
-        used_v.(e.Graph.u) <- true;
-        used_v.(e.Graph.v) <- true
-      end)
-    g ();
-  let repaired_vertices =
-    List.filter
-      (fun v -> used_v.(v) && Failure.vertex_broken failure v)
-      (Graph.vertices g)
-  in
-  let repaired_edges =
-    List.filter
-      (fun e -> used_e.(e) && Failure.edge_broken failure e)
-      (List.init (Graph.ne g) (fun e -> e))
-  in
-  { Instance.repaired_vertices; repaired_edges; routing = Routing.empty }
+  let rep = Repairs.create inst in
+  for e = 0 to Graph.ne inst.Instance.graph - 1 do
+    let load =
+      List.fold_left (fun acc (x, _) -> acc +. values.(x)) 0.0
+        (Mcf_lp.load flows e)
+    in
+    if Num.positive ~eps:Num.feas_eps load then
+      ignore (Repairs.repair_path rep [ e ] : bool)
+  done;
+  Repairs.solution rep
 
 let var_budget = 8000
 

@@ -19,11 +19,10 @@ let prune ?(max_rounds = 3) inst sol =
       routing = Routing.empty }
   in
   let routable () =
-    let sol = current () in
+    let rep = Repairs.of_solution inst (current ()) in
     match
-      Oracle.routable
-        ~vertex_ok:(Instance.repaired_vertex_ok inst sol)
-        ~edge_ok:(Instance.repaired_edge_ok inst sol)
+      Oracle.routable ~vertex_ok:(Repairs.vertex_ok rep)
+        ~edge_ok:(Repairs.edge_ok rep)
         ~cap:(Graph.capacity g) g inst.Instance.demands
     with
     | Oracle.Routable r -> Some r

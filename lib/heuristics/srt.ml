@@ -1,27 +1,18 @@
 module Num = Netrec_util.Num
 module Commodity = Netrec_flow.Commodity
-module Failure = Netrec_disrupt.Failure
 open Netrec_core
+
+let by_amount demands =
+  List.sort (fun a b -> compare b.Commodity.amount a.Commodity.amount) demands
+
+(* Endpoints must work even when the demand has no path at all. *)
+let repair_endpoints rep d =
+  ignore (Repairs.repair_vertex rep d.Commodity.src : bool);
+  ignore (Repairs.repair_vertex rep d.Commodity.dst : bool)
 
 let solve inst =
   let g = inst.Instance.graph in
-  let failure = inst.Instance.failure in
-  let repaired_v = Array.make (Graph.nv g) false in
-  let repaired_e = Array.make (Graph.ne g) false in
-  let repair_path p =
-    List.iter
-      (fun e ->
-        if Failure.edge_broken failure e then repaired_e.(e) <- true;
-        let u, v = Graph.endpoints g e in
-        if Failure.vertex_broken failure u then repaired_v.(u) <- true;
-        if Failure.vertex_broken failure v then repaired_v.(v) <- true)
-      p
-  in
-  let demands =
-    List.sort
-      (fun a b -> compare b.Commodity.amount a.Commodity.amount)
-      inst.Instance.demands
-  in
+  let rep = Repairs.create inst in
   List.iter
     (fun d ->
       (* S_i: first shortest paths (hop metric, full graph, nominal
@@ -32,64 +23,32 @@ let solve inst =
           ~cap:(Graph.capacity g) ~demand:d.Commodity.amount g d.Commodity.src
           d.Commodity.dst
       in
-      List.iter (fun (p, _) -> repair_path p) bundle.Paths.paths;
-      (* Endpoints must work even when the demand has no path at all. *)
       List.iter
-        (fun v -> if Failure.vertex_broken failure v then repaired_v.(v) <- true)
-        [ d.Commodity.src; d.Commodity.dst ])
-    demands;
-  let indices a =
-    List.filteri (fun i _ -> a.(i)) (List.init (Array.length a) (fun i -> i))
-  in
-  { Instance.repaired_vertices = indices repaired_v;
-    repaired_edges = indices repaired_e;
-    routing = Netrec_flow.Routing.empty }
+        (fun (p, _) -> ignore (Repairs.repair_path rep p : bool))
+        bundle.Paths.paths;
+      repair_endpoints rep d)
+    (by_amount inst.Instance.demands);
+  Repairs.solution rep
 
 let solve_residual inst =
   let g = inst.Instance.graph in
-  let failure = inst.Instance.failure in
-  let repaired_v = Array.make (Graph.nv g) false in
-  let repaired_e = Array.make (Graph.ne g) false in
+  let rep = Repairs.create inst in
   let resid = Array.init (Graph.ne g) (Graph.capacity g) in
   let eps = Num.flow_eps in
-  (* Repair-cost-aware length on the full graph with residual capacity.
-     The [else 0.0] branches are marginal-cost semantics, not a "free
-     path" fallback: an element already marked repaired (or never broken)
-     costs nothing *again*, while the constant 1.0 hop term keeps every
-     edge strictly positive-length.  They can therefore never make an
-     unroutable demand look satisfied — when no residual path exists,
+  (* The §IV-D repair-cost-aware length ({!Repairs.length}) on the full
+     graph with residual capacity.  An element already listed for repair
+     (or never broken) adds no repair cost: marginal-cost semantics, not
+     a "free path" fallback, while the constant hop term keeps every edge
+     strictly positive-length.  It can therefore never make an unroutable
+     demand look satisfied — when no residual path exists,
      [route_demand] below records the demand with whatever partial paths
      it found (possibly none) and the shortfall shows up in the routing's
      satisfaction (pinned by test_heuristics "srt residual unroutable"
      and the [Netrec_check] certifier). *)
-  let length e =
-    let u, v = Graph.endpoints g e in
-    let ke =
-      if Failure.edge_broken failure e && not repaired_e.(e) then
-        inst.Instance.edge_cost.(e)
-      else 0.0
-    in
-    let kv w =
-      if Failure.vertex_broken failure w && not repaired_v.(w) then
-        inst.Instance.vertex_cost.(w)
-      else 0.0
-    in
-    (1.0 +. ke +. ((kv u +. kv v) /. 2.0)) /. Float.max resid.(e) eps
-  in
-  let repair_path p =
-    List.iter
-      (fun e ->
-        if Failure.edge_broken failure e then repaired_e.(e) <- true;
-        let u, v = Graph.endpoints g e in
-        if Failure.vertex_broken failure u then repaired_v.(u) <- true;
-        if Failure.vertex_broken failure v then repaired_v.(v) <- true)
-      p
-  in
+  let length = Repairs.length rep ~resid in
   let assignments = ref [] in
   let route_demand d =
-    List.iter
-      (fun v -> if Failure.vertex_broken failure v then repaired_v.(v) <- true)
-      [ d.Commodity.src; d.Commodity.dst ];
+    repair_endpoints rep d;
     let rec go remaining acc =
       if remaining <= eps then List.rev acc
       else
@@ -104,20 +63,12 @@ let solve_residual inst =
             List.fold_left (fun a e -> Float.min a resid.(e)) infinity p
           in
           let send = Float.min bottleneck remaining in
-          repair_path p;
+          ignore (Repairs.repair_path rep p : bool);
           List.iter (fun e -> resid.(e) <- resid.(e) -. send) p;
           go (remaining -. send) ((p, send) :: acc)
     in
     let paths = go d.Commodity.amount [] in
     assignments := { Netrec_flow.Routing.demand = d; paths } :: !assignments
   in
-  List.iter route_demand
-    (List.sort
-       (fun a b -> compare b.Commodity.amount a.Commodity.amount)
-       inst.Instance.demands);
-  let indices a =
-    List.filteri (fun i _ -> a.(i)) (List.init (Array.length a) (fun i -> i))
-  in
-  { Instance.repaired_vertices = indices repaired_v;
-    repaired_edges = indices repaired_e;
-    routing = List.rev !assignments }
+  List.iter route_demand (by_amount inst.Instance.demands);
+  Repairs.solution ~routing:(List.rev !assignments) rep

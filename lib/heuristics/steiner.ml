@@ -1,6 +1,5 @@
 module Failure = Netrec_disrupt.Failure
 module Commodity = Netrec_flow.Commodity
-module Routing = Netrec_flow.Routing
 open Netrec_core
 
 (* ---- union-find ---- *)
@@ -34,7 +33,7 @@ let forest g ~weight ~pairs =
   let m = Graph.ne g in
   (* Only pairs connected in g can ever be joined. *)
   let pairs =
-    List.filter (fun (s, t) -> s <> t && Traverse.reachable g s t) pairs
+    List.filter (fun (s, t) -> s <> t && Bidir.reachable g s t) pairs
   in
   if pairs = [] then []
   else begin
@@ -107,7 +106,7 @@ let forest g ~weight ~pairs =
     List.iter (fun e -> in_forest.(e) <- true) !chosen;
     let connected_within () =
       let edge_ok e = in_forest.(e) in
-      List.for_all (fun (s, t) -> Traverse.reachable ~edge_ok g s t) pairs
+      List.for_all (fun (s, t) -> Bidir.reachable ~edge_ok g s t) pairs
     in
     List.iter
       (fun e ->
@@ -142,29 +141,12 @@ let recovery inst =
       (fun d -> (d.Commodity.src, d.Commodity.dst))
       inst.Instance.demands
   in
-  let chosen = forest g ~weight ~pairs in
-  let used_v = Array.make (Graph.nv g) false in
-  List.iter
-    (fun e ->
-      let u, v = Graph.endpoints g e in
-      used_v.(u) <- true;
-      used_v.(v) <- true)
-    chosen;
+  let rep = Repairs.create inst in
+  ignore (Repairs.repair_path rep (forest g ~weight ~pairs) : bool);
   (* Demand endpoints must work even when isolated. *)
   List.iter
     (fun (s, t) ->
-      used_v.(s) <- true;
-      used_v.(t) <- true)
+      ignore (Repairs.repair_vertex rep s : bool);
+      ignore (Repairs.repair_vertex rep t : bool))
     pairs;
-  let repaired_vertices =
-    List.filter
-      (fun v -> used_v.(v) && Failure.vertex_broken failure v)
-      (Graph.vertices g)
-  in
-  let repaired_edges =
-    List.filter (Failure.edge_broken failure) chosen
-  in
-  let sol =
-    { Instance.repaired_vertices; repaired_edges; routing = Routing.empty }
-  in
-  Postpass.prune inst sol
+  Postpass.prune inst (Repairs.solution rep)

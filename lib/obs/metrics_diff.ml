@@ -199,6 +199,24 @@ module Json = struct
     if !pos <> n then fail "trailing garbage";
     v
 
+  (* The body of a JSON string literal: quote, backslash and every
+     control byte escaped, so a line never carries a raw control byte. *)
+  let escape s =
+    let buf = Buffer.create (String.length s + 2) in
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.contents buf
+
   let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
   let obj_members = function Obj kvs -> kvs | _ -> []
   let arr_items = function Arr xs -> xs | _ -> []

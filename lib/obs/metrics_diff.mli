@@ -46,6 +46,14 @@ module Json : sig
       a number may also be exactly [nan], [-nan], [inf] or [-inf] (what
       [%.17g] prints for non-finite floats); the default is strict JSON. *)
 
+  val escape : string -> string
+  (** The body of a JSON string literal for any byte string: the double
+      quote, the backslash and every control byte below 0x20 are escaped
+      (newline, carriage return and tab by their letters, the others as
+      [\u00XX]), other bytes are copied, so {!parse} reads the literal
+      back to the same string.  The one escaper of every JSON writer in
+      the repo: the [Obs] exporters and the experiment journal. *)
+
   val member : string -> t -> t option
   (** Object field lookup; [None] on non-objects. *)
 

@@ -609,21 +609,7 @@ let leaf path =
   | Some i -> String.sub path (i + 1) (String.length path - i - 1)
   | None -> path
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let json_escape = Metrics_diff.Json.escape
 
 (* JSON floats: %.9g never yields inf/nan here (all inputs are finite
    durations/samples) and stays a valid JSON number. *)

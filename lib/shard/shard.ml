@@ -1,12 +1,11 @@
-module Num = Netrec_util.Num
 module Obs = Netrec_obs.Obs
 module Failure = Netrec_disrupt.Failure
 module Commodity = Netrec_flow.Commodity
-module Routing = Netrec_flow.Routing
 module Oracle = Netrec_flow.Oracle
 module Route_greedy = Netrec_flow.Route_greedy
 module Instance = Netrec_core.Instance
 module Isp = Netrec_core.Isp
+module Repairs = Netrec_core.Repairs
 module Centrality = Netrec_core.Centrality
 module Pool = Netrec_parallel.Pool
 module Check = Netrec_check.Check
@@ -47,8 +46,6 @@ type stats = {
   wall_seconds : float;
 }
 
-let eps = Num.flow_eps
-
 (* ---- disaster region ---- *)
 
 (* Multi-source BFS from every broken element, [halo] hops deep, over the
@@ -88,15 +85,13 @@ let region_of ~halo inst =
   done;
   in_region
 
-(* Whether demand [h] lost working connectivity under the broken flags:
+(* Whether demand [h] lost working connectivity in the repair state:
    one bidirectional reachability query, which scans about the smaller
    of its endpoints' working balls rather than the whole graph. *)
-let cut_off g ~broken_v ~broken_e h =
+let cut_off g rep h =
   not
-    (Traverse.reachable
-       ~vertex_ok:(fun v -> not broken_v.(v))
-       ~edge_ok:(fun e -> not broken_e.(e))
-       g h.Commodity.src h.Commodity.dst)
+    (Bidir.reachable ~vertex_ok:(Repairs.vertex_ok rep)
+       ~edge_ok:(Repairs.edge_ok rep) g h.Commodity.src h.Commodity.dst)
 
 (* ---- demand segmentation ---- *)
 
@@ -199,30 +194,25 @@ let build_sub inst verts demands =
    repaired a different cut than the global path assumed).  Repair the
    repair-aware shortest full-graph path for each, largest amount first,
    committing the demand onto a residual so later fixups see the consumed
-   capacity.  The candidate path comes from the {!Centrality} bundle
-   machinery backed by a {!Centrality.Cache}: each stitch-pass repair
-   reports its gate ([note_improved] — lengths drop at a repaired vertex
-   and at an endpoint of a repaired edge; under the sampled centrality
-   any gate flushes the cache) and capacity consumption invalidates
-   exactly the touched edges ([note_worse]), the same invalidation
-   contract ISP's loop relies on, so cached and fresh bundles stay
-   bit-identical (see the equality property in test_shard.ml). *)
-let fixup inst ~candidates ~broken_v ~broken_e ~repaired_v ~repaired_e =
+   capacity.  Paths are priced with the §IV-D length ({!Repairs.length})
+   and come from the {!Centrality} bundle machinery backed by a
+   {!Centrality.Cache}: each fixup repair reports its gate
+   ([note_improved] — lengths drop at a repaired vertex and at an
+   endpoint of a repaired edge; under the sampled centrality any gate
+   flushes the cache) and capacity consumption invalidates exactly the
+   touched edges ([note_worse]), the same invalidation contract ISP's
+   loop relies on, so cached and fresh bundles stay bit-identical (see
+   the equality property in test_shard.ml). *)
+let fixup inst ~candidates rep =
   let g = inst.Instance.graph in
-  let unsatisfied = List.filter (cut_off g ~broken_v ~broken_e) in
+  let unsatisfied = List.filter (cut_off g rep) in
   match unsatisfied candidates with
   | [] -> 0  (* the stitched repairs reconnected every candidate *)
   | cut ->
     let resid = Array.init (Graph.ne g) (Graph.capacity g) in
     let cache = Centrality.Cache.create () in
     let fixups = ref 0 in
-    let length e =
-      let u, v = Graph.endpoints g e in
-      let ke = if broken_e.(e) then inst.Instance.edge_cost.(e) else 0.0 in
-      let kv w = if broken_v.(w) then inst.Instance.vertex_cost.(w) else 0.0 in
-      let c = Float.max resid.(e) eps in
-      (1.0 +. ke +. ((kv u +. kv v) /. 2.0)) /. c
-    in
+    let length = Repairs.length rep ~resid in
     let by_amount =
       List.stable_sort
         (fun a b ->
@@ -258,23 +248,13 @@ let fixup inst ~candidates ~broken_v ~broken_e ~repaired_v ~repaired_e =
           | (p, _) :: _ ->
             Log.debug (fun m ->
                 m "fixup %a over %d-edge path" Commodity.pp h (List.length p));
-            List.iter
-              (fun e ->
-                let u, v = Graph.endpoints g e in
-                if broken_e.(e) then begin
-                  broken_e.(e) <- false;
-                  repaired_e.(e) <- true;
-                  Centrality.Cache.note_improved cache u
-                end;
-                List.iter
-                  (fun w ->
-                    if broken_v.(w) then begin
-                      broken_v.(w) <- false;
-                      repaired_v.(w) <- true;
-                      Centrality.Cache.note_improved cache w
-                    end)
-                  [ u; v ])
-              p;
+            ignore
+              (Repairs.repair_path
+                 ~on_edge:(fun e ->
+                   Centrality.Cache.note_improved cache
+                     (fst (Graph.endpoints g e)))
+                 ~on_vertex:(Centrality.Cache.note_improved cache) rep p
+                : bool);
             List.iter
               (fun e ->
                 resid.(e) <- Float.max 0.0 (resid.(e) -. h.Commodity.amount);
@@ -289,23 +269,10 @@ let fixup inst ~candidates ~broken_v ~broken_e ~repaired_v ~repaired_e =
 
 (* ---- final routing (mirrors Isp.final_solution, size-gated) ---- *)
 
-let final_solution inst repaired_v repaired_e =
+let final_solution inst rep =
   Obs.span "shard.final_route" @@ fun () ->
   let g = inst.Instance.graph in
-  let indices a =
-    let acc = ref [] in
-    for i = Array.length a - 1 downto 0 do
-      if a.(i) then acc := i :: !acc
-    done;
-    !acc
-  in
-  let sol0 =
-    { Instance.repaired_vertices = indices repaired_v;
-      repaired_edges = indices repaired_e;
-      routing = Routing.empty }
-  in
-  let vertex_ok = Instance.repaired_vertex_ok inst sol0 in
-  let edge_ok = Instance.repaired_edge_ok inst sol0 in
+  let vertex_ok = Repairs.vertex_ok rep and edge_ok = Repairs.edge_ok rep in
   let cap = Graph.capacity g in
   let demands = inst.Instance.demands in
   let routing =
@@ -322,7 +289,7 @@ let final_solution inst repaired_v repaired_e =
       | Some r -> r
       | None -> Route_greedy.route_max ~vertex_ok ~edge_ok ~cap g demands
   in
-  { sol0 with Instance.routing }
+  Repairs.solution ~routing rep
 
 (* ---- the solver ---- *)
 
@@ -385,23 +352,23 @@ let solve_body ~pool inst =
     in
     let nshards = List.length components in
     let subs = Array.make (max 1 nshards) [] in
-    let fail = inst.Instance.failure in
     let cut_demands = ref 0 in
-    (* Demands that lost working connectivity — the only ones recovery
-       must touch.  Stitching and fixup only ever repair, so this set can
-       not grow later; it doubles as the fixup candidate list. *)
-    let broken_demands =
+    (* One repair state for the whole plan: the cut filter reads it
+       before any repair, the stitch and the fixup repair into it and the
+       final routing reads it.  The demands that lost working
+       connectivity are the only ones recovery must touch.  Stitching and
+       fixup only ever repair, so this set can not grow later; it doubles
+       as the fixup candidate list. *)
+    let rep, broken_demands =
       Obs.span "shard.segment" @@ fun () ->
+      let rep = Repairs.create inst in
       let broken_demands =
-        List.filter
-          (cut_off g ~broken_v:fail.Failure.broken_vertices
-             ~broken_e:fail.Failure.broken_edges)
-          (Commodity.normalize inst.Instance.demands)
+        List.filter (cut_off g rep) (Commodity.normalize inst.Instance.demands)
       in
       List.iter
         (fun h ->
           match
-            Traverse.bfs_path g h.Commodity.src h.Commodity.dst
+            Bidir.path ~tie:Bidir.Fifo g h.Commodity.src h.Commodity.dst
           with
           | None | Some [] -> ()  (* disconnected even undamaged *)
           | Some p ->
@@ -416,7 +383,7 @@ let solve_body ~pool inst =
               Obs.count "isp.shard_cut_demands"
             end)
         broken_demands;
-      broken_demands
+      (rep, broken_demands)
     in
     (* Only shards that received sub-demands need solving. *)
     let sub_arr =
@@ -438,40 +405,22 @@ let solve_body ~pool inst =
         sub_arr
     in
     (* Stitch: union of per-shard repairs, mapped back to global ids. *)
-    let broken_v, broken_e, repaired_v, repaired_e =
-      Obs.span "shard.stitch" @@ fun () ->
-      let broken_v = Array.copy fail.Failure.broken_vertices in
-      let broken_e = Array.copy fail.Failure.broken_edges in
-      let repaired_v = Array.make n false in
-      let repaired_e = Array.make (Graph.ne g) false in
-      Array.iteri
-        (fun i (sol, _) ->
-          let sub = sub_arr.(i) in
-          List.iter
-            (fun lv ->
-              let v = sub.l2g_v.(lv) in
-              if broken_v.(v) then begin
-                broken_v.(v) <- false;
-                repaired_v.(v) <- true
-              end)
-            sol.Instance.repaired_vertices;
-          List.iter
-            (fun le ->
-              let e = sub.l2g_e.(le) in
-              if broken_e.(e) then begin
-                broken_e.(e) <- false;
-                repaired_e.(e) <- true
-              end)
-            sol.Instance.repaired_edges)
-        results;
-      (broken_v, broken_e, repaired_v, repaired_e)
-    in
+    Obs.span "shard.stitch" (fun () ->
+        Array.iteri
+          (fun i (sol, _) ->
+            let sub = sub_arr.(i) in
+            List.iter
+              (fun lv -> ignore (Repairs.repair_vertex rep sub.l2g_v.(lv) : bool))
+              sol.Instance.repaired_vertices;
+            List.iter
+              (fun le -> ignore (Repairs.repair_edge rep sub.l2g_e.(le) : bool))
+              sol.Instance.repaired_edges)
+          results);
     let fixup_paths =
       Obs.span "shard.fixup" @@ fun () ->
-      fixup inst ~candidates:broken_demands ~broken_v ~broken_e
-        ~repaired_v ~repaired_e
+      fixup inst ~candidates:broken_demands rep
     in
-    let sol = final_solution inst repaired_v repaired_e in
+    let sol = final_solution inst rep in
     let certificate = certify inst sol in
     ( sol,
       { shards = Array.length sub_arr;

@@ -70,19 +70,17 @@ val solve :
 (**/**)
 
 (** Internal: the boundary-demand fixup pass, exposed so that tests can
-    drive its loop on hand-built instances (the pinned scenarios never
-    leave a stitched demand disconnected).  [fixup inst ~candidates
-    ~broken_v ~broken_e ~repaired_v ~repaired_e] repairs, largest amount
-    first, a repair-aware shortest full-graph path for each candidate
-    with no working path under [broken_v]/[broken_e], clearing the
-    broken flags it repairs and setting the matching [repaired_*] ones;
-    a candidate with no positive-residual full-graph path is dropped.
-    Returns the number of paths repaired. *)
+    drive its loop on hand-built and perturbed instances (the pinned
+    fig9-xl scenarios never leave a stitched demand disconnected).
+    [fixup inst ~candidates rep] takes the plan's repair state after the
+    stitch and repairs into it ({!Netrec_core.Repairs.repair_path}),
+    largest amount first, the shortest full-graph path under the §IV-D
+    length ({!Netrec_core.Repairs.length}) for each candidate with no
+    working path in [rep]; a candidate with no positive-residual
+    full-graph path is dropped.  Returns the number of paths
+    repaired. *)
 val fixup :
   Netrec_core.Instance.t ->
   candidates:Netrec_flow.Commodity.t list ->
-  broken_v:bool array ->
-  broken_e:bool array ->
-  repaired_v:bool array ->
-  repaired_e:bool array ->
+  Netrec_core.Repairs.t ->
   int

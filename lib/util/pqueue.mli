@@ -1,9 +1,10 @@
 (** Mutable binary min-heap keyed by floats.
 
-    Used by Dijkstra and the Garg–Könemann inner loop.  Decrease-key is
-    handled lazily: callers may insert the same element several times with
-    decreasing priorities and drop stale pop results (the standard
-    "lazy deletion" Dijkstra idiom), so no handle bookkeeping is needed. *)
+    Used by [Milp]'s best-bound node queue ([Dijkstra], which
+    Garg–Könemann calls, keeps its own array heap).  Decrease-key is handled lazily: callers
+    may insert the same element several times with decreasing priorities
+    and drop stale pop results (the "lazy deletion" idiom), so no handle
+    bookkeeping is needed. *)
 
 type 'a t
 (** Min-heap of ['a] elements with float priorities. *)

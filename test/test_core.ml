@@ -79,13 +79,13 @@ let test_repaired_predicates () =
       repaired_edges = [ 0 ];
       routing = Routing.empty }
   in
-  Alcotest.(check bool) "v repaired" true (Instance.repaired_vertex_ok inst sol 0);
-  Alcotest.(check bool) "v broken" false (Instance.repaired_vertex_ok inst sol 2);
+  let rep = Repairs.of_solution inst sol in
+  Alcotest.(check bool) "v repaired" true (Repairs.vertex_ok rep 0);
+  Alcotest.(check bool) "v broken" false (Repairs.vertex_ok rep 2);
   (* edge 0 = (0,1): both endpoints repaired -> usable *)
-  Alcotest.(check bool) "edge usable" true (Instance.repaired_edge_ok inst sol 0);
+  Alcotest.(check bool) "edge usable" true (Repairs.edge_ok rep 0);
   (* edge 1 = (1,2): endpoint 2 still broken *)
-  Alcotest.(check bool) "edge endpoint broken" false
-    (Instance.repaired_edge_ok inst sol 1)
+  Alcotest.(check bool) "edge endpoint broken" false (Repairs.edge_ok rep 1)
 
 let test_valid_rejects_unbroken_repairs () =
   let g = fixture () in
@@ -95,7 +95,7 @@ let test_valid_rejects_unbroken_repairs () =
       repaired_edges = [];
       routing = Routing.empty }
   in
-  Alcotest.(check bool) "invalid" false (Instance.valid inst sol)
+  Alcotest.(check bool) "invalid" false (Evaluate.valid inst sol)
 
 let test_valid_rejects_duplicates () =
   let g = fixture () in
@@ -105,7 +105,7 @@ let test_valid_rejects_duplicates () =
       repaired_edges = [];
       routing = Routing.empty }
   in
-  Alcotest.(check bool) "invalid" false (Instance.valid inst sol)
+  Alcotest.(check bool) "invalid" false (Evaluate.valid inst sol)
 
 let test_repair_all () =
   let g = fixture () in
@@ -113,7 +113,7 @@ let test_repair_all () =
   let sol = Instance.repair_all inst in
   Alcotest.(check int) "everything" (Graph.nv g + Graph.ne g)
     (Instance.total_repairs sol);
-  Alcotest.(check bool) "valid" true (Instance.valid inst sol)
+  Alcotest.(check bool) "valid" true (Evaluate.valid inst sol)
 
 (* ---- Centrality ---- *)
 
@@ -703,7 +703,7 @@ let test_isp_path_complete_destruction () =
   (* Must repair the whole unique path: 4 vertices + 3 edges. *)
   Alcotest.(check int) "vertices" 4 (Instance.vertex_repairs sol);
   Alcotest.(check int) "edges" 3 (Instance.edge_repairs sol);
-  Alcotest.(check bool) "valid" true (Instance.valid inst sol);
+  Alcotest.(check bool) "valid" true (Evaluate.valid inst sol);
   check_no_loss inst sol
 
 let test_isp_only_needed_branch () =
@@ -734,7 +734,7 @@ let test_isp_shares_repairs_between_demands () =
   check_no_loss inst sol;
   (* Disjoint corridors would need at least 8+6=14... sharing the middle
      row lowers the bill; just assert a sane bound and validity. *)
-  Alcotest.(check bool) "valid" true (Instance.valid inst sol);
+  Alcotest.(check bool) "valid" true (Evaluate.valid inst sol);
   Alcotest.(check bool) "not repairing everything" true
     (Instance.total_repairs sol < Graph.nv g + Graph.ne g)
 
@@ -746,7 +746,7 @@ let test_isp_respects_capacity_conflicts () =
   let inst = make_inst g demands (Failure.complete g) in
   let sol, _ = isp inst in
   check_no_loss inst sol;
-  Alcotest.(check bool) "valid" true (Instance.valid inst sol)
+  Alcotest.(check bool) "valid" true (Evaluate.valid inst sol)
 
 let test_isp_partial_failure () =
   let g = fixture () in
@@ -773,7 +773,7 @@ let test_isp_routing_is_valid () =
   let inst = make_inst g [ demand ~amount:12.0 0 5 ] (Failure.complete g) in
   let sol, _ = isp inst in
   Alcotest.(check bool) "routing present" true (sol.Instance.routing <> []);
-  Alcotest.(check bool) "valid incl. routing" true (Instance.valid inst sol);
+  Alcotest.(check bool) "valid incl. routing" true (Evaluate.valid inst sol);
   Alcotest.(check (float 1e-6)) "routes everything" 12.0
     (Routing.total_routed sol.Instance.routing)
 
@@ -870,7 +870,7 @@ let isp_no_loss_prop =
         else begin
           let sol, _ = Isp.solve inst in
           Evaluate.satisfied_fraction inst sol >= 1.0 -. 1e-6
-          && Instance.valid inst sol
+          && Evaluate.valid inst sol
         end
       end)
 
@@ -1071,7 +1071,7 @@ let test_isp_hop_mode_still_sound () =
   let config = { Isp.default_config with Isp.length_mode = Isp.Hop } in
   let sol, _ = Isp.solve ~config inst in
   check_no_loss inst sol;
-  Alcotest.(check bool) "valid" true (Instance.valid inst sol)
+  Alcotest.(check bool) "valid" true (Evaluate.valid inst sol)
 
 (* ---- Render ---- *)
 

@@ -124,6 +124,44 @@ let test_sweep_journal_replay () =
       Alcotest.(check (list (list (float 0.0)))) "replay = recorded run"
         recorded (sweep never))
 
+(* Names are escaped with the one JSON escaper: a point, algorithm or
+   field name holding a carriage return or another control byte makes a
+   line with no raw control byte that strict JSON reads, and a resume
+   reads the names back. *)
+let test_journal_control_bytes () =
+  let path = Filename.temp_file "netrec_journal" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let point = "fig4:pairs=3\r" and cells = [ ("ISP\001", [ ("cost\r", 23.0) ]) ] in
+      let j = Journal.create ~opt_nodes:60 path in
+      Journal.record j ~point ~run:1 cells;
+      Journal.close j;
+      let lines =
+        String.split_on_char '\n'
+          (In_channel.with_open_bin path In_channel.input_all)
+      in
+      String.iter
+        (fun c ->
+          if Char.code c < 0x20 && c <> '\n' then
+            Alcotest.failf "raw control byte 0x%02x in the journal" (Char.code c))
+        (String.concat "\n" lines);
+      List.iter
+        (fun line ->
+          if String.length line > 0 && line.[0] = '{' then
+            match Netrec_obs.Metrics_diff.Json.parse line with
+            | _ -> ()
+            | exception Netrec_obs.Metrics_diff.Json.Parse_error e ->
+              Alcotest.failf "not strict JSON (%s): %S" e line)
+        lines;
+      let j = Journal.create ~opt_nodes:60 path in
+      Fun.protect
+        ~finally:(fun () -> Journal.close j)
+        (fun () ->
+          Alcotest.(check (option (list (pair string (list (pair string (float 0.0)))))))
+            "resumed cells" (Some cells)
+            (Journal.completed j ~point ~run:1)))
+
 (* A journal resumes only under the OPT budget it was started with: its
    cells' OPT column was solved under that budget.  A different budget,
    or a journal that records none, fails before anything is appended. *)
@@ -386,7 +424,8 @@ let () =
           tc "runs latest first, -j1 = -j4" test_sweep_latest_first;
           tc "journal replay" test_sweep_journal_replay;
           tc "runs < 1 rejected" test_runs_below_one_rejected;
-          tc "journal keeps its OPT budget" test_journal_budget ] );
+          tc "journal keeps its OPT budget" test_journal_budget;
+          tc "journal escapes control bytes" test_journal_control_bytes ] );
       ( "gates",
         [ slow "blocks: -j1 = -j4, each passes its row" test_gate_blocks;
           slow "caida isp plan and Dinic work pinned" test_caida_isp_pinned;

@@ -323,11 +323,11 @@ let test_bfs_respects_broken_edge () =
   let e01 = Option.get (Graph.find_edge g 0 1) in
   let e03 = Option.get (Graph.find_edge g 0 3) in
   let edge_ok e = e <> e01 && e <> e03 in
-  Alcotest.(check bool) "isolated" false (Traverse.reachable ~edge_ok g 0 5)
+  Alcotest.(check bool) "isolated" false (Bidir.reachable ~edge_ok g 0 5)
 
 let test_bfs_path_chains () =
   let g = fixture () in
-  match Traverse.bfs_path g 0 5 with
+  match Bidir.path ~tie:Bidir.Fifo g 0 5 with
   | None -> Alcotest.fail "expected path"
   | Some p ->
     Alcotest.(check int) "hops" 3 (List.length p);
@@ -795,7 +795,7 @@ let for_random_pairs seed f =
     (fun _ -> f g ~vertex_ok ~edge_ok (Rng.int rng n) (Rng.int rng n))
     (List.init 20 Fun.id)
 
-(* The whole-graph FIFO BFS that [Traverse.bfs_path] must reproduce:
+(* The whole-graph FIFO BFS that [Bidir.path ~tie:Fifo] must reproduce:
    each vertex keeps the first (queue position, incidence slot) that
    discovers it. *)
 let reference_bfs_path ~vertex_ok ~edge_ok g src dst =
@@ -835,14 +835,14 @@ let bfs_path_matches_reference_prop =
   QCheck.Test.make ~name:"bfs_path = reference FIFO BFS path" ~count:300
     QCheck.int (fun seed ->
       for_random_pairs seed (fun g ~vertex_ok ~edge_ok src dst ->
-          Traverse.bfs_path ~vertex_ok ~edge_ok g src dst
+          Bidir.path ~vertex_ok ~edge_ok ~tie:Bidir.Fifo g src dst
           = reference_bfs_path ~vertex_ok ~edge_ok g src dst))
 
 let reachable_matches_reference_prop =
   QCheck.Test.make ~name:"reachable = reference FIFO BFS finds a path"
     ~count:300 QCheck.int (fun seed ->
       for_random_pairs seed (fun g ~vertex_ok ~edge_ok src dst ->
-          Traverse.reachable ~vertex_ok ~edge_ok g src dst
+          Bidir.reachable ~vertex_ok ~edge_ok g src dst
           = (reference_bfs_path ~vertex_ok ~edge_ok g src dst <> None)))
 
 (* Components by one BFS distance row per unseen source. *)
@@ -901,11 +901,10 @@ let test_bidir_edge_cases () =
     (fun (name, search) ->
       check_entry name "Bidir.path" Alcotest.(check (option (list int))) search)
     [ ("By_id", fun vertex_ok g -> Bidir.path ~vertex_ok ~tie:Bidir.By_id g);
-      ("Fifo", fun vertex_ok g -> Bidir.path ~vertex_ok ~tie:Bidir.Fifo g);
-      ("bfs_path", fun vertex_ok g -> Traverse.bfs_path ~vertex_ok g) ];
+      ("Fifo", fun vertex_ok g -> Bidir.path ~vertex_ok ~tie:Bidir.Fifo g) ];
   check_entry "reachable" "Bidir.reachable"
     (fun what expected got -> Alcotest.(check bool) what (expected <> None) got)
-    (fun vertex_ok g -> Traverse.reachable ~vertex_ok g)
+    (fun vertex_ok g -> Bidir.reachable ~vertex_ok g)
 
 (* The point of the search.  Vertex 0 has 30 neighbours with 30 leaves
    each (961 vertices within two hops) and reaches the target over a
@@ -946,7 +945,7 @@ let test_bidir_grows_the_cheap_side () =
       (Printf.sprintf "scanned %d incidences, not the dense side" scanned)
       true (scanned <= 100)
   | _ -> Alcotest.fail "path: reachability counters moved");
-  (match counted (fun () -> Traverse.reachable g 0 933) with
+  (match counted (fun () -> Bidir.reachable g 0 933) with
   | r, [ 0; 0; calls; scanned ] ->
     Alcotest.(check bool) "reachable" true r;
     Alcotest.(check int) "one reachability call" 1 calls;
@@ -955,7 +954,7 @@ let test_bidir_grows_the_cheap_side () =
       true (scanned <= 100)
   | _ -> Alcotest.fail "reachable: path counters moved");
   (* Edge 931 is 931 - 932: the 30 hub and 900 leaf edges come first. *)
-  match counted (fun () -> Traverse.reachable ~edge_ok:(fun e -> e <> 931) g 0 933) with
+  match counted (fun () -> Bidir.reachable ~edge_ok:(fun e -> e <> 931) g 0 933) with
   | r, [ _; _; _; scanned ] ->
     Alcotest.(check bool) "island cut off" false r;
     Alcotest.(check int) "scanned only the island's incidences" 3 scanned
@@ -1205,14 +1204,14 @@ let test_shortest_bundle_exhausts () =
 
 let test_through_excludes_endpoints () =
   let g = fixture () in
-  let p = Option.get (Traverse.bfs_path g 0 2) in
+  let p = Option.get (Bidir.path ~tie:Bidir.Fifo g 0 2) in
   Alcotest.(check bool) "interior" true (Paths.through g 0 2 1 p);
   Alcotest.(check bool) "endpoint i" false (Paths.through g 0 2 0 p);
   Alcotest.(check bool) "endpoint j" false (Paths.through g 0 2 2 p)
 
 let test_is_simple () =
   let g = fixture () in
-  let p = Option.get (Traverse.bfs_path g 0 5 ) in
+  let p = Option.get (Bidir.path ~tie:Bidir.Fifo g 0 5) in
   Alcotest.(check bool) "bfs path simple" true (Paths.is_simple g 0 p)
 
 (* ---- Generators ---- *)

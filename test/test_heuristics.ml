@@ -76,7 +76,7 @@ let test_srt_residual_avoids_loss () =
   Alcotest.(check (float 1e-6)) "SRT-R serves all" 1.0 (satisfied inst residual);
   Alcotest.(check bool) "SRT-R repairs at least as much" true
     (Instance.total_repairs residual >= Instance.total_repairs plain);
-  Alcotest.(check bool) "routing valid" true (Instance.valid inst residual)
+  Alcotest.(check bool) "routing valid" true (Evaluate.valid inst residual)
 
 let test_srt_residual_commits_routing () =
   let g = path_graph 4 in
@@ -162,7 +162,7 @@ let test_grd_com_single_demand () =
   let sol = Greedy.grd_com inst in
   Alcotest.(check (float 1e-6)) "served" 1.0 (satisfied inst sol);
   Alcotest.(check bool) "has routing" true (sol.Instance.routing <> []);
-  Alcotest.(check bool) "valid" true (Instance.valid inst sol)
+  Alcotest.(check bool) "valid" true (Evaluate.valid inst sol)
 
 let test_grd_nc_no_loss_property () =
   (* GRD-NC stops only when the full demand is routable: no loss. *)
@@ -523,7 +523,7 @@ let test_steiner_forest_connects () =
   let g = Netrec_graph.Generate.erdos_renyi ~rng ~n:20 ~p:0.2 ~capacity:1.0 in
   let pairs = [ (0, 19); (1, 18) ] in
   let connected_pairs =
-    List.filter (fun (s, t) -> Traverse.reachable g s t) pairs
+    List.filter (fun (s, t) -> Bidir.reachable g s t) pairs
   in
   let f = Steiner.forest g ~weight:(fun _ -> 1.0) ~pairs in
   let in_forest = Hashtbl.create 16 in
@@ -531,7 +531,7 @@ let test_steiner_forest_connects () =
   List.iter
     (fun (s, t) ->
       Alcotest.(check bool) "pair connected in forest" true
-        (Traverse.reachable ~edge_ok:(Hashtbl.mem in_forest) g s t))
+        (Bidir.reachable ~edge_ok:(Hashtbl.mem in_forest) g s t))
     connected_pairs
 
 let test_steiner_forest_ignores_disconnected () =
@@ -543,7 +543,7 @@ let test_steiner_recovery_connectivity () =
   let g = fixture () in
   let inst = make_inst g [ demand ~amount:1.0 0 5 ] (Failure.complete g) in
   let sol = Steiner.recovery inst in
-  Alcotest.(check bool) "valid" true (Instance.valid inst sol);
+  Alcotest.(check bool) "valid" true (Evaluate.valid inst sol);
   (* With a 1-unit demand, connectivity implies full service. *)
   Alcotest.(check (float 1e-6)) "served" 1.0 (satisfied inst sol)
 
@@ -687,6 +687,105 @@ let test_exact_forest_matches_milp () =
     end
   done
 
+(* ---- baseline pins ----
+
+   The repair baselines ISP is compared with, pinned by the MD5 of their
+   serialized solutions: SRT, SRT-R, GRD-COM, GRD-NC, Steiner recovery
+   and the MCB relaxation's support on seeded Bell-Canada instances
+   (four 10-unit pairs; complete destruction, or a variance-30 Gaussian
+   disaster drawn after the pairs), and SRT, SRT-R and Steiner on the
+   CAIDA-like topology (five 22-unit far pairs, complete destruction).
+   Any change to what the baselines repair or route shows here. *)
+
+let solution_md5 sol =
+  Digest.to_hex (Digest.string (Serialize.solution_to_string sol))
+
+let bell_canada_disaster ~seed ~gaussian =
+  let g = Netrec_topo.Bell_canada.graph () in
+  let rng = Rng.create seed in
+  let demands =
+    Netrec_experiments.Common.feasible_demands ~rng ~count:4 ~amount:10.0 g
+  in
+  make_inst g demands
+    (if gaussian then Netrec_disrupt.Models.gaussian ~rng ~variance:30.0 g
+     else Failure.complete g)
+
+let caida_disaster ~seed =
+  let g = Netrec_topo.Caida.graph () in
+  let rng = Rng.create seed in
+  let demands =
+    Netrec_experiments.Common.feasible_demands ~rng ~distinct:true ~count:5
+      ~amount:22.0 g
+  in
+  make_inst g demands (Failure.complete g)
+
+let connectivity_baselines =
+  [ ("srt", Srt.solve); ("srt-r", Srt.solve_residual);
+    ("steiner", Steiner.recovery) ]
+
+let all_baselines =
+  connectivity_baselines
+  @ [ ("grd-com", fun inst -> Greedy.grd_com inst);
+      ("grd-nc", fun inst -> Greedy.grd_nc inst);
+      ( "mcb support",
+        fun inst ->
+          match Mcf_heuristic.solve inst with
+          | Some r -> r.Mcf_heuristic.support
+          | None -> Alcotest.fail "no relaxation" ) ]
+
+let test_baseline_pins () =
+  let digests name inst baselines =
+    List.map
+      (fun (alg, solve) -> (name ^ " " ^ alg, solution_md5 (solve inst)))
+      baselines
+  in
+  Alcotest.(check (list (pair string string)))
+    "solution md5s"
+    [ ("bell-canada complete 1 srt", "6905bea0986c8520b60a1f61db7f8532");
+      ("bell-canada complete 1 srt-r", "fd20d7299cc61c5043c3f955ec8ddd39");
+      ("bell-canada complete 1 steiner", "d2e026f9c8988be4b0a2e6f10004917b");
+      ("bell-canada complete 1 grd-com", "fd20d7299cc61c5043c3f955ec8ddd39");
+      ("bell-canada complete 1 grd-nc", "95af054db84f0117d9837644ff841cb9");
+      ("bell-canada complete 1 mcb support", "e205f2a1683554795ce446422b9db232");
+      ("bell-canada complete 2 srt", "3ecaca97b02534f74479c340ca6c81e9");
+      ("bell-canada complete 2 srt-r", "aa5f22e39c5478e3970d794f1eed5bce");
+      ("bell-canada complete 2 steiner", "3506b0a4e4af544449113fc38033421d");
+      ("bell-canada complete 2 grd-com", "aa5f22e39c5478e3970d794f1eed5bce");
+      ("bell-canada complete 2 grd-nc", "ee3f25afa1a83af0d96a5c4048cae32c");
+      ("bell-canada complete 2 mcb support", "03d8ebb0d7f908cad2ad6813e35b41d2");
+      ("bell-canada gaussian 3 srt", "0e4c9a1bfac6f564f78e9e8e30b982ac");
+      ("bell-canada gaussian 3 srt-r", "43201f293dc33566de1c96fb78c6aa94");
+      ("bell-canada gaussian 3 steiner", "a3a5149261b44d1b3a04b361aa4632c0");
+      ("bell-canada gaussian 3 grd-com", "6c282b2ed39a5b17e8bdd90d3fc9b453");
+      ("bell-canada gaussian 3 grd-nc", "07021937537a8130cec9863a4560f2e4");
+      ("bell-canada gaussian 3 mcb support", "8ffb14174dcbe4ac671f93ccbabcca35");
+      ("bell-canada gaussian 4 srt", "ffb392e725d9db4d2a457b1665890b4f");
+      ("bell-canada gaussian 4 srt-r", "e376d82683c493d84adbeafc5548c2af");
+      ("bell-canada gaussian 4 steiner", "3b975019c50ee84a8f579632235f4151");
+      ("bell-canada gaussian 4 grd-com", "7e63290ebd7e54df62439ca11f2309ca");
+      ("bell-canada gaussian 4 grd-nc", "872af599ed26d18a55841a9262e922ed");
+      ("bell-canada gaussian 4 mcb support", "83dfa51b26e346fdc2407b34f1222db0");
+      ("caida 1 srt", "8e5394fc9e11e3ce7fe3eb556ea972f5");
+      ("caida 1 srt-r", "d0e753f3a327ac482d0fba5235912f40");
+      ("caida 1 steiner", "b620d22e2360e4aad9ef3b4f66ddba14");
+      ("caida 2 srt", "c8e2e15b2d66f55d557bb12d94aa5fbf");
+      ("caida 2 srt-r", "7bfc73ccdd54b1e18918930b2b971945");
+      ("caida 2 steiner", "049dc588846b12fcac7859df9786d6a1") ]
+    (digests "bell-canada complete 1"
+       (bell_canada_disaster ~seed:1 ~gaussian:false)
+       all_baselines
+    @ digests "bell-canada complete 2"
+        (bell_canada_disaster ~seed:2 ~gaussian:false)
+        all_baselines
+    @ digests "bell-canada gaussian 3"
+        (bell_canada_disaster ~seed:3 ~gaussian:true)
+        all_baselines
+    @ digests "bell-canada gaussian 4"
+        (bell_canada_disaster ~seed:4 ~gaussian:true)
+        all_baselines
+    @ digests "caida 1" (caida_disaster ~seed:1) connectivity_baselines
+    @ digests "caida 2" (caida_disaster ~seed:2) connectivity_baselines)
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "netrec_heuristics"
@@ -698,6 +797,7 @@ let () =
           tc "residual avoids loss" test_srt_residual_avoids_loss;
           tc "residual commits routing" test_srt_residual_commits_routing;
           tc "srt residual unroutable" test_srt_residual_unroutable ] );
+      ("baselines", [ tc "pinned solutions" test_baseline_pins ]);
       ( "path_enum",
         [ tc "cycle counts" test_path_enum_counts_cycle;
           tc "respects cap" test_path_enum_respects_cap;

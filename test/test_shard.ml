@@ -86,10 +86,71 @@ let test_pinned_outputs () =
         (Check.ok st.Shard.certificate))
     pinned
 
+(* ---- a demand cut between working endpoints ----
+
+   In every pinned scenario each cut demand has a broken endpoint, so
+   the cut filter's reachability query never answers "no" for two
+   working endpoints there.  This fixture takes the pinned 5k scenario
+   (the smoke scenario) and also breaks every edge between BFS layers 1
+   and 2 around the source of its first demand whose endpoints both
+   work (3333 -> 4555, six hops apart): the 12 ring edges cut that
+   demand off although both its endpoints still work.  The stitch and
+   the fixup's re-check then run on it; the shard solved for the ring
+   repairs it, so no fixup path is needed (0 pinned).  Solution MD5 and
+   stats were measured before the shard kept its repairs in
+   [Repairs]. *)
+let ring_cut_scenario () =
+  let inst = Lazy.force smoke in
+  let g = inst.Instance.graph in
+  let fail = inst.Instance.failure in
+  let works v = not fail.Failure.broken_vertices.(v) in
+  let h =
+    List.find
+      (fun h -> works h.Commodity.src && works h.Commodity.dst)
+      inst.Instance.demands
+  in
+  let dist = Traverse.bfs_dist g h.Commodity.src in
+  let ring e =
+    let u, v = Graph.endpoints g e in
+    (dist.(u) = 1 && dist.(v) = 2) || (dist.(u) = 2 && dist.(v) = 1)
+  in
+  let failure =
+    { fail with
+      Failure.broken_edges =
+        Array.mapi (fun e b -> b || ring e) fail.Failure.broken_edges }
+  in
+  ( Instance.make ~vertex_cost:inst.Instance.vertex_cost
+      ~edge_cost:inst.Instance.edge_cost ~graph:g
+      ~demands:inst.Instance.demands ~failure (),
+    h )
+
+let test_ring_cut_demand () =
+  let inst, h = ring_cut_scenario () in
+  let fail = inst.Instance.failure in
+  Alcotest.(check (pair int int)) "the demand" (3333, 4555)
+    (h.Commodity.src, h.Commodity.dst);
+  Alcotest.(check (pair bool bool)) "both endpoints work" (false, false)
+    ( fail.Failure.broken_vertices.(h.Commodity.src),
+      fail.Failure.broken_vertices.(h.Commodity.dst) );
+  Alcotest.(check bool) "cut off before recovery" false
+    (Bidir.reachable
+       ~vertex_ok:(fun v -> not fail.Failure.broken_vertices.(v))
+       ~edge_ok:(fun e -> not fail.Failure.broken_edges.(e))
+       inst.Instance.graph h.Commodity.src h.Commodity.dst);
+  let sol, st = Shard.solve inst in
+  Alcotest.(check bool) "took the sharded path" false st.Shard.delegated;
+  Alcotest.(check bool) "demands were cut" true (st.Shard.cut_demands >= 1);
+  Alcotest.(check bool) "certified" true (Check.ok st.Shard.certificate);
+  Alcotest.(check string) "solution md5" "861dd2166ef4e43c31d96191427eb3f1"
+    (Digest.to_hex (Digest.string (Serialize.solution_to_string sol)));
+  Alcotest.(check (list int)) "shards, region, cut, fixup" [ 3; 133; 13; 0 ]
+    [ st.Shard.shards; st.Shard.region_vertices; st.Shard.cut_demands;
+      st.Shard.fixup_paths ]
+
 (* ---- the fixup loop ----
 
-   No pinned scenario leaves a stitched demand disconnected, so the loop
-   is driven directly.  Every edge has capacity 10 and every element
+   No generated scenario leaves a stitched demand disconnected, so the
+   loop is driven directly.  Every edge has capacity 10 and every element
    costs 1. *)
 
 let fixup_instance ~n ~edges ~broken demands =
@@ -102,26 +163,16 @@ let fixup_instance ~n ~edges ~broken demands =
   Instance.make ~graph:g ~demands ~failure ()
 
 let run_fixup inst =
-  let g = inst.Instance.graph in
-  let fail = inst.Instance.failure in
-  let broken_v = Array.copy fail.Failure.broken_vertices in
-  let broken_e = Array.copy fail.Failure.broken_edges in
-  let repaired_v = Array.make (Graph.nv g) false in
-  let repaired_e = Array.make (Graph.ne g) false in
+  let rep = Repairs.create inst in
   let fixups =
-    Shard.fixup inst ~candidates:inst.Instance.demands ~broken_v ~broken_e
-      ~repaired_v ~repaired_e
+    Shard.fixup inst ~candidates:inst.Instance.demands rep
   in
   let connected h =
-    Traverse.reachable
-      ~vertex_ok:(fun v -> not broken_v.(v))
-      ~edge_ok:(fun e -> not broken_e.(e))
-      g h.Commodity.src h.Commodity.dst
+    Bidir.reachable ~vertex_ok:(Repairs.vertex_ok rep)
+      ~edge_ok:(Repairs.edge_ok rep) inst.Instance.graph h.Commodity.src
+      h.Commodity.dst
   in
-  (fixups, broken_v, repaired_v, repaired_e, connected)
-
-let indices a =
-  List.filter (fun i -> a.(i)) (List.init (Array.length a) Fun.id)
+  (fixups, rep, connected)
 
 (* A star through broken hub 1 cuts 0 -> 2 and 0 -> 3; 4 -> 5 is intact.
    Repairing 0 -> 2's path repairs the hub, and the re-check then finds
@@ -133,11 +184,12 @@ let test_fixup_repairs_cut_candidate () =
       ~broken:[ 1 ]
       [ (0, 2, 5.0); (0, 3, 3.0); (4, 5, 1.0) ]
   in
-  let fixups, broken_v, repaired_v, repaired_e, connected = run_fixup inst in
+  let fixups, rep, connected = run_fixup inst in
   Alcotest.(check int) "one fixup path" 1 fixups;
-  Alcotest.(check (list int)) "hub repaired" [ 1 ] (indices repaired_v);
-  Alcotest.(check (list int)) "no edge repaired" [] (indices repaired_e);
-  Alcotest.(check bool) "hub no longer broken" false broken_v.(1);
+  Alcotest.(check (list int)) "hub repaired" [ 1 ]
+    (Repairs.repaired_vertices rep);
+  Alcotest.(check (list int)) "no edge repaired" [] (Repairs.repaired_edges rep);
+  Alcotest.(check bool) "hub works" true (Repairs.vertex_ok rep 1);
   List.iter
     (fun h ->
       Alcotest.(check bool)
@@ -155,10 +207,11 @@ let test_fixup_drops_dead_candidate () =
       ~broken:[ 4 ]
       [ (0, 2, 5.0); (3, 5, 2.0) ]
   in
-  let fixups, _, repaired_v, repaired_e, connected = run_fixup inst in
+  let fixups, rep, connected = run_fixup inst in
   Alcotest.(check int) "one fixup path" 1 fixups;
-  Alcotest.(check (list int)) "only 4 repaired" [ 4 ] (indices repaired_v);
-  Alcotest.(check (list int)) "no edge repaired" [] (indices repaired_e);
+  Alcotest.(check (list int)) "only 4 repaired" [ 4 ]
+    (Repairs.repaired_vertices rep);
+  Alcotest.(check (list int)) "no edge repaired" [] (Repairs.repaired_edges rep);
   match inst.Instance.demands with
   | [ dead; live ] ->
     Alcotest.(check bool) "dead candidate stays cut" false (connected dead);
@@ -244,6 +297,7 @@ let () =
         [ tc "smoke scenario certified" test_sharded_certified;
           tc "-j1 = -j4" test_pool_determinism;
           tc "pinned outputs" test_pinned_outputs;
+          tc "ring-cut demand between working endpoints" test_ring_cut_demand;
           tc "fixup repairs a cut candidate" test_fixup_repairs_cut_candidate;
           tc "fixup drops a dead candidate" test_fixup_drops_dead_candidate;
           tc "delegation matches isp" test_delegation_matches_isp;

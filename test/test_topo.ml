@@ -354,7 +354,7 @@ let () =
                 (fun dead ->
                   if dead <> 0 && dead <> 10 then
                     Alcotest.(check bool) "alternative path" true
-                      (Traverse.reachable ~vertex_ok:(fun v -> v <> dead) g 0 10))
+                      (Bidir.reachable ~vertex_ok:(fun v -> v <> dead) g 0 10))
                 (Graph.vertices g)) ] );
       ( "synth",
         [ tc "parse defaults" test_synth_parse_defaults;
